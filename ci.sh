@@ -35,6 +35,8 @@ lane_test() {
 lane_fault_differential() {
     echo "==> fault differential suite (serial == parallel == reference, faulted)"
     cargo test --release -p dut-netsim --test differential -q
+    echo "==> Justesen codec differential (tiered decode == reference decoder, row encode == Horner)"
+    cargo test --release -p dut-ecc --lib justesen -q
 }
 
 lane_testkit() {

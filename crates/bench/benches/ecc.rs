@@ -38,5 +38,42 @@ fn bench_construction(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_encoding, bench_construction);
+/// The CONGEST message codec's instance (`m = 5`, rate 1/3): encode,
+/// and decode of a clean word, a 1-flip word and a word flipped at the
+/// certified radius (5 bits, spread over distinct inner blocks).
+fn bench_codec_m5(c: &mut Criterion) {
+    let mut group = c.benchmark_group("justesen_codec_m5");
+    let code = JustesenCode::rate_one_third(5);
+    let mut rng = StdRng::seed_from_u64(19);
+    let mut msg: Vec<u64> = (0..code.input_bits().div_ceil(64))
+        .map(|_| rng.gen())
+        .collect();
+    let live = code.input_bits() % 64;
+    if live != 0 {
+        *msg.last_mut().expect("non-empty message") &= (1u64 << live) - 1;
+    }
+    let clean = code.encode(&msg);
+    let flipped = |bits: &[usize]| {
+        let mut word = clean.clone();
+        for &bit in bits {
+            word[bit / 64] ^= 1u64 << (bit % 64);
+        }
+        assert_eq!(code.decode(&word).expect("within radius"), msg);
+        word
+    };
+    let one_flip = flipped(&[37]);
+    let radius = code.certified_correction_radius();
+    let at_radius = flipped(&(0..radius).map(|i| 61 * i + 3).collect::<Vec<_>>());
+    group.bench_function("encode", |b| b.iter(|| black_box(code.encode(&msg))));
+    for (name, word) in [
+        ("decode_clean", &clean),
+        ("decode_1_flip", &one_flip),
+        ("decode_at_radius", &at_radius),
+    ] {
+        group.bench_function(name, |b| b.iter(|| black_box(code.decode(word))));
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_encoding, bench_construction, bench_codec_m5);
 criterion_main!(benches);

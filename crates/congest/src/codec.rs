@@ -114,7 +114,8 @@ impl<M: CodecMessage + MessageSize> MessageCodec for JustesenCodec<M> {
     fn decode(&self, wire: &CodedWord) -> Result<(M, usize), CodecError> {
         let message = self.code.decode(&wire.words).map_err(|_| CodecError)?;
         // Corrected bits = Hamming distance to the re-encoded clean
-        // codeword (the decoder itself reports only symbol errors).
+        // codeword: the decoder returns only the message, and the
+        // re-encode is a few row XORs.
         let clean = self.code.encode(&message);
         let corrected: u32 = clean
             .iter()

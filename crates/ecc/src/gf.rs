@@ -126,6 +126,17 @@ impl GaloisField {
         self.exp[((l * (e % order)) % order) as usize]
     }
 
+    /// `a·α^e` for `e < 2^m − 1`: one antilog lookup, no reduction of
+    /// `e` (the antilog table is doubled).
+    #[inline]
+    pub(crate) fn mul_alpha_pow(&self, a: u16, e: usize) -> u16 {
+        debug_assert!(e < self.size - 1);
+        if a == 0 {
+            return 0;
+        }
+        self.exp[self.log[a as usize] as usize + e]
+    }
+
     /// The `i`-th power of the primitive element α (i.e. `α^i`).
     pub fn alpha_pow(&self, i: usize) -> u16 {
         self.exp[i % (self.size - 1)]
@@ -208,6 +219,18 @@ mod tests {
             for e in 0..10u64 {
                 assert_eq!(f.pow(a, e), acc, "a={a}, e={e}");
                 acc = f.mul(acc, a);
+            }
+        }
+    }
+
+    #[test]
+    fn mul_alpha_pow_matches_mul() {
+        for m in [2u32, 5, 6, 9] {
+            let f = GaloisField::new(m);
+            for a in 0..f.size() as u16 {
+                for e in 0..f.size() - 1 {
+                    assert_eq!(f.mul_alpha_pow(a, e), f.mul(a, f.alpha_pow(e)), "m={m}");
+                }
             }
         }
     }

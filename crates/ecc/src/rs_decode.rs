@@ -1,8 +1,9 @@
 //! Reed–Solomon decoding via the Berlekamp–Welch algorithm.
 //!
-//! The uniformity-testing protocols only ever *encode* (the Equality
-//! referee compares codeword chunks, never reconstructs), but a code
-//! library without a decoder is half a library. Berlekamp–Welch
+//! The SMP Equality referee only compares codeword chunks and never
+//! decodes, but the robust CONGEST protocols decode every wire word:
+//! [`crate::justesen::JustesenCode::decode`] ends here whenever its
+//! inner-decoded symbols are not already an RS codeword. Berlekamp–Welch
 //! corrects up to `e = ⌊(N−K)/2⌋` symbol errors by solving one linear
 //! system over `GF(2^m)`:
 //!
@@ -21,6 +22,24 @@ use crate::rs::RsCode;
 use std::error::Error;
 use std::fmt;
 
+/// What a [`DecodeError::BeyondCapacity`] count is measured in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ErrorUnit {
+    /// Outer field symbols ([`crate::rs::RsCode`]).
+    Symbols,
+    /// Wire bits ([`crate::justesen::JustesenCode`]).
+    Bits,
+}
+
+impl fmt::Display for ErrorUnit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ErrorUnit::Symbols => "symbol",
+            ErrorUnit::Bits => "wire-bit",
+        })
+    }
+}
+
 /// Decoding failure. Decoders must be total on adversarial input —
 /// coded protocol paths feed them whatever arrives off the wire — so
 /// every rejection is a typed variant here, never a panic.
@@ -28,10 +47,11 @@ use std::fmt;
 pub enum DecodeError {
     /// More errors than the code can correct (or an inconsistent word).
     BeyondCapacity {
-        /// The maximum number of errors the code can correct — outer
-        /// *symbols* for [`crate::rs::RsCode`], wire *bits* for
-        /// [`crate::justesen::JustesenCode`].
+        /// The maximum number of errors the code can correct, in `unit`.
         capacity: usize,
+        /// Outer *symbols* for [`crate::rs::RsCode`], wire *bits* for
+        /// [`crate::justesen::JustesenCode`].
+        unit: ErrorUnit,
     },
     /// The received word has the wrong length — exactly `N` symbols for
     /// [`crate::rs::RsCode`], at least `output_bits` bits for
@@ -51,7 +71,7 @@ impl DecodeError {
     /// undecodable case.
     pub fn capacity(&self) -> Option<usize> {
         match self {
-            DecodeError::BeyondCapacity { capacity } => Some(*capacity),
+            DecodeError::BeyondCapacity { capacity, .. } => Some(*capacity),
             DecodeError::WrongLength { .. } => None,
         }
     }
@@ -60,9 +80,9 @@ impl DecodeError {
 impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DecodeError::BeyondCapacity { capacity } => write!(
+            DecodeError::BeyondCapacity { capacity, unit } => write!(
                 f,
-                "received word is not decodable within {capacity} symbol errors"
+                "received word is not decodable within {capacity} {unit} errors"
             ),
             DecodeError::WrongLength { expected, actual } => write!(
                 f,
@@ -256,8 +276,12 @@ impl RsCode<'_> {
             });
         }
         let capacity = (n - k) / 2;
-        berlekamp_welch(self.field(), self.points(), received, k)
-            .ok_or(DecodeError::BeyondCapacity { capacity })
+        berlekamp_welch(self.field(), self.points(), received, k).ok_or(
+            DecodeError::BeyondCapacity {
+                capacity,
+                unit: ErrorUnit::Symbols,
+            },
+        )
     }
 }
 
@@ -321,7 +345,13 @@ mod tests {
                 let d = re.iter().zip(&cw).filter(|(a, b)| a != b).count();
                 assert!(d <= 4);
             }
-            Err(e) => assert_eq!(e, DecodeError::BeyondCapacity { capacity: 4 }),
+            Err(e) => assert_eq!(
+                e,
+                DecodeError::BeyondCapacity {
+                    capacity: 4,
+                    unit: ErrorUnit::Symbols
+                }
+            ),
         }
     }
 
@@ -385,6 +415,22 @@ mod tests {
             rs.decode(&long).unwrap_err(),
             DecodeError::WrongLength { actual: 17, .. }
         ));
+    }
+
+    #[test]
+    fn beyond_capacity_message_names_its_unit() {
+        let (f, msg) = setup();
+        let rs = RsCode::new(&f, 9, 8); // e = 0
+        let mut cw = rs.encode(&msg);
+        cw[0] ^= 5;
+        let err = rs.decode(&cw).unwrap_err().to_string();
+        assert!(err.contains("within 0 symbol errors"), "{err}");
+        let justesen = crate::JustesenCode::rate_one_third(5);
+        let err = justesen.decode(&[u64::MAX; 5]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "received word is not decodable within 5 wire-bit errors"
+        );
     }
 
     #[test]

@@ -55,6 +55,10 @@ pub struct CodecFuzzReport {
     /// Cases fed a wrong-length word (must yield
     /// [`DecodeError::WrongLength`]).
     pub wrong_length: usize,
+    /// Cases whose word carried garbage past the codeword: set bits
+    /// above `output_bits` in its last word, or extra trailing words.
+    /// The decoder must ignore both.
+    pub trailing_garbage: usize,
     /// Contract violations: a within-radius case that did not decode to
     /// the original message, or a wrong-length case without the typed
     /// error. Must be zero.
@@ -136,7 +140,7 @@ pub fn fuzz_rs_codec(seed: u64, cases: usize) -> CodecFuzzReport {
                 } else {
                     report.beyond_radius += 1;
                     match outcome {
-                        Err(DecodeError::BeyondCapacity { capacity: c }) if c == capacity => {
+                        Err(DecodeError::BeyondCapacity { capacity: c, .. }) if c == capacity => {
                             report.beyond_rejected += 1;
                         }
                         // Legal: the corrupted word landed within
@@ -154,10 +158,12 @@ pub fn fuzz_rs_codec(seed: u64, cases: usize) -> CodecFuzzReport {
 
 /// Fuzzes [`JustesenCode`] encode→bit-flip→decode round-trips.
 ///
-/// Each case draws a rate-1/3 instance over `GF(2^m)` (`3 ≤ m ≤ 5`), a
+/// Each case draws a rate-1/3 instance over `GF(2^m)` (`2 ≤ m ≤ 6`,
+/// which covers every instance the CONGEST message codecs use), a
 /// random message, and either a truncated wire word (~1 in 16) or `t`
 /// distinct wire-bit flips with `t` from clean through past the
-/// certified correction radius.
+/// certified correction radius; about 1 in 4 flipped words also carry
+/// garbage past `output_bits`.
 pub fn fuzz_justesen_codec(seed: u64, cases: usize) -> CodecFuzzReport {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut report = CodecFuzzReport {
@@ -165,7 +171,7 @@ pub fn fuzz_justesen_codec(seed: u64, cases: usize) -> CodecFuzzReport {
         ..CodecFuzzReport::default()
     };
     for _ in 0..cases {
-        let m = rng.gen_range(3..=5u32);
+        let m = rng.gen_range(2..=6u32);
         let code = JustesenCode::rate_one_third(m);
         let in_bits = code.input_bits();
         let out_bits = code.output_bits();
@@ -197,6 +203,15 @@ pub fn fuzz_justesen_codec(seed: u64, cases: usize) -> CodecFuzzReport {
         let t = rng.gen_range(0..=radius + radius / 2 + 2);
         for &bit in &distinct_positions(&mut rng, out_bits, t.min(out_bits)) {
             word[bit / 64] ^= 1u64 << (bit % 64);
+        }
+        if rng.gen_range(0..4u32) == 0 {
+            report.trailing_garbage += 1;
+            let live = out_bits % 64;
+            if live != 0 {
+                *word.last_mut().expect("non-empty codeword") |= rng.gen::<u64>() << live;
+            }
+            let extra = rng.gen_range(0..=2usize);
+            word.extend((0..extra).map(|_| rng.gen::<u64>()));
         }
         match catch_unwind(AssertUnwindSafe(|| code.decode(&word))) {
             Ok(outcome) => {

@@ -17,6 +17,7 @@ fn justesen_codec_corruption_sweep() {
     let report = fuzz::fuzz_justesen_codec(0x5EED_0002, 4_000);
     report.assert_contract();
     assert_eq!(report.cases, 4_000);
+    assert!(report.trailing_garbage > 0, "{report:?}");
 }
 
 #[test]
