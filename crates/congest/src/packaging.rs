@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 
 /// Bottom-up residue computation: like a convergecast, but each node
 /// retains `c(v) = (own_tokens + Σ c(child)) mod τ` and forwards `c(v)`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct ResidueNode {
     parent: Option<NodeId>,
     expected_children: usize,
@@ -32,6 +32,9 @@ struct ResidueNode {
 
 impl NodeProtocol for ResidueNode {
     type Msg = Compact;
+    // The residue is sent once, on the step the last child report
+    // arrives (round 0 for a leaf).
+    const SILENT_STABLE: bool = true;
 
     fn on_round(
         &mut self,
@@ -596,5 +599,110 @@ mod tests {
         let r = solve_token_packaging(&g, &tokens, &ids, 3, BandwidthModel::Local).unwrap();
         assert_eq!(r.leader, 4);
         assert_eq!(r.tree.root, 4);
+    }
+
+    /// Runs `states` on the flat engine (which steps silent-stable
+    /// protocols through its active list) and on the reference engine
+    /// (which steps every node), clean and under two fault plans, and
+    /// asserts equal reports and final states (through `view`).
+    fn assert_matches_reference<T, P, V>(label: &str, topo: &T, states: Vec<P>, view: fn(&P) -> V)
+    where
+        T: ImplicitTopology,
+        P: NodeProtocol<Msg = Compact> + Clone + Send,
+        V: PartialEq + std::fmt::Debug,
+    {
+        use dut_netsim::engine::{EngineScratch, RunOptions, RunReport};
+        use dut_netsim::fault::FaultPlan;
+        use dut_netsim::reference::{run_reference, run_reference_faulted};
+        type Outcome<V> = Result<(usize, usize, usize, usize, usize, usize, Vec<V>), EngineError>;
+        let outcome = |run: Result<RunReport<P>, EngineError>| -> Outcome<V> {
+            run.map(|r| {
+                (
+                    r.rounds,
+                    r.total_messages,
+                    r.total_bits,
+                    r.max_edge_bits_per_round,
+                    r.dropped_messages,
+                    r.flipped_bits,
+                    r.nodes.iter().map(view).collect(),
+                )
+            })
+        };
+        let g = topo.materialize();
+        let model = BandwidthModel::Congest { bits_per_edge: 64 };
+        let max_rounds = 2 * g.node_count() + 4;
+        let mut net = Network::new(topo, model);
+        assert_eq!(
+            outcome(net.run(states.clone(), max_rounds)),
+            outcome(run_reference(&g, model, states.clone(), max_rounds)),
+            "{label}: clean"
+        );
+        let plans = [
+            FaultPlan::seeded(0x51E7).with_flips(0.02),
+            FaultPlan::seeded(0x51E8)
+                .with_drops(0.05)
+                .with_crash(3, 0)
+                .with_rejoin(3, 2),
+        ];
+        for (i, plan) in plans.iter().enumerate() {
+            let options = RunOptions::parallel(3).with_faults(plan.clone());
+            let mut scratch = EngineScratch::new();
+            assert_eq!(
+                outcome(net.run_with_options(states.clone(), max_rounds, &mut scratch, &options)),
+                outcome(run_reference_faulted(
+                    &g,
+                    model,
+                    states.clone(),
+                    max_rounds,
+                    plan
+                )),
+                "{label}: fault plan {i}"
+            );
+        }
+    }
+
+    /// The residue phase declares `SILENT_STABLE`; this pins that the
+    /// declaration is true, plain and through `CodedProtocol`, on the
+    /// `dut-netsim` differential topologies plus the implicit 12×12
+    /// torus.
+    #[test]
+    fn residue_matches_reference_engine() {
+        use dut_netsim::algorithms::{CodedProtocol, IdentityCodec};
+        use dut_netsim::topology::Torus2d;
+        fn check<T: ImplicitTopology>(label: &str, topo: &T) {
+            let g = topo.materialize();
+            let tree = build_bfs_tree(&g, 0, BandwidthModel::Local).unwrap().0;
+            let states: Vec<ResidueNode> = (0..g.node_count())
+                .map(|v| ResidueNode {
+                    parent: tree.parent[v],
+                    expected_children: tree.children[v].len(),
+                    received: 0,
+                    own_tokens: v as u64 % 5,
+                    tau: 3,
+                    c: None,
+                    acc: 0,
+                })
+                .collect();
+            let coded: Vec<_> = states
+                .iter()
+                .map(|s| CodedProtocol::new(s.clone(), IdentityCodec::<Compact>::new()))
+                .collect();
+            assert_matches_reference(label, topo, states, ResidueNode::clone);
+            assert_matches_reference(&format!("{label}/coded"), topo, coded, |n| {
+                (n.inner().clone(), n.corrected_bits(), n.decode_failures())
+            });
+        }
+        const {
+            assert!(ResidueNode::SILENT_STABLE);
+            assert!(CodedProtocol::<ResidueNode, IdentityCodec<Compact>>::SILENT_STABLE);
+        }
+        let mut rng = StdRng::seed_from_u64(0xD1FF);
+        check("line", &topology::line(9));
+        check("star", &topology::star(10));
+        check("clique", &topology::complete(8));
+        check("grid", &topology::grid(3, 4));
+        let er = topology::connected_erdos_renyi(16, 0.25, &mut rng);
+        check("erdos-renyi", &er);
+        check("torus-12x12", &Torus2d::new(12, 12));
     }
 }

@@ -14,7 +14,7 @@ use crate::fault::FaultPlan;
 use crate::graph::{ImplicitTopology, NodeId};
 
 /// Per-node state of the BFS protocol.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct BfsNode {
     root: NodeId,
     parent: Option<NodeId>,
@@ -23,6 +23,8 @@ struct BfsNode {
 
 impl NodeProtocol for BfsNode {
     type Msg = Compact;
+    // Only the root in round 0 and the first announcement heard send.
+    const SILENT_STABLE: bool = true;
 
     fn on_round(
         &mut self,
@@ -291,6 +293,20 @@ mod tests {
         assert_eq!(sizes[1], 3);
         assert_eq!(sizes[2], 3);
         assert_eq!(sizes[3], 1);
+    }
+
+    #[test]
+    fn bfs_matches_reference_engine() {
+        crate::algorithms::reference_check::assert_silent_stable_matches_reference("bfs", |g| {
+            let root = g.node_count() / 2;
+            (0..g.node_count())
+                .map(|_| BfsNode {
+                    root,
+                    parent: None,
+                    depth: None,
+                })
+                .collect()
+        });
     }
 
     #[test]

@@ -221,6 +221,9 @@ where
     C: MessageCodec<Plain = P::Msg>,
 {
     type Msg = C::Wire;
+    // An empty wire inbox is an empty plain inbox for the inner
+    // protocol, so the wrapper is exactly as silent as `P`.
+    const SILENT_STABLE: bool = P::SILENT_STABLE;
 
     fn on_round(
         &mut self,

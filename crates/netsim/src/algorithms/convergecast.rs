@@ -24,7 +24,7 @@ pub struct TreeOpCost {
 }
 
 /// Per-node convergecast state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct ConvNode {
     parent: Option<NodeId>,
     expected_children: usize,
@@ -35,6 +35,9 @@ struct ConvNode {
 
 impl NodeProtocol for ConvNode {
     type Msg = Compact;
+    // The partial sum is sent once, on the step the last child report
+    // arrives (round 0 for a leaf).
+    const SILENT_STABLE: bool = true;
 
     fn on_round(
         &mut self,
@@ -65,12 +68,9 @@ impl NodeProtocol for ConvNode {
 ///
 /// # Errors
 ///
-/// Propagates engine errors (round limit on a malformed tree, CONGEST
-/// budget violations).
-///
-/// # Panics
-///
-/// Panics if `values` length does not match the graph.
+/// Returns [`EngineError::NodeCountMismatch`] if `values` does not hold
+/// one value per node, and propagates engine errors (round limit on a
+/// malformed tree, CONGEST budget violations).
 pub fn convergecast_sum<T: ImplicitTopology>(
     g: &T,
     tree: &BfsTree,
@@ -88,10 +88,6 @@ pub fn convergecast_sum<T: ImplicitTopology>(
 /// # Errors
 ///
 /// Same conditions as [`convergecast_sum`].
-///
-/// # Panics
-///
-/// Panics if `values` length does not match the graph.
 pub fn convergecast_sum_observed<T: ImplicitTopology>(
     g: &T,
     tree: &BfsTree,
@@ -99,7 +95,12 @@ pub fn convergecast_sum_observed<T: ImplicitTopology>(
     model: BandwidthModel,
     sink: &mut dyn Sink,
 ) -> Result<(u64, TreeOpCost), EngineError> {
-    assert_eq!(values.len(), g.node_count(), "one value per node");
+    if values.len() != g.node_count() {
+        return Err(EngineError::NodeCountMismatch {
+            graph_nodes: g.node_count(),
+            states: values.len(),
+        });
+    }
     let states: Vec<ConvNode> = (0..g.node_count())
         .map(|v| ConvNode {
             parent: tree.parent[v],
@@ -125,7 +126,7 @@ pub fn convergecast_sum_observed<T: ImplicitTopology>(
 }
 
 /// Per-node broadcast state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct BcastNode {
     children: Vec<NodeId>,
     value: Option<u64>,
@@ -134,6 +135,9 @@ struct BcastNode {
 
 impl NodeProtocol for BcastNode {
     type Msg = Compact;
+    // A node forwards once, on the step its value arrives (round 0 at
+    // the root).
+    const SILENT_STABLE: bool = true;
 
     fn on_round(
         &mut self,
@@ -268,6 +272,56 @@ mod tests {
         let values = vec![0u64; 7];
         let (total, _) = convergecast_sum(&g, &tree, &values, BandwidthModel::Local).unwrap();
         assert_eq!(total, 0);
+    }
+
+    #[test]
+    fn convergecast_matches_reference_engine() {
+        crate::algorithms::reference_check::assert_silent_stable_matches_reference(
+            "convergecast",
+            |g| {
+                let tree = tree_of(g, 0);
+                (0..g.node_count())
+                    .map(|v| ConvNode {
+                        parent: tree.parent[v],
+                        expected_children: tree.children[v].len(),
+                        received: 0,
+                        acc: v as u64 + 1,
+                        sent: false,
+                    })
+                    .collect()
+            },
+        );
+    }
+
+    #[test]
+    fn broadcast_matches_reference_engine() {
+        crate::algorithms::reference_check::assert_silent_stable_matches_reference(
+            "broadcast",
+            |g| {
+                let tree = tree_of(g, 1);
+                (0..g.node_count())
+                    .map(|v| BcastNode {
+                        children: tree.children[v].clone(),
+                        value: (v == tree.root).then_some(42),
+                        sent: false,
+                    })
+                    .collect()
+            },
+        );
+    }
+
+    #[test]
+    fn wrong_value_count_is_a_typed_error() {
+        let g = topology::line(4);
+        let tree = tree_of(&g, 0);
+        let err = convergecast_sum(&g, &tree, &[1, 2, 3], BandwidthModel::Local).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::NodeCountMismatch {
+                graph_nodes: 4,
+                states: 3
+            }
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::fault::FaultPlan;
 use crate::graph::{ImplicitTopology, NodeId};
 
 /// Per-node max-flood state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct LeaderNode {
     my_id: u64,
     best: u64,
@@ -22,6 +22,8 @@ struct LeaderNode {
 
 impl NodeProtocol for LeaderNode {
     type Msg = Compact;
+    // Only an improving id (or round 0) triggers a broadcast.
+    const SILENT_STABLE: bool = true;
 
     fn on_round(
         &mut self,
@@ -50,6 +52,25 @@ impl NodeProtocol for LeaderNode {
     }
 }
 
+/// The maximum of `ids`, checked to be one id per node and held by
+/// exactly one node.
+fn unique_max<T: ImplicitTopology>(g: &T, ids: &[u64]) -> Result<u64, EngineError> {
+    if ids.len() != g.node_count() {
+        return Err(EngineError::NodeCountMismatch {
+            graph_nodes: g.node_count(),
+            states: ids.len(),
+        });
+    }
+    let Some(&max) = ids.iter().max() else {
+        return Err(EngineError::EmptyNetwork);
+    };
+    let holders = ids.iter().filter(|&&i| i == max).count();
+    if holders > 1 {
+        return Err(EngineError::DuplicateMaxId { id: max, holders });
+    }
+    Ok(max)
+}
+
 /// Elects the node with the largest identifier by flooding. Returns
 /// `(leader, rounds)`.
 ///
@@ -59,27 +80,16 @@ impl NodeProtocol for LeaderNode {
 ///
 /// # Errors
 ///
-/// Returns [`EngineError::EmptyNetwork`] on a zero-node graph, and
+/// Returns [`EngineError::NodeCountMismatch`] if `ids` does not hold one
+/// id per node, [`EngineError::EmptyNetwork`] on a zero-node graph,
+/// [`EngineError::DuplicateMaxId`] if the maximum id is not unique, and
 /// propagates engine errors from the flood itself.
-///
-/// # Panics
-///
-/// Panics if `ids` length mismatches the graph, or the maximum id is not
-/// unique.
 pub fn elect_leader<T: ImplicitTopology>(
     g: &T,
     ids: &[u64],
     model: BandwidthModel,
 ) -> Result<(NodeId, usize), EngineError> {
-    assert_eq!(ids.len(), g.node_count(), "one id per node");
-    let Some(&max) = ids.iter().max() else {
-        return Err(EngineError::EmptyNetwork);
-    };
-    assert_eq!(
-        ids.iter().filter(|&&i| i == max).count(),
-        1,
-        "maximum id must be unique"
-    );
+    let max = unique_max(g, ids)?;
     let states: Vec<LeaderNode> = ids
         .iter()
         .map(|&my_id| LeaderNode {
@@ -90,7 +100,7 @@ pub fn elect_leader<T: ImplicitTopology>(
         .collect();
     let mut net = Network::new(g, model);
     let report = net.run(states, 2 * g.node_count() + 4)?;
-    // Unreachable expect: the unique maximum asserted above never loses a
+    // Unreachable expect: the unique maximum checked above never loses a
     // comparison, so the node holding it still has `best == my_id == max`
     // once the flood quiesces.
     let leader = report
@@ -111,10 +121,6 @@ pub fn elect_leader<T: ImplicitTopology>(
 /// # Errors
 ///
 /// Same conditions as [`elect_leader`].
-///
-/// # Panics
-///
-/// Same conditions as [`elect_leader`].
 pub fn elect_leader_coded<T, C>(
     g: &T,
     ids: &[u64],
@@ -127,15 +133,7 @@ where
     C: MessageCodec<Plain = Compact> + Clone + Send,
     C::Wire: Send + Sync,
 {
-    assert_eq!(ids.len(), g.node_count(), "one id per node");
-    let Some(&max) = ids.iter().max() else {
-        return Err(EngineError::EmptyNetwork);
-    };
-    assert_eq!(
-        ids.iter().filter(|&&i| i == max).count(),
-        1,
-        "maximum id must be unique"
-    );
+    let max = unique_max(g, ids)?;
     let states: Vec<CodedProtocol<LeaderNode, C>> = ids
         .iter()
         .map(|&my_id| {
@@ -167,6 +165,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::coded::IdentityCodec;
     use crate::topology;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -204,9 +203,53 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unique")]
+    fn leader_flood_matches_reference_engine() {
+        crate::algorithms::reference_check::assert_silent_stable_matches_reference("leader", |g| {
+            (0..g.node_count() as u64)
+                .map(|v| {
+                    // Scrambled ids so the maximum travels far.
+                    let my_id = v.wrapping_mul(0x9E37) % 251 + 1;
+                    LeaderNode {
+                        my_id,
+                        best: my_id,
+                        pending: false,
+                    }
+                })
+                .collect()
+        });
+    }
+
+    #[test]
     fn duplicate_max_rejected() {
         let g = topology::line(3);
-        let _ = elect_leader(&g, &[5, 5, 1], BandwidthModel::Local);
+        assert_eq!(
+            elect_leader(&g, &[5, 5, 1], BandwidthModel::Local),
+            Err(EngineError::DuplicateMaxId { id: 5, holders: 2 })
+        );
+        let plan = FaultPlan::none();
+        let codec = IdentityCodec::<Compact>::new();
+        assert_eq!(
+            elect_leader_coded(&g, &[1, 9, 9], BandwidthModel::Local, &plan, codec).unwrap_err(),
+            EngineError::DuplicateMaxId { id: 9, holders: 2 }
+        );
+    }
+
+    #[test]
+    fn wrong_id_count_rejected() {
+        let g = topology::line(3);
+        let mismatch = EngineError::NodeCountMismatch {
+            graph_nodes: 3,
+            states: 2,
+        };
+        assert_eq!(
+            elect_leader(&g, &[5, 1], BandwidthModel::Local),
+            Err(mismatch.clone())
+        );
+        let plan = FaultPlan::none();
+        let codec = IdentityCodec::<Compact>::new();
+        assert_eq!(
+            elect_leader_coded(&g, &[5, 1], BandwidthModel::Local, &plan, codec).unwrap_err(),
+            mismatch
+        );
     }
 }

@@ -13,6 +13,8 @@ pub mod convergecast;
 pub mod distributed_mis;
 pub mod leader;
 pub mod mis;
+#[cfg(test)]
+mod reference_check;
 pub mod reliable;
 pub mod routing;
 

@@ -24,6 +24,10 @@
 //! * `Outbox::send` validates neighbor-ship and finds the CONGEST
 //!   accounting slot in O(1) through a dense per-node neighbor-position
 //!   index, instead of scanning the neighbor list per send.
+//! * Protocols that declare [`NodeProtocol::SILENT_STABLE`] are stepped
+//!   through an active list after round 0: only nodes that received
+//!   mail are visited, so a wavefront phase costs O(active) per round
+//!   instead of O(nodes).
 //!
 //! [`Network::run`] is a thin wrapper that allocates a fresh scratch;
 //! hot callers use [`Network::run_with_scratch`] or, for large graphs,
@@ -197,6 +201,14 @@ pub enum EngineError {
     },
     /// The operation requires at least one node.
     EmptyNetwork,
+    /// Leader election needs a unique maximum identifier, but `holders`
+    /// nodes share the maximum `id`.
+    DuplicateMaxId {
+        /// The shared maximum identifier.
+        id: u64,
+        /// How many nodes hold it.
+        holders: usize,
+    },
     /// A protocol that must reach every node failed to reach `node` —
     /// a disconnected input, or (under fault injection) a retry budget
     /// exhausted before the node was reached.
@@ -232,6 +244,9 @@ impl fmt::Display for EngineError {
             EngineError::EmptyNetwork => {
                 write!(f, "operation requires a non-empty network")
             }
+            EngineError::DuplicateMaxId { id, holders } => {
+                write!(f, "maximum id {id} is held by {holders} nodes, not one")
+            }
             EngineError::Unreached { node } => {
                 write!(f, "protocol failed to reach node {node}")
             }
@@ -247,6 +262,21 @@ impl Error for EngineError {}
 pub trait NodeProtocol {
     /// The message type exchanged by the protocol.
     type Msg: Clone + MessageSize;
+
+    /// Whether the protocol is **silent-stable**: once a node has been
+    /// stepped (in round 0, or in its rejoin round after a crash), a
+    /// later round with an empty inbox must leave it exactly as it is —
+    /// it sends nothing, changes no state, and reports the same
+    /// [`is_done`](NodeProtocol::is_done).
+    ///
+    /// The serial engine then steps only the nodes that received mail
+    /// after round 0 (plus nodes rejoining that round), so a wavefront
+    /// phase costs O(active) per round instead of O(nodes). Results are
+    /// bit-identical to stepping every node. A protocol that sends from
+    /// a buffer or a timer with an empty inbox (a pipeline, a
+    /// retransmission clock, a random walk) must keep the default
+    /// `false`; declaring it wrongly makes those sends silently vanish.
+    const SILENT_STABLE: bool = false;
 
     /// Called once per round at every node. `inbox` holds the messages
     /// delivered this round (sent by neighbors last round), each tagged
@@ -463,9 +493,9 @@ pub struct EngineScratch<M> {
     /// Neighbor scratch for implicit topologies on the serial paths
     /// (unused — empty — when the topology primes the CSR).
     nbr_buf: Vec<NodeId>,
-    /// Sparse-activity work list: `(node, inbox_lo, inbox_hi)` for every
-    /// node that received at least one message last round, sorted by
-    /// node id so sparse stepping preserves dense stepping order.
+    /// Active list of silent-stable runs: `(node, inbox_lo, inbox_hi)`
+    /// for every node that received at least one message last round,
+    /// sorted by node id so it preserves dense stepping order.
     active: Vec<(NodeId, usize, usize)>,
     workers: Vec<WorkerScratch<M>>,
 }
@@ -542,7 +572,9 @@ impl<M> EngineScratch<M> {
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Worker threads to use. `0` means auto-detect from
-    /// `std::thread::available_parallelism`.
+    /// `std::thread::available_parallelism`. Ignored for
+    /// [`NodeProtocol::SILENT_STABLE`] protocols, which always step
+    /// serially through their active list.
     pub threads: usize,
     /// Minimum node count before the parallel path engages; below it the
     /// run is serial regardless of `threads`.
@@ -554,18 +586,6 @@ pub struct RunOptions {
     /// [`crate::reference::run_reference_faulted`]); see
     /// [`crate::fault`].
     pub faults: FaultPlan,
-    /// Sparse-activity stepping: visit only nodes with pending messages
-    /// after round 0, making wavefront phases (BFS, convergecast)
-    /// O(active) per round instead of O(nodes). Requires the protocol
-    /// to be **silent-stable**: a node whose inbox is empty must not
-    /// send, must not change observable state, and must report the same
-    /// `is_done()` — every protocol in this repo except deliberately
-    /// chatty test stubs qualifies. Sparse runs step serially (the
-    /// work list is the parallelism bottleneck) and are bit-identical
-    /// to dense runs for silent-stable protocols; a run that can never
-    /// quiesce fails with the same [`EngineError::RoundLimit`] value as
-    /// the dense engine, just without spinning the remaining rounds.
-    pub sparse: bool,
     /// Sharded intra-run delivery: on the parallel path, rounds whose
     /// staged-message count reaches [`RunOptions::shard_threshold`]
     /// partition the destination range into one contiguous shard per
@@ -585,7 +605,6 @@ impl Default for RunOptions {
             threads: 0,
             parallel_threshold: 512,
             faults: FaultPlan::none(),
-            sparse: false,
             shard_delivery: false,
             shard_threshold: 4096,
         }
@@ -613,12 +632,6 @@ impl RunOptions {
     /// Attaches a fault plan; see [`crate::fault::FaultPlan`].
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Enables sparse-activity stepping (see [`RunOptions::sparse`]).
-    pub fn with_sparse(mut self) -> Self {
-        self.sparse = true;
         self
     }
 
@@ -805,6 +818,47 @@ fn record_faults(sink: &mut dyn Sink, rounds: usize, metrics: &Metrics, plan: &F
     }
 }
 
+/// The channel a serial run sends through. [`Clean`] delivers every
+/// message untouched; a [`FaultPlan`] crashes nodes and drops or
+/// corrupts messages. One serial loop is generic over it, so the plain
+/// entry points need no [`FaultInjectable`] bound and compile with
+/// every fault branch folded away.
+trait Channel<M> {
+    /// The fault plan, or `None` on the clean channel.
+    fn plan(&self) -> Option<&FaultPlan>;
+    /// [`FaultPlan::apply`]; only called when [`Channel::plan`] is set.
+    fn apply(&self, round: usize, from: NodeId, to: NodeId, idx: usize, msg: &mut M)
+        -> Option<u32>;
+}
+
+/// The fault-free channel.
+struct Clean;
+
+impl<M> Channel<M> for Clean {
+    fn plan(&self) -> Option<&FaultPlan> {
+        None
+    }
+    fn apply(&self, _: usize, _: NodeId, _: NodeId, _: usize, _: &mut M) -> Option<u32> {
+        Some(0)
+    }
+}
+
+impl<M: MessageSize + FaultInjectable> Channel<M> for FaultPlan {
+    fn plan(&self) -> Option<&FaultPlan> {
+        Some(self)
+    }
+    fn apply(
+        &self,
+        round: usize,
+        from: NodeId,
+        to: NodeId,
+        idx: usize,
+        msg: &mut M,
+    ) -> Option<u32> {
+        FaultPlan::apply(self, round, from, to, idx, msg)
+    }
+}
+
 /// Delivers this round's staged sends into the arena: counts per
 /// destination, prefix-sums offsets, then permutes the staged buffer in
 /// place (stable counting sort via cycle-chasing) and moves it into the
@@ -850,11 +904,12 @@ fn deliver<M>(
     arena.extend(staged.drain(..).map(|(_, from, msg)| (from, msg)));
 }
 
-/// Sparse-mode delivery: the same stable counting sort as [`deliver`],
-/// but the prefix pass runs over *active destinations only* (O(a log a)
-/// for `a` receiving nodes, not O(nodes)), and the inbox bounds of each
-/// active node are recorded in `active` so sparse stepping never reads
-/// the — now partially stale — `inbox_offsets` entries of silent nodes.
+/// Active-list delivery for silent-stable runs: the same stable
+/// counting sort as [`deliver`], but the prefix pass runs over *active
+/// destinations only* (O(a log a) for `a` receiving nodes, not
+/// O(nodes)), and the inbox bounds of each active node are recorded in
+/// `active` so active-list stepping never reads the — now partially
+/// stale — `inbox_offsets` entries of silent nodes.
 fn deliver_sparse<M>(
     staged: &mut Vec<(NodeId, NodeId, M)>,
     arena: &mut Vec<(NodeId, M)>,
@@ -870,9 +925,9 @@ fn deliver_sparse<M>(
         }
         counts[to] += 1;
     }
-    // Sorted by node id so sparse stepping visits receivers in the same
-    // relative order dense stepping would — the staged order (and hence
-    // all downstream RNG/fault streams) stays bit-identical.
+    // Sorted by node id so active-list stepping visits receivers in the
+    // same relative order dense stepping would — the staged order (and
+    // hence all downstream RNG/fault streams) stays bit-identical.
     active.sort_unstable_by_key(|e| e.0);
     let mut off = 0;
     for e in active.iter_mut() {
@@ -880,7 +935,7 @@ fn deliver_sparse<M>(
         off += counts[e.0];
         e.2 = off;
         // Per-destination end cursor for the perm pass below; entries of
-        // silent nodes are left stale and never read in sparse mode.
+        // silent nodes are left stale and never read on this path.
         inbox_offsets[e.0 + 1] = off;
     }
     // Identical slot rule to `deliver`; draining `counts` restores the
@@ -1195,89 +1250,32 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
         scratch: &mut EngineScratch<P::Msg>,
         sink: &mut dyn Sink,
     ) -> Result<RunReport<P>, EngineError> {
-        let mut states = self.check_states(states)?;
-        let use_csr = scratch.prepare_for(self.graph);
-        let EngineScratch {
-            csr,
-            arena,
-            inbox_offsets,
-            staged,
-            counts,
-            perm,
-            neighbor_pos,
-            edge_bits,
-            nbr_buf,
-            ..
-        } = scratch;
-        let mut metrics = Metrics::new();
-        let mut obs = RoundObs::new();
-
-        for round in 0..max_rounds {
-            if round > 0 && arena.is_empty() && states.iter().all(NodeProtocol::is_done) {
-                record_run(sink, round, &metrics);
-                return Ok(finish(round, metrics, states));
-            }
-            let span = Span::start(&*sink);
-
-            for (node, state) in states.iter_mut().enumerate() {
-                let nbrs: &[NodeId] = if use_csr {
-                    csr.neighbors(node)
-                } else {
-                    self.graph.neighbors(node, nbr_buf)
-                };
-                let start = staged.len();
-                let inbox = &arena[inbox_offsets[node]..inbox_offsets[node + 1]];
-                let mut out = Outbox::new(node, nbrs, neighbor_pos, staged);
-                state.on_round(node, round, inbox, &mut out);
-                // A silent node never filled the position index — there
-                // is nothing to meter and nothing to clear.
-                if out.index_filled() {
-                    // Meter immediately so a violation surfaces before
-                    // any later node steps, exactly as the naive engine
-                    // did.
-                    metrics.meter_node(
-                        self.model,
-                        round,
-                        &staged[start..],
-                        neighbor_pos,
-                        edge_bits,
-                        nbrs.len(),
-                    )?;
-                    for &nb in nbrs {
-                        neighbor_pos[nb] = 0;
-                    }
-                }
-            }
-
-            deliver(staged, arena, inbox_offsets, counts, perm);
-            obs.end_round(sink, &mut metrics, span);
-        }
-        Err(EngineError::RoundLimit { max_rounds })
+        self.run_serial(states, max_rounds, scratch, &Clean, sink)
     }
 
-    /// The serial loop with optional fault injection and optional
-    /// sparse-activity stepping. With a plan, crashed nodes are skipped
-    /// (and count as done), every staged message is metered at its
-    /// original size, and then the plan drops or corrupts it before
-    /// delivery. In sparse mode, rounds after the first visit only the
-    /// nodes recorded by [`deliver_sparse`] — bit-identical to the
-    /// dense loop for silent-stable protocols (see
-    /// [`RunOptions::sparse`]). Kept separate from
-    /// [`Network::run_with_scratch_observed`] so the plain path carries
-    /// neither the extra branches nor the [`FaultInjectable`] bound.
-    fn run_serial_core<P>(
+    /// The serial loop, over a clean or a faulted [`Channel`]. With a
+    /// plan, crashed nodes are skipped (and count as done), every
+    /// staged message is metered at its original size, and then the
+    /// plan drops or corrupts it before delivery. For
+    /// [`NodeProtocol::SILENT_STABLE`] protocols, rounds after the first
+    /// visit only the nodes recorded by [`deliver_sparse`] (plus nodes
+    /// rejoining that round) — bit-identical to stepping every node,
+    /// by the silent-stable contract. The dense loop is the special
+    /// case whose active list is every node.
+    fn run_serial<P, C>(
         &mut self,
         states: Vec<P>,
         max_rounds: usize,
         scratch: &mut EngineScratch<P::Msg>,
-        plan: Option<&FaultPlan>,
-        sparse: bool,
+        channel: &C,
         sink: &mut dyn Sink,
     ) -> Result<RunReport<P>, EngineError>
     where
         P: NodeProtocol,
-        P::Msg: FaultInjectable,
+        C: Channel<P::Msg>,
     {
+        let sparse = P::SILENT_STABLE;
+        let plan = channel.plan();
         let mut states = self.check_states(states)?;
         let use_csr = scratch.prepare_for(self.graph);
         let EngineScratch {
@@ -1321,7 +1319,7 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
                         .iter()
                         .any(|&(v, j)| j == round && p.rejoins_at(v, round))
                 });
-                if sparse && active.is_empty() && !wakes_now {
+                if sparse && !wakes_now {
                     // Nothing in flight and silent-stable nodes cannot
                     // wake up on their own: the only future done-set
                     // changes are crash/rejoin schedule events. Jump
@@ -1344,7 +1342,7 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
                 if let Some(p) = plan {
                     // Rejoining nodes wake up with an empty inbox; they
                     // must still be visited (on_rejoin + on_round), in
-                    // node-id order like every other sparse visit.
+                    // node-id order like every other active visit.
                     let mut woke = false;
                     for &(v, j) in &p.rejoins {
                         if j == round
@@ -1359,10 +1357,10 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
                         active.sort_unstable_by_key(|e| e.0);
                     }
                 }
-            }
-            if sparse_round && sink.enabled() {
-                sink.add(keys::NETSIM_SPARSE_ROUNDS, 1);
-                sink.observe(keys::NETSIM_SPARSE_ACTIVE_NODES, active.len() as u64);
+                if sink.enabled() {
+                    sink.add(keys::NETSIM_SPARSE_ROUNDS, 1);
+                    sink.observe(keys::NETSIM_SPARSE_ACTIVE_NODES, active.len() as u64);
+                }
             }
 
             let visits = if sparse_round {
@@ -1391,7 +1389,12 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
                 let inbox = &arena[lo..hi];
                 let mut out = Outbox::new(node, nbrs, neighbor_pos, staged);
                 states[node].on_round(node, round, inbox, &mut out);
+                // A silent node never filled the position index — there
+                // is nothing to meter and nothing to clear.
                 if out.index_filled() {
+                    // Meter immediately so a violation surfaces before
+                    // any later node steps, exactly as the naive engine
+                    // did.
                     metrics.meter_node(
                         self.model,
                         round,
@@ -1400,7 +1403,7 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
                         edge_bits,
                         nbrs.len(),
                     )?;
-                    if let Some(p) = plan {
+                    if plan.is_some() {
                         // Channel faults, after metering: the sender
                         // paid for the original message. Surviving
                         // messages are compacted in place, preserving
@@ -1411,7 +1414,7 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
                             let pos = (neighbor_pos[to] - 1) as usize;
                             let idx = edge_msgs[pos];
                             edge_msgs[pos] += 1;
-                            match p.apply(round, node, to, idx, &mut staged[r].2) {
+                            match channel.apply(round, node, to, idx, &mut staged[r].2) {
                                 None => metrics.dropped_messages += 1,
                                 Some(flips) => {
                                     metrics.flipped_bits += flips as usize;
@@ -1495,20 +1498,15 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
         } else {
             Some(&options.faults)
         };
-        if options.sparse {
-            // Sparse stepping is a serial mode: the active list, not
-            // node stepping, is the bottleneck it optimizes.
-            return self.run_serial_core(states, max_rounds, scratch, faults, true, sink);
-        }
-        if threads <= 1 {
+        // Silent-stable protocols step serially: the active list, not
+        // node stepping, is the bottleneck their wavefronts leave.
+        if threads <= 1 || P::SILENT_STABLE {
             return match faults {
                 // The fault-free plan routes to the plain serial path:
                 // bit-identical to a run without options, by
                 // construction rather than by argument.
-                None => self.run_with_scratch_observed(states, max_rounds, scratch, sink),
-                Some(plan) => {
-                    self.run_serial_core(states, max_rounds, scratch, Some(plan), false, sink)
-                }
+                None => self.run_serial(states, max_rounds, scratch, &Clean, sink),
+                Some(plan) => self.run_serial(states, max_rounds, scratch, plan, sink),
             };
         }
         let shard = if options.shard_delivery {

@@ -226,9 +226,9 @@ impl FaultPlan {
     }
 
     /// The earliest crash or rejoin round strictly after `round`, if
-    /// any. Sparse-activity stepping fast-forwards to this round when
-    /// nothing is in flight: between schedule events, silent-stable
-    /// nodes cannot change the done-set.
+    /// any. Active-list stepping of silent-stable protocols
+    /// fast-forwards to this round when nothing is in flight: between
+    /// schedule events, silent-stable nodes cannot change the done-set.
     pub fn next_event_after(&self, round: usize) -> Option<usize> {
         self.crashes
             .iter()

@@ -3,7 +3,8 @@
 //! * implicit topologies vs their materialized [`Graph`]s —
 //!   neighbor-for-neighbor equivalence (proptest over `k ≤ 512`, all
 //!   families) and bit-identical engine runs;
-//! * sparse-activity stepping vs dense stepping;
+//! * active-list stepping of silent-stable protocols vs dense stepping
+//!   and the reference engine;
 //! * sharded intra-run delivery vs serial delivery at 1/2/8 threads,
 //!   with and without fault plans.
 
@@ -13,6 +14,7 @@ use dut_netsim::engine::{
 };
 use dut_netsim::fault::FaultPlan;
 use dut_netsim::graph::{Graph, ImplicitTopology, NodeId};
+use dut_netsim::reference::{run_reference, run_reference_faulted};
 use dut_netsim::topology::{
     Hypercube, ImplicitLine, ImplicitRing, ImplicitTree, MargulisExpander, Torus2d,
 };
@@ -105,6 +107,51 @@ impl NodeProtocol for Gossip {
     fn is_done(&self) -> bool {
         self.rounds_left == 0
     }
+}
+
+/// `P` with [`NodeProtocol::SILENT_STABLE`] declared: the engine steps
+/// it through the active list. `P` itself keeps dense stepping, so every
+/// active-list run here has a dense twin to match.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SilentStable<P>(P);
+
+impl<P: NodeProtocol> NodeProtocol for SilentStable<P> {
+    type Msg = P::Msg;
+    const SILENT_STABLE: bool = true;
+    fn on_round(
+        &mut self,
+        node: NodeId,
+        round: usize,
+        inbox: &[(NodeId, P::Msg)],
+        out: &mut Outbox<'_, P::Msg>,
+    ) {
+        self.0.on_round(node, round, inbox, out);
+    }
+    fn is_done(&self) -> bool {
+        self.0.is_done()
+    }
+    fn on_rejoin(&mut self, node: NodeId, round: usize) {
+        self.0.on_rejoin(node, round);
+    }
+}
+
+fn silent_stable<P>(states: Vec<P>) -> Vec<SilentStable<P>> {
+    states.into_iter().map(SilentStable).collect()
+}
+
+/// Strips the [`SilentStable`] wrapper from a report's node states.
+fn unwrap_report<P>(
+    outcome: Result<RunReport<SilentStable<P>>, EngineError>,
+) -> Result<RunReport<P>, EngineError> {
+    outcome.map(|r| RunReport {
+        rounds: r.rounds,
+        total_messages: r.total_messages,
+        total_bits: r.total_bits,
+        max_edge_bits_per_round: r.max_edge_bits_per_round,
+        dropped_messages: r.dropped_messages,
+        flipped_bits: r.flipped_bits,
+        nodes: r.nodes.into_iter().map(|n| n.0).collect(),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -279,7 +326,7 @@ fn engine_runs_match_on_fixed_families() {
 }
 
 // ---------------------------------------------------------------------
-// Sparse-activity stepping
+// Active-list stepping of silent-stable protocols
 // ---------------------------------------------------------------------
 
 #[test]
@@ -293,29 +340,19 @@ fn sparse_matches_dense_on_wavefront_protocols() {
     for (name, g) in &graphs {
         let k = g.node_count();
         let mut net = Network::new(g, BandwidthModel::Local);
-        let dense = net.run(vec![Bfs { dist: None }; k], 4 * k).unwrap();
-        let mut scratch = EngineScratch::new();
-        let sparse = net
-            .run_with_options(
-                vec![Bfs { dist: None }; k],
-                4 * k,
-                &mut scratch,
-                &RunOptions::serial().with_sparse(),
-            )
-            .unwrap();
-        assert_reports_equal(&format!("sparse-bfs/{name}"), &dense, &sparse);
+        let bfs = vec![Bfs { dist: None }; k];
+        let dense = net.run(bfs.clone(), 4 * k);
+        let sparse = unwrap_report(net.run(silent_stable(bfs.clone()), 4 * k));
+        assert_outcomes_equal(&format!("sparse-bfs/{name}"), &dense, &sparse);
+        let reference = run_reference(g, BandwidthModel::Local, bfs, 4 * k);
+        assert_outcomes_equal(&format!("sparse-bfs-ref/{name}"), &reference, &sparse);
 
-        let dense = net.run(vec![Flood { seen: false }; k], 4 * k).unwrap();
-        let mut flood_scratch = EngineScratch::new();
-        let sparse = net
-            .run_with_options(
-                vec![Flood { seen: false }; k],
-                4 * k,
-                &mut flood_scratch,
-                &RunOptions::serial().with_sparse(),
-            )
-            .unwrap();
-        assert_reports_equal(&format!("sparse-flood/{name}"), &dense, &sparse);
+        let flood = vec![Flood { seen: false }; k];
+        let dense = net.run(flood.clone(), 4 * k);
+        let sparse = unwrap_report(net.run(silent_stable(flood.clone()), 4 * k));
+        assert_outcomes_equal(&format!("sparse-flood/{name}"), &dense, &sparse);
+        let reference = run_reference(g, BandwidthModel::Local, flood, 4 * k);
+        assert_outcomes_equal(&format!("sparse-flood-ref/{name}"), &reference, &sparse);
     }
 }
 
@@ -326,31 +363,31 @@ fn sparse_matches_dense_under_faults() {
     let plans = [
         FaultPlan::seeded(0xAB01).with_drops(0.12),
         FaultPlan::seeded(0xAB02).with_flips(0.01).with_crash(1, 2),
-        // Crash-only plans: the sparse path must keep the run alive
-        // while a silent network waits out a crash schedule (it used to
-        // misreport RoundLimit as soon as the arena went quiet).
+        // Crash-only plans: the active-list path must keep the run
+        // alive while a silent network waits out a crash schedule (it
+        // used to misreport RoundLimit as soon as the arena went quiet).
         FaultPlan::seeded(0xAB03).with_crash(1, 2).with_crash(7, 0),
         FaultPlan::seeded(0xAB04)
             .with_crash(1, 2)
             .with_rejoin(1, 10)
             .with_crash(9, 1),
     ];
+    let model = BandwidthModel::Congest { bits_per_edge: 64 };
+    let bfs = vec![Bfs { dist: None }; k];
     for (i, plan) in plans.iter().enumerate() {
-        let mut net = Network::new(&g, BandwidthModel::Congest { bits_per_edge: 64 });
+        let mut net = Network::new(&g, model);
         let mut scratch = EngineScratch::new();
-        let dense = net.run_with_options(
-            vec![Bfs { dist: None }; k],
+        let options = RunOptions::serial().with_faults(plan.clone());
+        let dense = net.run_with_options(bfs.clone(), 4 * k, &mut scratch, &options);
+        let sparse = unwrap_report(net.run_with_options(
+            silent_stable(bfs.clone()),
             4 * k,
             &mut scratch,
-            &RunOptions::serial().with_faults(plan.clone()),
-        );
-        let sparse = net.run_with_options(
-            vec![Bfs { dist: None }; k],
-            4 * k,
-            &mut scratch,
-            &RunOptions::serial().with_faults(plan.clone()).with_sparse(),
-        );
+            &options,
+        ));
         assert_outcomes_equal(&format!("sparse-faulted/{i}"), &dense, &sparse);
+        let reference = run_reference_faulted(&g, model, bfs.clone(), 4 * k, plan);
+        assert_outcomes_equal(&format!("sparse-faulted-ref/{i}"), &reference, &sparse);
     }
 }
 
@@ -378,15 +415,7 @@ fn sparse_round_limit_error_matches_dense() {
     let g = dut_netsim::topology::line(6);
     let mut net = Network::new(&g, BandwidthModel::Local);
     let dense = net.run(vec![NeverDone; 6], 12).unwrap_err();
-    let mut scratch = EngineScratch::new();
-    let sparse = net
-        .run_with_options(
-            vec![NeverDone; 6],
-            12,
-            &mut scratch,
-            &RunOptions::serial().with_sparse(),
-        )
-        .unwrap_err();
+    let sparse = net.run(silent_stable(vec![NeverDone; 6]), 12).unwrap_err();
     assert_eq!(dense, sparse);
     assert_eq!(dense, EngineError::RoundLimit { max_rounds: 12 });
 }
@@ -436,10 +465,11 @@ impl NodeProtocol for RecoverFlood {
 fn sparse_fast_forwards_over_quiet_outages() {
     // Node 3 goes down at round 1, cutting the line's flood off from
     // nodes 4..7; the network then goes completely quiet with a rejoin
-    // still pending at round 40. Dense spins the silent rounds; sparse
-    // jumps straight to the rejoin event. Both must wake node 3 (its
-    // rejoin announcement re-triggers the flood into the cut-off tail)
-    // and report bit-identical results, including the round count.
+    // still pending at round 40. Dense spins the silent rounds; the
+    // active list jumps straight to the rejoin event. Both must wake
+    // node 3 (its rejoin announcement re-triggers the flood into the
+    // cut-off tail) and report bit-identical results, including the
+    // round count.
     let g = dut_netsim::topology::line(8);
     let k = g.node_count();
     let fresh = || {
@@ -456,23 +486,16 @@ fn sparse_fast_forwards_over_quiet_outages() {
         .with_rejoin(3, 40);
     let mut net = Network::new(&g, BandwidthModel::Local);
     let mut scratch = EngineScratch::new();
+    let options = RunOptions::serial().with_faults(plan.clone());
     let dense = net
-        .run_with_options(
-            fresh(),
-            128,
-            &mut scratch,
-            &RunOptions::serial().with_faults(plan.clone()),
-        )
+        .run_with_options(fresh(), 128, &mut scratch, &options)
         .unwrap();
-    let sparse = net
-        .run_with_options(
-            fresh(),
-            128,
-            &mut scratch,
-            &RunOptions::serial().with_faults(plan.clone()).with_sparse(),
-        )
-        .unwrap();
+    let sparse =
+        unwrap_report(net.run_with_options(silent_stable(fresh()), 128, &mut scratch, &options))
+            .unwrap();
     assert_reports_equal("sparse-rejoin-wakeup", &dense, &sparse);
+    let reference = run_reference_faulted(&g, BandwidthModel::Local, fresh(), 128, &plan).unwrap();
+    assert_reports_equal("sparse-rejoin-wakeup-ref", &reference, &sparse);
     assert!(
         dense.rounds > 40,
         "run must extend past the rejoin: {}",
@@ -485,23 +508,13 @@ fn sparse_fast_forwards_over_quiet_outages() {
     );
 
     // Same shape, but the node never rejoins: both modes must report
-    // the identical RoundLimit (sparse fast-forwards to it).
-    let stuck = FaultPlan::seeded(0xFF02).with_crash(3, 1);
+    // the identical RoundLimit (the active list fast-forwards to it).
+    let stuck = RunOptions::serial().with_faults(FaultPlan::seeded(0xFF02).with_crash(3, 1));
     let dense = net
-        .run_with_options(
-            fresh(),
-            64,
-            &mut scratch,
-            &RunOptions::serial().with_faults(stuck.clone()),
-        )
+        .run_with_options(fresh(), 64, &mut scratch, &stuck)
         .map(|_| ());
     let sparse = net
-        .run_with_options(
-            fresh(),
-            64,
-            &mut scratch,
-            &RunOptions::serial().with_faults(stuck).with_sparse(),
-        )
+        .run_with_options(silent_stable(fresh()), 64, &mut scratch, &stuck)
         .map(|_| ());
     assert_eq!(dense, sparse);
 }

@@ -1,10 +1,11 @@
-//! Million-node smoke tests for the implicit-topology + sharded-delivery
-//! scaling work.
+//! Million-node smoke tests for implicit topologies, sharded delivery
+//! and active-list stepping of silent-stable protocols.
 //!
 //! These run on 10⁶-node graphs and are `#[ignore]`d so the ordinary
 //! debug test lane stays fast; the `netsim-scale` CI lane runs them in
 //! release mode with `-- --ignored`.
 
+use dut_netsim::algorithms::{broadcast_value, build_bfs_tree, convergecast_sum};
 use dut_netsim::engine::{
     BandwidthModel, EngineScratch, Network, NodeProtocol, Outbox, RunOptions, RunReport,
 };
@@ -24,6 +25,7 @@ struct Bfs {
 
 impl NodeProtocol for Bfs {
     type Msg = u64;
+    const SILENT_STABLE: bool = true;
     fn on_round(
         &mut self,
         node: NodeId,
@@ -96,22 +98,17 @@ fn assert_reports_equal<P: PartialEq + std::fmt::Debug>(
 }
 
 /// The headline smoke: BFS over a 10⁶-node implicit torus completes
-/// within the round budget and visits every node. Sparse stepping keeps
-/// the settled interior off the per-round hot path.
+/// within the round budget and visits every node. The protocol is
+/// silent-stable, so active-list stepping keeps the settled interior
+/// off the per-round hot path.
 #[test]
 #[ignore = "million-node smoke; run via the netsim-scale lane (release, --ignored)"]
 fn million_node_torus_bfs_completes() {
     let torus = million_node_torus();
     let k = torus.node_count();
     let mut net = Network::new(&torus, BandwidthModel::Local);
-    let mut scratch = EngineScratch::new();
     let report = net
-        .run_with_options(
-            vec![Bfs { dist: None }; k],
-            1100,
-            &mut scratch,
-            &RunOptions::serial().with_sparse(),
-        )
+        .run(vec![Bfs { dist: None }; k], 1100)
         .expect("BFS on the 1000x1000 torus must quiesce");
     // Torus eccentricity of node 0 is 500 + 500; one extra round drains
     // the frontier's last broadcasts, one more observes quiescence.
@@ -119,6 +116,28 @@ fn million_node_torus_bfs_completes() {
     assert!(report.nodes.iter().all(|n| n.dist.is_some()));
     let far = report.nodes.iter().filter_map(|n| n.dist).max().unwrap();
     assert_eq!(far, 1000);
+}
+
+/// The tree phases of the CONGEST tester through their public entry
+/// points on the 10⁶-node torus: BFS tree, convergecast of one per node,
+/// broadcast of the total. Stepping every node every round would cost
+/// about 3·10⁹ node visits over the three ~1000-round phases; the
+/// default path steps only nodes with mail, so this finishes as a
+/// smoke test.
+#[test]
+#[ignore = "million-node smoke; run via the netsim-scale lane (release, --ignored)"]
+fn million_node_tree_phases_complete() {
+    let torus = million_node_torus();
+    let k = torus.node_count();
+    let model = BandwidthModel::congest_for(k);
+    let (tree, bfs_rounds) = build_bfs_tree(&torus, 0, model).expect("BFS tree");
+    assert_eq!(tree.height, 1000);
+    assert_eq!(bfs_rounds, 1002);
+    let (sum, _) = convergecast_sum(&torus, &tree, &vec![1; k], model).expect("convergecast");
+    assert_eq!(sum, k as u64);
+    let (values, _) = broadcast_value(&torus, &tree, sum, model).expect("broadcast");
+    assert_eq!(values.len(), k);
+    assert!(values.iter().all(|&v| v == k as u64));
 }
 
 /// Serial vs 8-thread sharded delivery on a million-node gossip burst:

@@ -58,11 +58,11 @@ registry! {
     /// Counter: messages delivered by sharded rounds (subset of
     /// `netsim.messages`).
     NETSIM_SHARD_MESSAGES = "netsim.shard.messages";
-    /// Counter: rounds stepped in sparse-activity mode (only nodes with
-    /// pending messages visited). Recorded only under
-    /// `RunOptions::with_sparse`.
+    /// Counter: rounds stepped through the active list (only nodes with
+    /// pending messages visited). Recorded by serial runs of protocols
+    /// that declare `NodeProtocol::SILENT_STABLE`.
     NETSIM_SPARSE_ROUNDS = "netsim.sparse.rounds";
-    /// Histogram: nodes visited in one sparse-activity round (round 0
+    /// Histogram: nodes visited in one active-list round (round 0
     /// visits all nodes and is not recorded).
     NETSIM_SPARSE_ACTIVE_NODES = "netsim.sparse.active_nodes";
 
