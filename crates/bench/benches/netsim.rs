@@ -27,10 +27,12 @@ use dut_netsim::algorithms::routing::route_to_centers;
 use dut_netsim::engine::{
     BandwidthModel, EngineScratch, Network, NodeProtocol, Outbox, RunOptions,
 };
-use dut_netsim::graph::NodeId;
+use dut_netsim::graph::{ImplicitTopology, NodeId};
 use dut_netsim::reference::{run_reference, run_reference_observed};
-use dut_netsim::topology;
+use dut_netsim::topology::{self, Torus2d};
 use dut_obs::{JsonlWriter, MemorySink, RunRecord};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::path::Path;
 
@@ -223,6 +225,22 @@ fn bench_primitives(c: &mut Criterion) {
             b.iter(|| black_box(elect_leader(&g, &ids, BandwidthModel::Local).unwrap()))
         });
     }
+    // The CONGEST tester's leader flood on the benchmark torus: seeded
+    // ids from the k² namespace, redrawn until the maximum is unique.
+    let torus = Torus2d::new(110, 110);
+    let k = torus.node_count();
+    let mut rng = StdRng::seed_from_u64(1);
+    let ids = loop {
+        let ids: Vec<u64> = (0..k).map(|_| rng.gen_range(0..(k * k) as u64)).collect();
+        let max = *ids.iter().max().expect("the torus has nodes");
+        if ids.iter().filter(|&&i| i == max).count() == 1 {
+            break ids;
+        }
+    };
+    let model = BandwidthModel::congest_for(k);
+    group.bench_function("torus110_leader_flood", |b| {
+        b.iter(|| black_box(elect_leader(&torus, &ids, model).unwrap()))
+    });
     group.finish();
 }
 

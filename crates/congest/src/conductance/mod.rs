@@ -46,6 +46,7 @@ pub mod walk;
 
 use crate::codec::JustesenCodec;
 use crate::robust::{robust_bandwidth_model, RobustStats};
+use crate::tester::check_node_count;
 use dut_netsim::algorithms::{
     broadcast_value_observed, build_bfs_tree, build_bfs_tree_coded, convergecast_sum_observed,
     elect_leader, elect_leader_coded, reliable_broadcast_value_coded,
@@ -318,13 +319,10 @@ impl ConductanceTester {
     ///
     /// # Errors
     ///
-    /// [`ConductanceError::Engine`] on engine failures;
-    /// [`ConductanceError::FaultOverwhelmed`] when a fault plan in
-    /// `options` cost the walk phase tokens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` does not have exactly `k` nodes.
+    /// [`ConductanceError::Engine`] on engine failures, including
+    /// [`EngineError::NodeCountMismatch`] when `g` does not have exactly
+    /// `k` nodes; [`ConductanceError::FaultOverwhelmed`] when a fault
+    /// plan in `options` cost the walk phase tokens.
     pub fn run_observed<T: ImplicitTopology>(
         &self,
         g: &T,
@@ -332,11 +330,7 @@ impl ConductanceTester {
         options: &RunOptions,
         sink: &mut dyn Sink,
     ) -> Result<ConductanceRunResult, ConductanceError> {
-        assert_eq!(
-            g.node_count(),
-            self.k,
-            "graph size does not match planned network size"
-        );
+        check_node_count(g, self.k)?;
         let tree_model = self.aggregation_model();
         let ids: Vec<u64> = (0..self.k as u64).collect();
 
@@ -429,15 +423,12 @@ impl ConductanceTester {
     ///
     /// # Errors
     ///
-    /// [`ConductanceError::Engine`] on engine failures;
-    /// [`ConductanceError::FaultOverwhelmed`] when drops (or flips
-    /// beyond the codec radius, or an outage intersecting token
+    /// [`ConductanceError::Engine`] on engine failures, including
+    /// [`EngineError::NodeCountMismatch`] when `g` does not have exactly
+    /// `k` nodes; [`ConductanceError::FaultOverwhelmed`] when drops (or
+    /// flips beyond the codec radius, or an outage intersecting token
     /// traffic) cost the walk phase tokens, or when a reliable
     /// aggregation exhausted its retry budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` does not have exactly `k` nodes.
     pub fn run_robust_observed<T: ImplicitTopology>(
         &self,
         g: &T,
@@ -447,11 +438,7 @@ impl ConductanceTester {
         options: &RunOptions,
         sink: &mut dyn Sink,
     ) -> Result<(ConductanceRunResult, RobustStats), ConductanceError> {
-        assert_eq!(
-            g.node_count(),
-            self.k,
-            "graph size does not match planned network size"
-        );
+        check_node_count(g, self.k)?;
         let tree_model = robust_bandwidth_model();
         let ids: Vec<u64> = (0..self.k as u64).collect();
         let mut stats = RobustStats::default();
@@ -874,10 +861,17 @@ mod tests {
     }
 
     #[test]
-    fn graph_size_mismatch_panics() {
+    fn graph_size_mismatch_is_typed_error() {
         let g = complete(8);
         let t = ConductanceTester::plan(9, 0.1, 0.5).unwrap();
-        let r = std::panic::catch_unwind(|| t.run(&g, 0));
-        assert!(r.is_err());
+        let want = ConductanceError::Engine(EngineError::NodeCountMismatch {
+            graph_nodes: 8,
+            states: 9,
+        });
+        assert_eq!(t.run(&g, 0).unwrap_err(), want);
+        assert_eq!(
+            t.run_robust(&g, 0, &FaultPlan::none(), 4).unwrap_err(),
+            want
+        );
     }
 }

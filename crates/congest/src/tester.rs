@@ -24,7 +24,7 @@ use dut_netsim::algorithms::convergecast::{broadcast_value_observed, convergecas
 use dut_netsim::algorithms::{
     reliable_broadcast_value_coded, reliable_convergecast_sums_coded, RelMsg, RetryPolicy,
 };
-use dut_netsim::engine::BandwidthModel;
+use dut_netsim::engine::{BandwidthModel, EngineError};
 use dut_netsim::fault::FaultPlan;
 use dut_netsim::graph::ImplicitTopology;
 use dut_obs::{keys, NoopSink, Sink};
@@ -71,7 +71,7 @@ pub enum CongestError {
     /// The packaging phase failed (degenerate inputs or protocol error).
     Packaging(PackagingError),
     /// An aggregation phase (convergecast/broadcast) failed.
-    Engine(dut_netsim::engine::EngineError),
+    Engine(EngineError),
 }
 
 impl std::fmt::Display for CongestError {
@@ -98,9 +98,22 @@ impl From<PackagingError> for CongestError {
     }
 }
 
-impl From<dut_netsim::engine::EngineError> for CongestError {
-    fn from(e: dut_netsim::engine::EngineError) -> Self {
+impl From<EngineError> for CongestError {
+    fn from(e: EngineError) -> Self {
         CongestError::Engine(e)
+    }
+}
+
+/// [`EngineError::NodeCountMismatch`] unless `g` has the planned `k`
+/// nodes — checked before a tester does any work.
+pub(crate) fn check_node_count<T: ImplicitTopology>(g: &T, k: usize) -> Result<(), EngineError> {
+    if g.node_count() == k {
+        Ok(())
+    } else {
+        Err(EngineError::NodeCountMismatch {
+            graph_nodes: g.node_count(),
+            states: k,
+        })
     }
 }
 
@@ -239,13 +252,11 @@ impl CongestUniformityTester {
     ///
     /// # Errors
     ///
-    /// Returns [`CongestError::Packaging`] when the packaging phase
-    /// fails (disconnected or empty graphs included) and
+    /// Returns [`CongestError::Engine`] with
+    /// [`EngineError::NodeCountMismatch`] if `g`'s node count differs
+    /// from the planned `k`, [`CongestError::Packaging`] when the
+    /// packaging phase fails (disconnected or empty graphs included) and
     /// [`CongestError::Engine`] when an aggregation phase does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g`'s node count differs from the planned `k`.
     pub fn run<T, O, R>(
         &self,
         g: &T,
@@ -270,10 +281,6 @@ impl CongestUniformityTester {
     /// # Errors
     ///
     /// Same conditions as [`CongestUniformityTester::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g`'s node count differs from the planned `k`.
     pub fn run_observed<T, O, R>(
         &self,
         g: &T,
@@ -286,11 +293,7 @@ impl CongestUniformityTester {
         O: SampleOracle + ?Sized,
         R: Rng + ?Sized,
     {
-        assert_eq!(
-            g.node_count(),
-            self.k,
-            "graph size does not match planned network size"
-        );
+        check_node_count(g, self.k)?;
         let (tokens, ids) = self.draw_inputs(oracle, rng);
         let model = BandwidthModel::congest_for(self.n.max(self.k));
 
@@ -365,10 +368,6 @@ impl CongestUniformityTester {
     /// Same conditions as [`CongestUniformityTester::run`], plus
     /// [`PackagingError::FaultOverwhelmed`] (wrapped in
     /// [`CongestError::Packaging`]) when faults exceed the retry budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g`'s node count differs from the planned `k`.
     pub fn run_robust<T, O, R>(
         &self,
         g: &T,
@@ -392,10 +391,6 @@ impl CongestUniformityTester {
     /// # Errors
     ///
     /// Same conditions as [`CongestUniformityTester::run_robust`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g`'s node count differs from the planned `k`.
     pub fn run_robust_observed<T, O, R>(
         &self,
         g: &T,
@@ -410,11 +405,7 @@ impl CongestUniformityTester {
         O: SampleOracle + ?Sized,
         R: Rng + ?Sized,
     {
-        assert_eq!(
-            g.node_count(),
-            self.k,
-            "graph size does not match planned network size"
-        );
+        check_node_count(g, self.k)?;
         let (tokens, ids) = self.draw_inputs(oracle, rng);
         // The budget must hold one codeword per edge per round; token
         // values and ids still fit inside the codewords' payload.
@@ -695,6 +686,24 @@ mod tests {
     fn small_plan() -> (CongestUniformityTester, Graph) {
         let t = CongestUniformityTester::plan(2048, 250, 1.0, 1.0 / 3.0, 32).unwrap();
         (t, topology::grid(10, 25))
+    }
+
+    #[test]
+    fn graph_size_mismatch_is_typed_error() {
+        let (t, _) = small_plan();
+        let g = topology::grid(10, 24);
+        let uniform = DiscreteDistribution::uniform(2048);
+        let mut rng = StdRng::seed_from_u64(0);
+        let want = CongestError::Engine(EngineError::NodeCountMismatch {
+            graph_nodes: 240,
+            states: 250,
+        });
+        assert_eq!(t.run(&g, &uniform, &mut rng).unwrap_err(), want);
+        let plan = FaultPlan::none();
+        assert_eq!(
+            t.run_robust(&g, &uniform, &mut rng, &plan, 8).unwrap_err(),
+            want
+        );
     }
 
     #[test]

@@ -19,15 +19,20 @@
 //! * Instead of per-node `Vec<Vec<..>>` inboxes, all messages of a round
 //!   live in one flat arena. Delivery is a count-then-fill stable
 //!   counting sort: count per-destination messages, prefix-sum into
-//!   per-node offsets, then permute the staged sends in place. A node's
-//!   inbox is a slice of the arena.
+//!   per-node offsets, then place each staged send in its slot. Message
+//!   types without drop glue (`Compact`, `u64`, tuples of them) are
+//!   scattered into a prefilled arena in one pass; types with drop glue
+//!   are permuted in place by cycle-chasing. A node's inbox is a slice
+//!   of the arena.
 //! * `Outbox::send` validates neighbor-ship and finds the CONGEST
 //!   accounting slot in O(1) through a dense per-node neighbor-position
 //!   index, instead of scanning the neighbor list per send.
 //! * Protocols that declare [`NodeProtocol::SILENT_STABLE`] are stepped
 //!   through an active list after round 0: only nodes that received
 //!   mail are visited, so a wavefront phase costs O(active) per round
-//!   instead of O(nodes).
+//!   instead of O(nodes). Delivery marks receivers in a bitmap and
+//!   scans it in order, so the list comes out sorted by node id with no
+//!   sort.
 //!
 //! [`Network::run`] is a thin wrapper that allocates a fresh scratch;
 //! hot callers use [`Network::run_with_scratch`] or, for large graphs,
@@ -61,15 +66,23 @@
 //!    send order: node order, then send order within a node) by
 //!    destination with a *stable* counting sort, so each inbox sees
 //!    messages in the exact order naive per-inbox pushes would produce.
-//!    Differential tests against [`crate::reference`] and the
-//!    serial/parallel bit-identity guarantee both depend on this.
+//!    One slot rule serves every delivery path: with `c` messages for
+//!    `v` still unplaced, the next lands at `end(v) − c`. Whether a
+//!    message type is scattered or cycle-chased changes only how it
+//!    reaches its slot, never the slot. The active list of a
+//!    silent-stable run is emitted in node-id order, the order dense
+//!    stepping visits nodes in. Differential tests against
+//!    [`crate::reference`] and the serial/parallel bit-identity
+//!    guarantee both depend on this.
 //!
 //! 4. **EngineScratch reuse contract.** Between runs a scratch holds
 //!    only capacity, never state: every run begins by re-sizing and
-//!    re-zeroing (see `EngineScratch::prepare`), and the transient
-//!    buffers `neighbor_pos`/`edge_bits` are all-zero outside the
-//!    windows in which a single node is stepped or metered — restored
-//!    even on early error returns by `prepare` of the *next* run.
+//!    re-zeroing (see `EngineScratch::prepare_for`). The delivery
+//!    buffers `counts`/`active_mask` are all-zero between rounds, and
+//!    the transient buffers `neighbor_pos`/`edge_bits` are all-zero
+//!    outside the windows in which a single node is stepped or metered
+//!    — restored even on early error returns by `prepare_for` of the
+//!    *next* run.
 //!    Hence a scratch may be reused across different graphs, protocols,
 //!    and bandwidth models, and a run's results never depend on what
 //!    the scratch was previously used for.
@@ -475,8 +488,11 @@ pub struct EngineScratch<M> {
     /// `(to, from, msg)`.
     staged: Vec<(NodeId, NodeId, M)>,
     /// Per-destination message counts / fill cursors for delivery.
+    /// All-zero between rounds.
     counts: Vec<usize>,
-    /// Permutation scratch for the in-place stable counting sort.
+    /// Permutation scratch for the cycle-chasing placement of message
+    /// types with drop glue (and for the parallel path's sender-run
+    /// boundaries); unused by the one-pass scatter placement.
     perm: Vec<usize>,
     /// Dense index: `neighbor_pos[u] == p+1` iff `u` is the `p`-th
     /// neighbor of the node currently stepping, 0 otherwise. Zeroed
@@ -497,6 +513,10 @@ pub struct EngineScratch<M> {
     /// for every node that received at least one message last round,
     /// sorted by node id so it preserves dense stepping order.
     active: Vec<(NodeId, usize, usize)>,
+    /// One bit per node, `⌈nodes/64⌉` words: the destinations marked
+    /// while [`deliver_sparse`] counts a round's sends, scanned in order
+    /// to emit `active` sorted. All-zero between rounds, like `counts`.
+    active_mask: Vec<u64>,
     workers: Vec<WorkerScratch<M>>,
 }
 
@@ -514,6 +534,7 @@ impl<M> Default for EngineScratch<M> {
             edge_msgs: Vec::new(),
             nbr_buf: Vec::new(),
             active: Vec::new(),
+            active_mask: Vec::new(),
             workers: Vec::new(),
         }
     }
@@ -527,8 +548,8 @@ impl<M> EngineScratch<M> {
 
     /// Sizes every buffer for `topo` and resets per-run state. Reuses
     /// existing capacity; also re-establishes the all-zero invariants of
-    /// `neighbor_pos` / `edge_bits` that an error return may have left
-    /// dirty.
+    /// `counts` / `active_mask` / `neighbor_pos` / `edge_bits` that an
+    /// error return may have left dirty.
     ///
     /// Returns whether the topology primed the CSR ([`Graph`] does;
     /// implicit families do not) — the engine reads neighbors from the
@@ -557,6 +578,8 @@ impl<M> EngineScratch<M> {
         self.edge_msgs.resize(max_degree, 0);
         self.nbr_buf.clear();
         self.active.clear();
+        self.active_mask.clear();
+        self.active_mask.resize(k.div_ceil(64), 0);
         use_csr
     }
 }
@@ -860,13 +883,12 @@ impl<M: MessageSize + FaultInjectable> Channel<M> for FaultPlan {
 }
 
 /// Delivers this round's staged sends into the arena: counts per
-/// destination, prefix-sums offsets, then permutes the staged buffer in
-/// place (stable counting sort via cycle-chasing) and moves it into the
-/// arena. Allocation-free once capacities have grown, and a single
-/// O(nodes) pass per round (the prefix sum) — everything else is
-/// O(sends), which keeps sparse rounds (e.g. a BFS wavefront on a long
-/// line) from paying dense-round bookkeeping.
-fn deliver<M>(
+/// destination, prefix-sums offsets, then places each staged message in
+/// its arena slot ([`place`]). Allocation-free once capacities have
+/// grown, and a single O(nodes) pass per round (the prefix sum) —
+/// everything else is O(sends), which keeps sparse rounds (e.g. a BFS
+/// wavefront on a long line) from paying dense-round bookkeeping.
+fn deliver<M: Clone>(
     staged: &mut Vec<(NodeId, NodeId, M)>,
     arena: &mut Vec<(NodeId, M)>,
     inbox_offsets: &mut [usize],
@@ -874,8 +896,9 @@ fn deliver<M>(
     perm: &mut Vec<usize>,
 ) {
     let k = counts.len();
-    // `counts` is all-zero on entry (the invariant is restored below),
-    // so counting touches only destinations that received messages.
+    // `counts` is all-zero on entry (the invariant is restored by
+    // `place`), so counting touches only destinations that received
+    // messages.
     for &(to, _, _) in staged.iter() {
         counts[to] += 1;
     }
@@ -883,63 +906,86 @@ fn deliver<M>(
     for v in 0..k {
         inbox_offsets[v + 1] = inbox_offsets[v] + counts[v];
     }
-    // perm[i] is the arena slot of staged[i]: with c messages for `to`
-    // still unplaced, the next lands at end(to) − c, so global send
-    // order is preserved within each destination and inbox ordering
-    // matches naive per-inbox pushes. Draining `counts` back to zero
-    // here restores the all-zero invariant with no extra pass.
-    perm.clear();
-    for &(to, _, _) in staged.iter() {
-        perm.push(inbox_offsets[to + 1] - counts[to]);
-        counts[to] -= 1;
-    }
-    for i in 0..staged.len() {
-        while perm[i] != i {
-            let j = perm[i];
-            staged.swap(i, j);
-            perm.swap(i, j);
-        }
-    }
-    arena.clear();
-    arena.extend(staged.drain(..).map(|(_, from, msg)| (from, msg)));
+    place(staged, arena, inbox_offsets, counts, perm);
 }
 
-/// Active-list delivery for silent-stable runs: the same stable
-/// counting sort as [`deliver`], but the prefix pass runs over *active
-/// destinations only* (O(a log a) for `a` receiving nodes, not
-/// O(nodes)), and the inbox bounds of each active node are recorded in
+/// Active-list delivery for silent-stable runs: the same placement as
+/// [`deliver`], but the prefix pass runs over *active destinations
+/// only*, and the inbox bounds of each active node are recorded in
 /// `active` so active-list stepping never reads the — now partially
 /// stale — `inbox_offsets` entries of silent nodes.
-fn deliver_sparse<M>(
+///
+/// Counting marks each destination in the `active_mask` bitmap; one
+/// in-order scan of its words (clearing them as it goes) then emits
+/// `active` already sorted by node id, in O(a + nodes/64) for `a`
+/// receiving nodes and no sort.
+fn deliver_sparse<M: Clone>(
     staged: &mut Vec<(NodeId, NodeId, M)>,
     arena: &mut Vec<(NodeId, M)>,
     inbox_offsets: &mut [usize],
     counts: &mut [usize],
     perm: &mut Vec<usize>,
+    active_mask: &mut [u64],
     active: &mut Vec<(NodeId, usize, usize)>,
 ) {
-    active.clear();
     for &(to, _, _) in staged.iter() {
-        if counts[to] == 0 {
-            active.push((to, 0, 0));
-        }
         counts[to] += 1;
+        active_mask[to / 64] |= 1 << (to % 64);
     }
-    // Sorted by node id so active-list stepping visits receivers in the
+    // In node-id order, so active-list stepping visits receivers in the
     // same relative order dense stepping would — the staged order (and
     // hence all downstream RNG/fault streams) stays bit-identical.
-    active.sort_unstable_by_key(|e| e.0);
+    active.clear();
     let mut off = 0;
-    for e in active.iter_mut() {
-        e.1 = off;
-        off += counts[e.0];
-        e.2 = off;
-        // Per-destination end cursor for the perm pass below; entries of
-        // silent nodes are left stale and never read on this path.
-        inbox_offsets[e.0 + 1] = off;
+    for (w, word) in active_mask.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            let v = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let lo = off;
+            off += counts[v];
+            active.push((v, lo, off));
+            // Per-destination end cursor for `place`; entries of silent
+            // nodes are left stale and never read on this path.
+            inbox_offsets[v + 1] = off;
+        }
     }
-    // Identical slot rule to `deliver`; draining `counts` restores the
-    // all-zero invariant.
+    place(staged, arena, inbox_offsets, counts, perm);
+}
+
+/// Moves the staged sends into `arena`, grouped by destination.
+///
+/// On entry `counts[to]` is the number of messages for `to` and
+/// `inbox_offsets[to + 1]` the end of its inbox, for every destination
+/// in `staged`. The slot rule: with `c` messages for `to` still
+/// unplaced, the next one lands at `end(to) − c`, so global send order
+/// is preserved within each destination and inbox ordering matches
+/// naive per-inbox pushes. Draining `counts` back to zero here restores
+/// its all-zero invariant with no extra pass.
+///
+/// Message types without drop glue (`Compact`, `u64`, tuples of them)
+/// are scattered in one pass into an arena prefilled with copies of the
+/// first message. Types with drop glue (`Vec<u64>`, codewords) would
+/// clone a heap buffer per prefilled slot, so they are permuted in place
+/// by cycle-chasing instead and then moved over.
+fn place<M: Clone>(
+    staged: &mut Vec<(NodeId, NodeId, M)>,
+    arena: &mut Vec<(NodeId, M)>,
+    inbox_offsets: &[usize],
+    counts: &mut [usize],
+    perm: &mut Vec<usize>,
+) {
+    arena.clear();
+    if !std::mem::needs_drop::<M>() {
+        if let Some((_, from, msg)) = staged.first() {
+            arena.resize(staged.len(), (*from, msg.clone()));
+        }
+        for (to, from, msg) in staged.drain(..) {
+            arena[inbox_offsets[to + 1] - counts[to]] = (from, msg);
+            counts[to] -= 1;
+        }
+        return;
+    }
     perm.clear();
     for &(to, _, _) in staged.iter() {
         perm.push(inbox_offsets[to + 1] - counts[to]);
@@ -952,7 +998,6 @@ fn deliver_sparse<M>(
             perm.swap(i, j);
         }
     }
-    arena.clear();
     arena.extend(staged.drain(..).map(|(_, from, msg)| (from, msg)));
 }
 
@@ -1290,6 +1335,7 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
             edge_msgs,
             nbr_buf,
             active,
+            active_mask,
             ..
         } = scratch;
         let mut metrics = Metrics::new();
@@ -1435,7 +1481,15 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
             }
 
             if sparse {
-                deliver_sparse(staged, arena, inbox_offsets, counts, perm, active);
+                deliver_sparse(
+                    staged,
+                    arena,
+                    inbox_offsets,
+                    counts,
+                    perm,
+                    active_mask,
+                    active,
+                );
             } else {
                 deliver(staged, arena, inbox_offsets, counts, perm);
             }
@@ -1860,6 +1914,129 @@ mod tests {
         }
         fn is_done(&self) -> bool {
             self.seen
+        }
+    }
+
+    /// A staged send, `(to, from, msg)`.
+    type Staged<M> = (NodeId, NodeId, M);
+
+    /// Checks `deliver` and `deliver_sparse` against naive stable
+    /// per-destination pushes of `sends` (in staged order) on `k`
+    /// nodes, and that both leave `counts` and `active_mask` all-zero.
+    fn assert_delivery_matches_naive<M>(k: usize, sends: &[Staged<M>])
+    where
+        M: Clone + PartialEq + fmt::Debug,
+    {
+        let mut want: Vec<Vec<(NodeId, M)>> = vec![Vec::new(); k];
+        for (to, from, msg) in sends {
+            want[*to].push((*from, msg.clone()));
+        }
+        let mut arena = Vec::new();
+        let mut inbox_offsets = vec![0; k + 1];
+        let mut counts = vec![0; k];
+        let mut perm = Vec::new();
+        let mut active_mask = vec![0u64; k.div_ceil(64)];
+        let mut active = Vec::new();
+
+        let mut staged = sends.to_vec();
+        deliver(
+            &mut staged,
+            &mut arena,
+            &mut inbox_offsets,
+            &mut counts,
+            &mut perm,
+        );
+        assert!(staged.is_empty());
+        assert!(counts.iter().all(|&c| c == 0), "deliver left counts dirty");
+        assert_eq!(arena.len(), sends.len());
+        for (v, inbox) in want.iter().enumerate() {
+            assert_eq!(&arena[inbox_offsets[v]..inbox_offsets[v + 1]], inbox);
+        }
+
+        let mut staged = sends.to_vec();
+        deliver_sparse(
+            &mut staged,
+            &mut arena,
+            &mut inbox_offsets,
+            &mut counts,
+            &mut perm,
+            &mut active_mask,
+            &mut active,
+        );
+        assert!(staged.is_empty());
+        assert!(counts.iter().all(|&c| c == 0), "sparse left counts dirty");
+        assert!(
+            active_mask.iter().all(|&w| w == 0),
+            "sparse left mask dirty"
+        );
+        assert_eq!(arena.len(), sends.len());
+        let receivers: Vec<NodeId> = (0..k).filter(|&v| !want[v].is_empty()).collect();
+        let listed: Vec<NodeId> = active.iter().map(|e| e.0).collect();
+        assert_eq!(
+            listed, receivers,
+            "active list must be the sorted receivers"
+        );
+        for &(v, lo, hi) in &active {
+            assert_eq!(&arena[lo..hi], want[v].as_slice());
+        }
+    }
+
+    /// A dense round (every node sends to several random destinations,
+    /// many shared) and a sparse round whose few receivers span several
+    /// bitmap words, both with repeated destinations, as
+    /// `(to, from, tag)` on `k` nodes. The tag is unique per message.
+    fn delivery_rounds() -> [(usize, Vec<Staged<u64>>); 2] {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let k = 300;
+        let mut dense = Vec::new();
+        for from in 0..k {
+            for _ in 0..rng.gen_range(1..5) {
+                let tag = dense.len() as u64;
+                dense.push((rng.gen_range(0..k), from, tag));
+            }
+        }
+        let sparse: Vec<Staged<u64>> = [
+            (999, 5),
+            (3, 5),
+            (700, 9),
+            (63, 9),
+            (3, 64),
+            (64, 64),
+            (999, 128),
+            (700, 700),
+            (130, 998),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, &(to, from))| (to, from, i as u64))
+        .collect();
+        [(k, dense), (1000, sparse)]
+    }
+
+    #[test]
+    fn scatter_delivery_matches_naive_pushes() {
+        // `Compact` has no drop glue: the one-pass scatter placement.
+        assert!(!std::mem::needs_drop::<Compact>());
+        for (k, sends) in delivery_rounds() {
+            let sends: Vec<_> = sends
+                .into_iter()
+                .map(|(to, from, tag)| (to, from, Compact(tag)))
+                .collect();
+            assert_delivery_matches_naive(k, &sends);
+        }
+    }
+
+    #[test]
+    fn chase_delivery_matches_naive_pushes() {
+        // `Vec<u64>` has drop glue: the cycle-chasing placement.
+        assert!(std::mem::needs_drop::<Vec<u64>>());
+        for (k, sends) in delivery_rounds() {
+            let sends: Vec<_> = sends
+                .into_iter()
+                .map(|(to, from, tag)| (to, from, vec![tag, from as u64]))
+                .collect();
+            assert_delivery_matches_naive(k, &sends);
         }
     }
 

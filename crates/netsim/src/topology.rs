@@ -251,17 +251,25 @@ impl ImplicitTopology for Torus2d {
 
     fn neighbors<'a>(&'a self, v: NodeId, buf: &'a mut Vec<NodeId>) -> &'a [NodeId] {
         buf.clear();
-        let (r, c) = (v / self.cols, v % self.cols);
-        let up = (r + self.rows - 1) % self.rows;
-        let down = (r + 1) % self.rows;
-        let left = (c + self.cols - 1) % self.cols;
-        let right = (c + 1) % self.cols;
-        for cand in [
-            up * self.cols + c,
-            down * self.cols + c,
-            r * self.cols + left,
-            r * self.cols + right,
-        ] {
+        let (rows, cols) = (self.rows, self.cols);
+        let r = v / cols;
+        let c = v - r * cols;
+        // The modulo wraps `(r ± 1) mod rows`, `(c ± 1) mod cols` as
+        // compare-and-wrap: one division per call instead of six.
+        let up = if r == 0 {
+            v + (rows - 1) * cols
+        } else {
+            v - cols
+        };
+        let down = if r + 1 == rows { c } else { v + cols };
+        let left = if c == 0 { v + cols - 1 } else { v - 1 };
+        let right = if c + 1 == cols { v - c } else { v + 1 };
+        if rows >= 3 && cols >= 3 {
+            // All four are distinct and none is `v`.
+            buf.extend_from_slice(&[up, down, left, right]);
+            return buf;
+        }
+        for cand in [up, down, left, right] {
             if cand != v && !buf.contains(&cand) {
                 buf.push(cand);
             }

@@ -264,6 +264,50 @@ fn assert_runs_match<T: ImplicitTopology>(label: &str, topo: &T) {
     assert_reports_equal(&format!("{label}/flood"), &mat, &imp);
 }
 
+/// The documented `Torus2d` neighbor rule, written independently of the
+/// implementation: up, down, left, right by `(r ± 1) mod rows` and
+/// `(c ± 1) mod cols`, skipping self-edges and repeats.
+fn torus_oracle(rows: usize, cols: usize, v: NodeId) -> Vec<NodeId> {
+    let (r, c) = (v / cols, v % cols);
+    let mut out = Vec::new();
+    for (nr, nc) in [
+        ((r + rows - 1) % rows, c),
+        ((r + 1) % rows, c),
+        (r, (c + cols - 1) % cols),
+        (r, (c + 1) % cols),
+    ] {
+        let u = nr * cols + nc;
+        if u != v && !out.contains(&u) {
+            out.push(u);
+        }
+    }
+    out
+}
+
+fn assert_torus_matches_oracle(rows: usize, cols: usize) {
+    let t = Torus2d::new(rows, cols);
+    let mut buf = Vec::new();
+    for v in 0..rows * cols {
+        assert_eq!(
+            t.neighbors(v, &mut buf),
+            torus_oracle(rows, cols, v).as_slice(),
+            "{rows}x{cols} torus: neighbors of {v}"
+        );
+    }
+}
+
+#[test]
+fn torus_matches_modulo_oracle() {
+    // Every small shape, including the degenerate dimensions 1 and 2
+    // (self-edges and duplicates collapse), plus the benchmark's torus.
+    for rows in 1..=8 {
+        for cols in 1..=8 {
+            assert_torus_matches_oracle(rows, cols);
+        }
+    }
+    assert_torus_matches_oracle(110, 110);
+}
+
 // ---------------------------------------------------------------------
 // Implicit-vs-materialized equivalence (proptest, k ≤ 512, all families)
 // ---------------------------------------------------------------------
