@@ -75,7 +75,7 @@ lane_experiments_smoke() {
 }
 
 lane_conductance() {
-    echo "==> conductance lane (walk + pipeline differential: serial == sharded == reference)"
+    echo "==> conductance lane (walk + pipeline differential: serial == parallel == reference)"
     cargo test --release -p dut-congest --test conductance_differential -q
     echo "==> conductance lane (walk proptests: engine invariance, clique stationarity)"
     cargo test --release -p dut-congest --test walk_differential -q
@@ -95,9 +95,9 @@ lane_stream() {
 }
 
 lane_netsim_scale() {
-    echo "==> netsim-scale lane (10^6-node implicit-torus smoke, sharded bit-identity)"
+    echo "==> netsim-scale lane (10^6-node implicit-torus smoke, serial == parallel(2), clean and faulted)"
     cargo test --release -p dut-netsim --test scale -q -- --ignored
-    echo "==> netsim-scale lane (implicit-vs-materialized + sharded/sparse differential)"
+    echo "==> netsim-scale lane (implicit-vs-materialized + parallel/sparse differential)"
     cargo test --release -p dut-netsim --test implicit -q
 }
 

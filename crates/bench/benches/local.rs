@@ -37,7 +37,7 @@ fn bench_full_local(c: &mut Criterion) {
     let g = topology::grid(64, 64);
     group.bench_function("grid_64x64", |b| {
         let mut rng = StdRng::seed_from_u64(8);
-        b.iter(|| black_box(tester.run(&g, &uniform, &mut rng)))
+        b.iter(|| black_box(tester.run(&g, &uniform, &mut rng).unwrap()))
     });
     group.finish();
 }

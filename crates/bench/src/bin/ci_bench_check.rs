@@ -183,7 +183,7 @@ fn time_netsim_workload(name: &str) -> f64 {
                 );
             })
         }
-        "torus_1m_gossip" => time_torus_1m_gossip(true),
+        "torus_1m_gossip" => time_torus_1m_gossip(),
         other => panic!("BENCH_netsim.json names workload {other}, which this gate can't time"),
     }
 }
@@ -200,19 +200,14 @@ fn torus_1m_states(k: usize) -> Vec<Gossip> {
 
 /// Times the 10⁶-node implicit-torus gossip burst: 2 broadcast rounds
 /// over a 1000×1000 torus (≈8M deliveries/round), neighbors computed on
-/// the fly. `sharded` picks the 8-thread sharded-delivery path (the
-/// baseline's "after" variant) vs plain serial delivery ("before").
-/// Heavier than the other workloads, so it takes 3 samples, not 5.
-fn time_torus_1m_gossip(sharded: bool) -> f64 {
+/// the fly, on the serial engine. Heavier than the other workloads, so
+/// it takes 3 samples, not 5.
+fn time_torus_1m_gossip() -> f64 {
     let torus = Torus2d::new(1000, 1000);
     let k = torus.node_count();
     let mut net = Network::new(&torus, BandwidthModel::Local);
     let mut scratch = EngineScratch::new();
-    let opts = if sharded {
-        RunOptions::parallel(8).with_shard_delivery(4096)
-    } else {
-        RunOptions::serial()
-    };
+    let opts = RunOptions::serial();
     median_ms(3, || {
         black_box(
             net.run_with_options(torus_1m_states(k), 8, &mut scratch, &opts)
@@ -576,39 +571,6 @@ fn main() {
                 "{name}: {measured:.2} ms exceeds {median_ms:.2} ms baseline by more than {:.0}%",
                 slack * 100.0
             ));
-        }
-    }
-
-    // Sharded-delivery speedup on the million-node torus. Like the
-    // Monte-Carlo speedup target, a 1-core runner cannot show parallel
-    // gains, so the >=2x clause activates only on >=4-core machines
-    // (sharded_target_applies_from_cores in BENCH_netsim.json); the
-    // absolute wall-clock gate above applies everywhere.
-    {
-        let baseline = std::fs::read_to_string(&netsim_path).expect("read again");
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let target = number_field(&baseline, "sharded_target_speedup").unwrap_or(2.0);
-        let applies_from =
-            number_field(&baseline, "sharded_target_applies_from_cores").unwrap_or(4.0) as usize;
-        if cores >= applies_from {
-            let serial_ms = time_torus_1m_gossip(false);
-            let sharded_ms = time_torus_1m_gossip(true);
-            let speedup = serial_ms / sharded_ms;
-            println!(
-                "  torus_1m_gossip sharded speedup: serial {serial_ms:.2} ms, sharded \
-                 {sharded_ms:.2} ms, {speedup:.2}x (target {target:.1}x on {cores} cores)"
-            );
-            let floor = target / (1.0 + slack);
-            if speedup < floor {
-                failures.push(format!(
-                    "sharded delivery speedup {speedup:.2}x below the slack-adjusted \
-                     {target:.1}x target ({floor:.2}x) on {cores} cores"
-                ));
-            }
-        } else {
-            println!(
-                "  (sharded speedup target {target:.1}x not enforced below {applies_from} cores)"
-            );
         }
     }
 

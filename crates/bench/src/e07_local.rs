@@ -89,12 +89,16 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let mut rej_u = 0usize;
         let mut rej_f = 0usize;
         for _ in 0..trials {
-            let ru = tester_g.run(&g, &uniform, &mut rng);
+            let ru = tester_g
+                .run(&g, &uniform, &mut rng)
+                .expect("the planning graph is connected and has k nodes");
             mis_size = ru.mis_size;
             min_gathered = min_gathered.min(ru.min_gathered);
             rounds += ru.rounds;
             rej_u += usize::from(ru.outcome.decision == Decision::Reject);
-            let rf = tester_g.run(&g, &far, &mut rng);
+            let rf = tester_g
+                .run(&g, &far, &mut rng)
+                .expect("the planning graph is connected and has k nodes");
             rej_f += usize::from(rf.outcome.decision == Decision::Reject);
             rounds += rf.rounds;
         }

@@ -13,7 +13,7 @@
 //! E13-style flip plan (which must also leave the statistic exactly
 //! equal to the fault-free run); (2) the realized round count stays
 //! within the O(D + log n/(εΦ²)) envelope; (3) the walk census is
-//! bit-identical across the serial, sharded-parallel, and naive
+//! bit-identical across the serial, parallel, and naive
 //! reference engines, clean and faulted — the counter-keyed RNG
 //! discipline extended to walk coins.
 
@@ -175,7 +175,7 @@ pub fn run(scale: Scale, log: &mut MetricsLog) -> Vec<Table> {
         format!(
             "Margulis side 6 (k = {ident_k}), ℓ = {ident_walks}, L = {ident_len}. The \
              same seed must produce the identical per-source endpoint census on the \
-             serial flat engine, the sharded parallel engine, and the naive reference \
+             serial flat engine, the parallel engine, and the naive reference \
              engine — clean and under the E13-style flip plan (faults are keyed by the \
              same counter discipline, so corruption is reproduced, not avoided).",
         ),
@@ -215,21 +215,6 @@ pub fn run(scale: Scale, log: &mut MetricsLog) -> Vec<Table> {
                 .expect("parallel walk"),
             ),
             (
-                "parallel-4+shard",
-                run_walks_observed(
-                    &ident_g,
-                    SEED,
-                    ident_walks,
-                    ident_len,
-                    model,
-                    &RunOptions::parallel(4)
-                        .with_shard_delivery(1)
-                        .with_faults(plan.clone()),
-                    &mut dut_obs::NoopSink,
-                )
-                .expect("sharded walk"),
-            ),
-            (
                 "reference",
                 run_walks_reference_faulted(&ident_g, SEED, ident_walks, ident_len, model, &plan)
                     .expect("reference walk"),
@@ -260,7 +245,7 @@ mod tests {
         let tables = run(Scale::Quick, &mut MetricsLog::disabled());
         assert_eq!(tables.len(), 2);
         assert_eq!(tables[0].rows.len(), 4);
-        assert_eq!(tables[1].rows.len(), 8);
+        assert_eq!(tables[1].rows.len(), 6);
         crate::verdict::check("e16", &tables).unwrap();
     }
 

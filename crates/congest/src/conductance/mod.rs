@@ -38,7 +38,7 @@
 //! skewed statistic — the same honesty contract as robust packaging.
 //!
 //! Everything downstream of the seed is deterministic: the walk coins
-//! come from a counter-keyed splitmix64 stream, so serial, sharded
+//! come from a counter-keyed splitmix64 stream, so serial, parallel
 //! (any thread count), and reference engines produce bit-identical
 //! walk statistics, clean or faulted — see [`walk`].
 
@@ -299,7 +299,10 @@ impl ConductanceTester {
         tree_height as f64 + (self.k as f64).ln() / (self.epsilon * self.phi * self.phi)
     }
 
-    /// Runs the plain pipeline (serial engine, no faults).
+    /// Runs the plain pipeline with [`RunOptions::default`]: no faults,
+    /// and the walk phase on worker threads detected from the host when
+    /// `g` has 512 nodes or more (inline below). Results are the same
+    /// at any thread count.
     ///
     /// # Errors
     ///
@@ -313,7 +316,7 @@ impl ConductanceTester {
     }
 
     /// Runs the plain pipeline with explicit engine options for the
-    /// walk phase (thread count, sharded delivery, fault plan) and
+    /// walk phase (thread count, fault plan) and
     /// metric recording under the `congest.conductance.*` keys.
     /// Successful runs are bit-identical for every option combination.
     ///

@@ -16,8 +16,8 @@
 //! coins. No mutable RNG is ever consulted, so a token's trajectory is
 //! a pure function of the run seed and the (order-independent,
 //! commutatively aggregated) token census. That makes the final census
-//! bit-identical across the serial engine, the sharded parallel engine
-//! at any thread count, and the naive reference engine — clean or under
+//! bit-identical across the serial engine, the parallel engine at any
+//! thread count, and the naive reference engine — clean or under
 //! any [`FaultPlan`] — which the conductance pipeline's differential
 //! suites assert.
 //!
@@ -292,8 +292,10 @@ fn outcome_from_report(report: RunReport<WalkNode>) -> WalkOutcome {
     }
 }
 
-/// Runs the walk phase on the flat-buffer engine (serial, default
-/// options).
+/// Runs the walk phase on the flat-buffer engine with
+/// [`RunOptions::default`]: no faults, and worker threads detected from
+/// the host on graphs of 512 nodes or more (inline below). The census
+/// is the same at any thread count.
 ///
 /// # Errors
 ///
@@ -318,8 +320,8 @@ pub fn run_walks<T: ImplicitTopology>(
     )
 }
 
-/// [`run_walks`] with explicit [`RunOptions`] (thread count, sharded
-/// delivery, fault plan) and metric recording. Successful runs are
+/// [`run_walks`] with explicit [`RunOptions`] (thread count, fault
+/// plan) and metric recording. Successful runs are
 /// bit-identical for every option combination.
 ///
 /// # Errors

@@ -1,7 +1,7 @@
 //! Differential suite for the conductance tester (CI's `conductance`
 //! lane): the full pipeline and the walk phase alone must be
-//! bit-identical across the serial engine, the sharded parallel engine
-//! at any thread count, and the naive reference engine — clean and
+//! bit-identical across the serial engine, the parallel engine at any
+//! thread count, and the naive reference engine — clean and
 //! under E13-style fault plans — and the robust variant must keep its
 //! honesty contract (flips absorbed, losses typed, never a skewed
 //! verdict).
@@ -33,8 +33,8 @@ fn full_pipeline_is_engine_invariant() {
         .expect("serial run");
     for options in [
         RunOptions::parallel(2),
+        RunOptions::parallel(3),
         RunOptions::parallel(4),
-        RunOptions::parallel(3).with_shard_delivery(1),
     ] {
         let other = t
             .run_observed(&g, SEED, &options, &mut NoopSink)
@@ -61,21 +61,19 @@ fn walk_census_matches_reference_clean_and_faulted() {
         let opts = RunOptions::default().with_faults(plan.clone());
         let flat =
             run_walks_observed(&g, SEED, 8, 16, model, &opts, &mut NoopSink).expect("flat engine");
-        let sharded = run_walks_observed(
+        let parallel = run_walks_observed(
             &g,
             SEED,
             8,
             16,
             model,
-            &RunOptions::parallel(4)
-                .with_shard_delivery(1)
-                .with_faults(plan.clone()),
+            &RunOptions::parallel(4).with_faults(plan.clone()),
             &mut NoopSink,
         )
-        .expect("sharded engine");
+        .expect("parallel engine");
         let reference =
             run_walks_reference_faulted(&g, SEED, 8, 16, model, &plan).expect("reference engine");
-        assert_eq!(flat, sharded, "flat vs sharded under {plan:?}");
+        assert_eq!(flat, parallel, "flat vs parallel under {plan:?}");
         assert_eq!(
             flat.counts, reference.counts,
             "flat vs reference under {plan:?}"

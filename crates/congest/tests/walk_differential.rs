@@ -43,9 +43,7 @@ proptest! {
                 walks,
                 walk_len,
                 model,
-                &RunOptions::parallel(threads)
-                    .with_shard_delivery(1)
-                    .with_faults(plan.clone()),
+                &RunOptions::parallel(threads).with_faults(plan.clone()),
                 &mut NoopSink,
             ).unwrap();
             prop_assert_eq!(&serial, &parallel, "diverged at {} threads", threads);

@@ -416,9 +416,10 @@ where
     let (results_ref, init_ref, trial_ref, ck_ref) = (&results, &init, &trial, &ck);
     let (prefix_ref, stop_ref) = (&prefix, &stop_chunk);
 
-    let scope_result = crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
-            scope.spawn(|_| {
+            workers.push(scope.spawn(|| {
                 // `init` and `trial` run under `catch_unwind` so a
                 // panicking closure stops this worker cleanly; the
                 // payload is stashed instead of unwinding through the
@@ -498,11 +499,14 @@ where
                         *slot = Some(payload);
                     }
                 }
-            });
+            }));
+        }
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                resume_unwind(payload);
+            }
         }
     });
-    // Workers catch their own panics, so the scope itself cannot fail.
-    let () = scope_result.expect("worker panics are caught inside the workers");
     if let Some(payload) = panic_payload
         .into_inner()
         .unwrap_or_else(|e| e.into_inner())

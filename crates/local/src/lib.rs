@@ -31,7 +31,7 @@ use dut_distributions::collision::CollisionScratch;
 use dut_distributions::SampleOracle;
 use dut_netsim::algorithms::mis::{luby_mis, verify_mis};
 use dut_netsim::algorithms::routing::route_to_centers;
-use dut_netsim::engine::BandwidthModel;
+use dut_netsim::engine::{BandwidthModel, EngineError};
 use dut_netsim::graph::Graph;
 use dut_netsim::power::{neighborhood, power_graph};
 use dut_obs::{keys, NoopSink, Sink};
@@ -57,7 +57,7 @@ use rand::Rng;
 /// let g = topology::grid(64, 64);
 /// let uniform = DiscreteDistribution::uniform(n);
 /// let mut rng = StdRng::seed_from_u64(1);
-/// let result = tester.run(&g, &uniform, &mut rng);
+/// let result = tester.run(&g, &uniform, &mut rng)?;
 /// assert_eq!(result.outcome.decision, Decision::Accept);
 /// # Ok(())
 /// # }
@@ -218,11 +218,19 @@ impl LocalUniformityTester {
     /// Runs the full LOCAL protocol on `g` with per-node samples drawn
     /// from `oracle`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `g`'s node count differs from the planned `k`, or the
-    /// graph is disconnected.
-    pub fn run<O, R>(&self, g: &Graph, oracle: &O, rng: &mut R) -> LocalRunResult
+    /// Checked before any sample is drawn:
+    /// [`EngineError::NodeCountMismatch`] if `g`'s node count differs
+    /// from the planned `k`, and [`EngineError::Unreached`] (naming the
+    /// lowest-numbered node that node 0 cannot reach) if `g` is
+    /// disconnected.
+    pub fn run<O, R>(
+        &self,
+        g: &Graph,
+        oracle: &O,
+        rng: &mut R,
+    ) -> Result<LocalRunResult, EngineError>
     where
         O: SampleOracle + ?Sized,
         R: Rng + ?Sized,
@@ -235,10 +243,9 @@ impl LocalUniformityTester {
     /// `sink`. The sink never touches the RNG, so decisions are
     /// bit-identical to the unobserved run on the same seed.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `g`'s node count differs from the planned `k`, or the
-    /// graph is disconnected.
+    /// Same conditions as [`LocalUniformityTester::run`].
     #[allow(clippy::needless_range_loop)]
     pub fn run_observed<O, R>(
         &self,
@@ -246,17 +253,20 @@ impl LocalUniformityTester {
         oracle: &O,
         rng: &mut R,
         sink: &mut dyn Sink,
-    ) -> LocalRunResult
+    ) -> Result<LocalRunResult, EngineError>
     where
         O: SampleOracle + ?Sized,
         R: Rng + ?Sized,
     {
-        assert_eq!(
-            g.node_count(),
-            self.k,
-            "graph size does not match planned network size"
-        );
-        assert!(g.is_connected(), "the LOCAL tester needs a connected graph");
+        if g.node_count() != self.k {
+            return Err(EngineError::NodeCountMismatch {
+                graph_nodes: g.node_count(),
+                states: self.k,
+            });
+        }
+        if let Some(node) = g.bfs_distances(0).iter().position(Option::is_none) {
+            return Err(EngineError::Unreached { node });
+        }
 
         // Each node draws one sample.
         let samples: Vec<usize> = (0..self.k).map(|_| oracle.draw(rng)).collect();
@@ -288,8 +298,7 @@ impl LocalUniformityTester {
         // unbounded messages, so one parcel batch per round suffices).
         let payloads: Vec<Vec<u64>> = samples.iter().map(|&s| vec![s as u64]).collect();
         let (delivered, routing_rounds) =
-            route_to_centers(g, &center_of, &payloads, BandwidthModel::Local, usize::MAX)
-                .expect("routing on a connected graph terminates");
+            route_to_centers(g, &center_of, &payloads, BandwidthModel::Local, usize::MAX)?;
         let gathered: Vec<Vec<usize>> = delivered
             .into_iter()
             .map(|values| values.into_iter().map(|v| v as usize).collect())
@@ -330,7 +339,7 @@ impl LocalUniformityTester {
             sink.add(keys::LOCAL_MIN_GATHERED, min_gathered as u64);
         }
 
-        LocalRunResult {
+        Ok(LocalRunResult {
             outcome: NetworkOutcome {
                 decision: DecisionRule::And.decide(rejecting),
                 rejecting_nodes: rejecting,
@@ -340,7 +349,7 @@ impl LocalUniformityTester {
             min_gathered,
             rounds,
             radius: self.radius,
-        }
+        })
     }
 }
 
@@ -377,7 +386,7 @@ mod tests {
         let g = topology::grid(64, 64);
         let uniform = DiscreteDistribution::uniform(N);
         let mut rng = StdRng::seed_from_u64(1);
-        let r = t.run(&g, &uniform, &mut rng);
+        let r = t.run(&g, &uniform, &mut rng).unwrap();
         assert!(
             r.min_gathered >= t.radius() / 2,
             "min gathered {} below r/2 = {}",
@@ -392,7 +401,7 @@ mod tests {
         let g = topology::grid(64, 64);
         let uniform = DiscreteDistribution::uniform(N);
         let mut rng = StdRng::seed_from_u64(2);
-        let r = t.run(&g, &uniform, &mut rng);
+        let r = t.run(&g, &uniform, &mut rng).unwrap();
         assert!(
             r.mis_size <= 2 * K / t.radius(),
             "MIS size {} above 2k/r = {}",
@@ -409,7 +418,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let trials = 15;
         let errors = (0..trials)
-            .filter(|_| t.run(&g, &uniform, &mut rng).outcome.decision == Decision::Reject)
+            .filter(|_| t.run(&g, &uniform, &mut rng).unwrap().outcome.decision == Decision::Reject)
             .count();
         // Completeness is protected by construction.
         assert!(errors <= trials / 3 + 1, "false alarms {errors}/{trials}");
@@ -428,7 +437,7 @@ mod tests {
         // alarms across trials rather than comparing network verdicts.
         let alarms = |d: &DiscreteDistribution, rng: &mut StdRng| -> usize {
             (0..trials)
-                .map(|_| t.run(&g, d, rng).outcome.rejecting_nodes)
+                .map(|_| t.run(&g, d, rng).unwrap().outcome.rejecting_nodes)
                 .sum()
         };
         let au = alarms(&uniform, &mut rng);
@@ -445,7 +454,7 @@ mod tests {
         let g = topology::grid(64, 64);
         let uniform = DiscreteDistribution::uniform(N);
         let mut rng = StdRng::seed_from_u64(5);
-        let r = t.run(&g, &uniform, &mut rng);
+        let r = t.run(&g, &uniform, &mut rng).unwrap();
         // rounds = r * (phases + 1); Luby phases are O(log k).
         assert!(r.rounds >= t.radius());
         assert!(
@@ -462,11 +471,11 @@ mod tests {
         let uniform = DiscreteDistribution::uniform(N);
 
         let mut rng = StdRng::seed_from_u64(7);
-        let plain = t.run(&g, &uniform, &mut rng);
+        let plain = t.run(&g, &uniform, &mut rng).unwrap();
 
         let mut rng = StdRng::seed_from_u64(7);
         let mut sink = dut_obs::MemorySink::new();
-        let observed = t.run_observed(&g, &uniform, &mut rng, &mut sink);
+        let observed = t.run_observed(&g, &uniform, &mut rng, &mut sink).unwrap();
 
         assert_eq!(plain.outcome.decision, observed.outcome.decision);
         assert_eq!(plain.mis_size, observed.mis_size);
@@ -483,6 +492,41 @@ mod tests {
         assert!(sink.counter(keys::CORE_AMPLIFY_RUNS) >= 1);
         assert!(sink.counter(keys::CORE_AMPLIFY_RUNS) <= observed.mis_size as u64);
         assert!(sink.counter(keys::CORE_GAP_SAMPLES) > 0);
+    }
+
+    #[test]
+    fn wrong_graph_size_is_a_typed_error() {
+        let t = LocalUniformityTester::plan(N, K, EPS, 1.0 / 3.0).unwrap();
+        let g = topology::grid(32, 32);
+        let uniform = DiscreteDistribution::uniform(N);
+        let mut rng = StdRng::seed_from_u64(8);
+        let err = t.run(&g, &uniform, &mut rng).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::NodeCountMismatch {
+                graph_nodes: 1024,
+                states: K
+            }
+        );
+        // Checked before any sample is drawn.
+        assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(8).gen::<u64>());
+    }
+
+    #[test]
+    fn disconnected_graph_is_a_typed_error() {
+        let t = LocalUniformityTester::plan(N, K, EPS, 1.0 / 3.0).unwrap();
+        // The 64x64 grid cut into two halves: nodes 0..2048 and the rest.
+        let mut g = Graph::new(K);
+        for (u, v) in topology::grid(64, 64).edges() {
+            if (u < K / 2) == (v < K / 2) {
+                g.add_edge(u, v);
+            }
+        }
+        let uniform = DiscreteDistribution::uniform(N);
+        let mut rng = StdRng::seed_from_u64(9);
+        let err = t.run(&g, &uniform, &mut rng).unwrap_err();
+        assert_eq!(err, EngineError::Unreached { node: K / 2 });
+        assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(9).gen::<u64>());
     }
 
     #[test]

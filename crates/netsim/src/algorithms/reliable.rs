@@ -1005,7 +1005,7 @@ mod tests {
     fn rejoin_recovery_is_engine_invariant() {
         // The crash/rejoin path must behave bit-identically across the
         // serial and parallel engines (the differential suite covers
-        // the same property for the sharded/reference engines via
+        // the same property for the reference engine via
         // protocol-level runs; here we pin the reliable primitives).
         let g = topology::grid(4, 4);
         let tree = tree_of(&g, 0);

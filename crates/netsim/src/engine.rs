@@ -92,6 +92,7 @@ use crate::graph::{Csr, Graph, ImplicitTopology, NodeId};
 use dut_obs::{keys, NoopSink, Sink, Span};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Bit-size accounting for protocol messages.
 ///
@@ -430,26 +431,18 @@ pub struct RunReport<P> {
     pub nodes: Vec<P>,
 }
 
-/// Per-thread staging buffers for parallel node stepping, parallel
-/// metering, and sharded delivery.
+/// Per-thread buffers for stepping a dense round on worker threads.
+/// Aligned to 128 bytes so neighbouring workers' `Vec` headers, which
+/// every send and neighbor lookup writes, never share a cache line
+/// (or an adjacent-line prefetch pair).
 #[derive(Debug)]
+#[repr(align(128))]
 struct WorkerScratch<M> {
     staged: Vec<(NodeId, NodeId, M)>,
     neighbor_pos: Vec<u32>,
     /// Neighbor scratch for implicit topologies (one per worker so
     /// workers never contend).
     nbr_buf: Vec<NodeId>,
-    /// Per-neighbor-position bit accounting for parallel metering.
-    edge_bits: Vec<usize>,
-    /// Per-neighbor-position message indices for parallel faulted
-    /// metering.
-    edge_msgs: Vec<usize>,
-    /// This worker's shard of the delivered arena (sharded delivery
-    /// phase B output, concatenated serially in shard order).
-    delivered: Vec<(NodeId, M)>,
-    /// Local permutation scratch for the shard-local stable counting
-    /// sort.
-    perm: Vec<usize>,
 }
 
 impl<M> Default for WorkerScratch<M> {
@@ -458,10 +451,6 @@ impl<M> Default for WorkerScratch<M> {
             staged: Vec::new(),
             neighbor_pos: Vec::new(),
             nbr_buf: Vec::new(),
-            edge_bits: Vec::new(),
-            edge_msgs: Vec::new(),
-            delivered: Vec::new(),
-            perm: Vec::new(),
         }
     }
 }
@@ -491,8 +480,7 @@ pub struct EngineScratch<M> {
     /// All-zero between rounds.
     counts: Vec<usize>,
     /// Permutation scratch for the cycle-chasing placement of message
-    /// types with drop glue (and for the parallel path's sender-run
-    /// boundaries); unused by the one-pass scatter placement.
+    /// types with drop glue; unused by the one-pass scatter placement.
     perm: Vec<usize>,
     /// Dense index: `neighbor_pos[u] == p+1` iff `u` is the `p`-th
     /// neighbor of the node currently stepping, 0 otherwise. Zeroed
@@ -506,7 +494,7 @@ pub struct EngineScratch<M> {
     /// stream's message index). Zeroed outside each window, like
     /// `edge_bits`.
     edge_msgs: Vec<usize>,
-    /// Neighbor scratch for implicit topologies on the serial paths
+    /// Neighbor scratch for implicit topologies on the calling thread
     /// (unused — empty — when the topology primes the CSR).
     nbr_buf: Vec<NodeId>,
     /// Active list of silent-stable runs: `(node, inbox_lo, inbox_hi)`
@@ -582,44 +570,46 @@ impl<M> EngineScratch<M> {
         self.active_mask.resize(k.div_ceil(64), 0);
         use_csr
     }
+
+    /// Sizes one [`WorkerScratch`] per worker thread for `nodes` nodes.
+    fn prepare_workers(&mut self, threads: usize, nodes: usize) {
+        self.workers.resize_with(threads, WorkerScratch::default);
+        for w in &mut self.workers {
+            w.staged.clear();
+            w.neighbor_pos.clear();
+            w.neighbor_pos.resize(nodes, 0);
+            w.nbr_buf.clear();
+        }
+    }
 }
 
 /// Execution options for [`Network::run_with_options`].
 ///
-/// The parallel path steps independent nodes on multiple threads and is
-/// **bit-identical** to the serial engine: per-worker staging buffers
-/// are merged in node order before metering and delivery, so decisions,
-/// metrics, and error values do not depend on the thread count. Small
-/// graphs stay serial via `parallel_threshold`, where thread start-up
-/// would dominate.
+/// With more than one thread, each dense round steps its nodes on
+/// scoped worker threads, one contiguous node chunk each, and merges
+/// their staged sends in node order before metering and delivery. The
+/// run is therefore **bit-identical** at any thread count: decisions,
+/// metrics and error values do not depend on it. The default detects
+/// the thread count and engages worker threads from 512 nodes
+/// (`parallel_threshold`); smaller graphs step inline, where thread
+/// start-up would dominate.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Worker threads to use. `0` means auto-detect from
     /// `std::thread::available_parallelism`. Ignored for
     /// [`NodeProtocol::SILENT_STABLE`] protocols, which always step
-    /// serially through their active list.
+    /// inline through their active list.
     pub threads: usize,
-    /// Minimum node count before the parallel path engages; below it the
-    /// run is serial regardless of `threads`.
+    /// Minimum node count before worker threads engage; below it the
+    /// run steps inline regardless of `threads`.
     pub parallel_threshold: usize,
     /// The fault model applied to the run. [`FaultPlan::none`] (the
     /// default) routes to the plain, unfaulted code paths, so results
     /// are bit-identical to runs without options. Any active plan is
-    /// applied identically by the serial and parallel paths (and by
+    /// applied identically at every thread count (and by
     /// [`crate::reference::run_reference_faulted`]); see
     /// [`crate::fault`].
     pub faults: FaultPlan,
-    /// Sharded intra-run delivery: on the parallel path, rounds whose
-    /// staged-message count reaches [`RunOptions::shard_threshold`]
-    /// partition the destination range into one contiguous shard per
-    /// worker, count/sort/permute shard-locally, and concatenate in
-    /// shard order — bit-identical to the serial counting sort by
-    /// construction. Metering also fans out (split at sender-run
-    /// boundaries) on those rounds. No effect on serial runs.
-    pub shard_delivery: bool,
-    /// Minimum staged messages in a round before [`Self::shard_delivery`]
-    /// engages; below it the serial counting sort wins.
-    pub shard_threshold: usize,
 }
 
 impl Default for RunOptions {
@@ -628,14 +618,12 @@ impl Default for RunOptions {
             threads: 0,
             parallel_threshold: 512,
             faults: FaultPlan::none(),
-            shard_delivery: false,
-            shard_threshold: 4096,
         }
     }
 }
 
 impl RunOptions {
-    /// Forces serial execution.
+    /// Forces inline (single-threaded) execution.
     pub fn serial() -> Self {
         RunOptions {
             threads: 1,
@@ -655,15 +643,6 @@ impl RunOptions {
     /// Attaches a fault plan; see [`crate::fault::FaultPlan`].
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Enables sharded delivery on the parallel path (see
-    /// [`RunOptions::shard_delivery`]); `threshold` is the minimum
-    /// staged-message count per round (0 = always shard).
-    pub fn with_shard_delivery(mut self, threshold: usize) -> Self {
-        self.shard_delivery = true;
-        self.shard_threshold = threshold;
         self
     }
 
@@ -720,24 +699,38 @@ impl Metrics {
         round_max
     }
 
-    /// Meters one node's staged sends. `neighbor_pos` must be filled for
-    /// `from`; `edge_bits` must be zero on entry and is re-zeroed for
-    /// `from`'s degree before returning `Ok`.
-    fn meter_node<M: MessageSize>(
+    /// Meters one sender's contiguous run `staged[run]` and passes it
+    /// through `channel`: the one metering path of inline and worker
+    /// stepping. Every message is metered at its original size (the
+    /// sender paid for it) before the channel drops or corrupts it;
+    /// survivors are compacted to `staged[w..]` in send order and the
+    /// advanced cursor is returned. A clean channel keeps every message
+    /// in place, so its cursor just skips the run.
+    ///
+    /// `neighbor_pos` must index `nbrs`, the sender's neighbors, and
+    /// `edge_bits`/`edge_msgs` must be zero; on `Ok` all three are
+    /// cleared again. An error leaves them dirty for the next run's
+    /// `prepare_for`.
+    ///
+    /// Always inlined: inline stepping calls it once per sending node,
+    /// and as an out-of-line call it made dense inline stepping on a
+    /// 110×110 torus about 10% slower (2-core host).
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn meter_sender<M: MessageSize, C: Channel<M>>(
         &mut self,
         model: BandwidthModel,
         round: usize,
-        sends: &[(NodeId, NodeId, M)],
-        neighbor_pos: &[u32],
+        channel: &C,
+        staged: &mut [(NodeId, NodeId, M)],
+        run: Range<usize>,
+        mut w: usize,
+        nbrs: &[NodeId],
+        neighbor_pos: &mut [u32],
         edge_bits: &mut [usize],
-        degree: usize,
-    ) -> Result<(), EngineError> {
-        // A silent node left `edge_bits` untouched — nothing to meter
-        // and nothing to re-zero.
-        if sends.is_empty() {
-            return Ok(());
-        }
-        for (to, from, msg) in sends {
+        edge_msgs: &mut [usize],
+    ) -> Result<usize, EngineError> {
+        for (to, from, msg) in &staged[run.clone()] {
             let bits = msg.size_bits();
             let pos = (neighbor_pos[*to] - 1) as usize;
             edge_bits[pos] += bits;
@@ -757,10 +750,34 @@ impl Metrics {
             self.total_messages += 1;
             self.total_bits += bits;
         }
-        for b in edge_bits.iter_mut().take(degree) {
+        for b in edge_bits.iter_mut().take(nbrs.len()) {
             *b = 0;
         }
-        Ok(())
+        if channel.plan().is_some() {
+            for r in run {
+                let (to, from, _) = staged[r];
+                let pos = (neighbor_pos[to] - 1) as usize;
+                let idx = edge_msgs[pos];
+                edge_msgs[pos] += 1;
+                match channel.apply(round, from, to, idx, &mut staged[r].2) {
+                    None => self.dropped_messages += 1,
+                    Some(flips) => {
+                        self.flipped_bits += flips as usize;
+                        staged.swap(w, r);
+                        w += 1;
+                    }
+                }
+            }
+            for b in edge_msgs.iter_mut().take(nbrs.len()) {
+                *b = 0;
+            }
+        } else {
+            w += run.len();
+        }
+        for &nb in nbrs {
+            neighbor_pos[nb] = 0;
+        }
+        Ok(w)
     }
 }
 
@@ -1001,195 +1018,99 @@ fn place<M: Clone>(
     arena.extend(staged.drain(..).map(|(_, from, msg)| (from, msg)));
 }
 
-/// Meters one contiguous chunk of the merged staged buffer (whole
-/// sender runs) with worker-local buffers, applying channel faults and
-/// compacting survivors to the chunk front. Returns the chunk's
-/// metrics, its survivor count, and the first error within it; the
-/// caller merges chunks in order, so totals, survivor order, and the
-/// first-error value are exactly what the serial metering pass
-/// produces.
-#[allow(clippy::too_many_arguments)]
-fn meter_chunk<T, M>(
-    model: BandwidthModel,
-    round: usize,
-    chunk: &mut [(NodeId, NodeId, M)],
-    worker: &mut WorkerScratch<M>,
-    csr: &Csr,
-    topo: &T,
+/// Where a run reads neighbor lists: the CSR when the topology primed
+/// it, the topology itself otherwise (see `EngineScratch::prepare_for`).
+struct Adjacency<'a, T> {
+    csr: &'a Csr,
+    topo: &'a T,
     use_csr: bool,
-    faults: Option<&FaultPlan>,
-) -> (Metrics, usize, Option<EngineError>)
-where
-    T: ImplicitTopology,
-    M: MessageSize + FaultInjectable,
-{
-    let WorkerScratch {
-        neighbor_pos,
-        nbr_buf,
-        edge_bits,
-        edge_msgs,
-        ..
-    } = worker;
-    let mut metrics = Metrics::new();
-    let mut i = 0;
-    let mut w = 0;
-    while i < chunk.len() {
-        let from = chunk[i].1;
-        let nbrs: &[NodeId] = if use_csr {
-            csr.neighbors(from)
-        } else {
-            topo.neighbors(from, nbr_buf)
-        };
-        for (p, &nb) in nbrs.iter().enumerate() {
-            neighbor_pos[nb] = p as u32 + 1;
-        }
-        let mut j = i;
-        while j < chunk.len() && chunk[j].1 == from {
-            j += 1;
-        }
-        let res = metrics.meter_node(
-            model,
-            round,
-            &chunk[i..j],
-            neighbor_pos,
-            edge_bits,
-            nbrs.len(),
-        );
-        if res.is_ok() {
-            if let Some(plan) = faults {
-                for r in i..j {
-                    let to = chunk[r].0;
-                    let pos = (neighbor_pos[to] - 1) as usize;
-                    let idx = edge_msgs[pos];
-                    edge_msgs[pos] += 1;
-                    match plan.apply(round, from, to, idx, &mut chunk[r].2) {
-                        None => metrics.dropped_messages += 1,
-                        Some(flips) => {
-                            metrics.flipped_bits += flips as usize;
-                            chunk.swap(w, r);
-                            w += 1;
-                        }
-                    }
-                }
-                for b in edge_msgs.iter_mut().take(nbrs.len()) {
-                    *b = 0;
-                }
-            }
-        }
-        for &nb in nbrs {
-            neighbor_pos[nb] = 0;
-        }
-        if let Err(e) = res {
-            return (metrics, w, Some(e));
-        }
-        i = j;
-    }
-    (metrics, w, None)
 }
 
-/// Sharded delivery: partitions the destination range into one
-/// contiguous shard per worker; each worker counts, prefix-sums, and
-/// stable-sorts its shard locally, and the shards concatenate in order
-/// — producing exactly the arena and offsets the serial [`deliver`]
-/// would, because each destination's slot assignment follows the same
-/// stable rule with a shard-wide base added.
-fn deliver_sharded<M: Clone + Send + Sync>(
-    staged: &mut Vec<(NodeId, NodeId, M)>,
-    arena: &mut Vec<(NodeId, M)>,
-    inbox_offsets: &mut [usize],
-    counts: &mut [usize],
-    workers: &mut [WorkerScratch<M>],
-    threads: usize,
-) {
-    let k = counts.len();
-    let shard_len = k.div_ceil(threads);
-    let staged_ref: &[(NodeId, NodeId, M)] = staged;
-
-    // Phase A: per-shard counting. Every worker scans the whole staged
-    // buffer read-only and counts its own destination range.
-    let totals = crossbeam::scope(|s| {
-        let mut handles = Vec::new();
-        for (shard_idx, counts_chunk) in counts.chunks_mut(shard_len).enumerate() {
-            let lo = shard_idx * shard_len;
-            handles.push(s.spawn(move |_| {
-                let hi = lo + counts_chunk.len();
-                let mut total = 0usize;
-                for &(to, _, _) in staged_ref {
-                    if to >= lo && to < hi {
-                        counts_chunk[to - lo] += 1;
-                        total += 1;
-                    }
-                }
-                total
-            }));
+impl<'a, T: ImplicitTopology> Adjacency<'a, T> {
+    /// `v`'s neighbors, in [`ImplicitTopology::neighbors`] order.
+    #[inline]
+    fn of<'b>(&self, v: NodeId, buf: &'b mut Vec<NodeId>) -> &'b [NodeId]
+    where
+        'a: 'b,
+    {
+        if self.use_csr {
+            self.csr.neighbors(v)
+        } else {
+            self.topo.neighbors(v, buf)
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect::<Vec<usize>>()
-    })
-    .unwrap_or_else(|p| std::panic::resume_unwind(p));
-
-    // Shard bases: a serial prefix over at most `threads` entries.
-    let mut bases = Vec::with_capacity(totals.len());
-    let mut acc = 0;
-    for &t in &totals {
-        bases.push(acc);
-        acc += t;
     }
-    inbox_offsets[0] = 0;
+}
 
-    // Phase B: shard-local prefix sums (into disjoint `inbox_offsets`
-    // ranges) and the stable counting sort into each worker's
-    // `delivered`, draining the shard's counts back to zero.
-    crossbeam::scope(|s| {
-        let offs_tail = &mut inbox_offsets[1..];
-        for (((shard_idx, counts_chunk), offs_chunk), worker) in counts
-            .chunks_mut(shard_len)
-            .enumerate()
-            .zip(offs_tail.chunks_mut(shard_len))
+/// [`step_on_workers`] as a fn pointer: instantiated only where node
+/// states and messages may cross threads, so the round loop itself
+/// carries no `Send` bounds.
+type FanOut<P, T> = fn(
+    &Adjacency<'_, T>,
+    &[(NodeId, <P as NodeProtocol>::Msg)],
+    &[usize],
+    usize,
+    Option<&FaultPlan>,
+    &mut [P],
+    &mut [WorkerScratch<<P as NodeProtocol>::Msg>],
+);
+
+/// Steps every live node of one dense round on scoped worker threads,
+/// one contiguous node chunk per worker, each staging its sends into
+/// its own [`WorkerScratch`]. Workers only read the arena. A worker's
+/// panic is re-raised with its original payload.
+fn step_on_workers<P, T>(
+    adj: &Adjacency<'_, T>,
+    arena: &[(NodeId, P::Msg)],
+    inbox_offsets: &[usize],
+    round: usize,
+    plan: Option<&FaultPlan>,
+    states: &mut [P],
+    workers: &mut [WorkerScratch<P::Msg>],
+) where
+    P: NodeProtocol + Send,
+    P::Msg: Send + Sync,
+    T: ImplicitTopology,
+{
+    let chunk_len = states.len().div_ceil(workers.len());
+    std::thread::scope(|s| {
+        let handles: Vec<_> = states
+            .chunks_mut(chunk_len)
             .zip(workers.iter_mut())
-        {
-            let lo = shard_idx * shard_len;
-            let base = bases[shard_idx];
-            s.spawn(move |_| {
-                let hi = lo + counts_chunk.len();
-                let mut off = base;
-                for (i, c) in counts_chunk.iter().enumerate() {
-                    off += c;
-                    offs_chunk[i] = off;
-                }
-                let delivered = &mut worker.delivered;
-                let perm = &mut worker.perm;
-                delivered.clear();
-                perm.clear();
-                for (to, from, msg) in staged_ref {
-                    let to = *to;
-                    if to < lo || to >= hi {
-                        continue;
+            .enumerate()
+            .map(|(c, (chunk, worker))| {
+                s.spawn(move || {
+                    let WorkerScratch {
+                        staged,
+                        neighbor_pos,
+                        nbr_buf,
+                    } = worker;
+                    for (off, state) in chunk.iter_mut().enumerate() {
+                        let node = c * chunk_len + off;
+                        if plan.is_some_and(|p| p.crashed(node, round)) {
+                            continue;
+                        }
+                        if plan.is_some_and(|p| p.rejoins_at(node, round)) {
+                            state.on_rejoin(node, round);
+                        }
+                        let nbrs = adj.of(node, nbr_buf);
+                        let inbox = &arena[inbox_offsets[node]..inbox_offsets[node + 1]];
+                        let mut out = Outbox::new(node, nbrs, neighbor_pos, staged);
+                        state.on_round(node, round, inbox, &mut out);
+                        if out.index_filled() {
+                            for &nb in nbrs {
+                                neighbor_pos[nb] = 0;
+                            }
+                        }
                     }
-                    perm.push(offs_chunk[to - lo] - counts_chunk[to - lo] - base);
-                    counts_chunk[to - lo] -= 1;
-                    delivered.push((*from, msg.clone()));
-                }
-                for i in 0..delivered.len() {
-                    while perm[i] != i {
-                        let j = perm[i];
-                        delivered.swap(i, j);
-                        perm.swap(i, j);
-                    }
-                }
-            });
+                })
+            })
+            .collect();
+        for h in handles {
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
-    })
-    .unwrap_or_else(|p| std::panic::resume_unwind(p));
-
-    // Phase C: concatenate the shards in order.
-    arena.clear();
-    for w in workers.iter_mut() {
-        arena.append(&mut w.delivered);
-    }
-    staged.clear();
+    });
 }
 
 /// A synchronous network: a topology plus a bandwidth model.
@@ -1295,24 +1216,34 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
         scratch: &mut EngineScratch<P::Msg>,
         sink: &mut dyn Sink,
     ) -> Result<RunReport<P>, EngineError> {
-        self.run_serial(states, max_rounds, scratch, &Clean, sink)
+        self.run_rounds(states, max_rounds, scratch, &Clean, None, sink)
     }
 
-    /// The serial loop, over a clean or a faulted [`Channel`]. With a
-    /// plan, crashed nodes are skipped (and count as done), every
-    /// staged message is metered at its original size, and then the
-    /// plan drops or corrupts it before delivery. For
-    /// [`NodeProtocol::SILENT_STABLE`] protocols, rounds after the first
-    /// visit only the nodes recorded by [`deliver_sparse`] (plus nodes
-    /// rejoining that round) — bit-identical to stepping every node,
-    /// by the silent-stable contract. The dense loop is the special
-    /// case whose active list is every node.
-    fn run_serial<P, C>(
+    /// The round loop — the only one — over a clean or a faulted
+    /// [`Channel`]. With a plan, crashed nodes are skipped (and count as
+    /// done), and every staged message is metered at its original size
+    /// before the plan drops or corrupts it.
+    ///
+    /// Rounds after the first of a [`NodeProtocol::SILENT_STABLE`]
+    /// protocol visit only the nodes recorded by [`deliver_sparse`]
+    /// (plus nodes rejoining that round) — bit-identical to stepping
+    /// every node, by the silent-stable contract. Every other round is
+    /// dense. With `fan_out` (worker count and stepping function, never
+    /// set for silent-stable protocols) a dense round steps its nodes on
+    /// worker threads and then meters their merged sends in node order;
+    /// without it, nodes step inline and each node's sends are metered
+    /// right after it steps, so a
+    /// violation surfaces before any later node steps, exactly as the
+    /// naive engine did. Both orders meter the same sends through
+    /// [`Metrics::meter_sender`], so they reach the same totals and the
+    /// same first error.
+    fn run_rounds<P, C>(
         &mut self,
         states: Vec<P>,
         max_rounds: usize,
         scratch: &mut EngineScratch<P::Msg>,
         channel: &C,
+        fan_out: Option<(usize, FanOut<P, T>)>,
         sink: &mut dyn Sink,
     ) -> Result<RunReport<P>, EngineError>
     where
@@ -1321,8 +1252,12 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
     {
         let sparse = P::SILENT_STABLE;
         let plan = channel.plan();
+        let model = self.model;
         let mut states = self.check_states(states)?;
         let use_csr = scratch.prepare_for(self.graph);
+        if let Some((threads, _)) = fan_out {
+            scratch.prepare_workers(threads, states.len());
+        }
         let EngineScratch {
             csr,
             arena,
@@ -1336,8 +1271,13 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
             nbr_buf,
             active,
             active_mask,
-            ..
+            workers,
         } = scratch;
+        let adj = Adjacency {
+            csr,
+            topo: self.graph,
+            use_csr,
+        };
         let mut metrics = Metrics::new();
         let mut obs = RoundObs::new();
 
@@ -1409,73 +1349,86 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
                 }
             }
 
-            let visits = if sparse_round {
-                active.len()
-            } else {
-                states.len()
-            };
-            for i in 0..visits {
-                let (node, lo, hi) = if sparse_round {
-                    active[i]
-                } else {
-                    (i, inbox_offsets[i], inbox_offsets[i + 1])
-                };
-                if plan.is_some_and(|p| p.crashed(node, round)) {
-                    continue;
+            if let Some((_, step)) = fan_out {
+                step(
+                    &adj,
+                    arena,
+                    inbox_offsets,
+                    round,
+                    plan,
+                    &mut states,
+                    workers,
+                );
+                // Merged in worker (= node) order, the buffer holds the
+                // exact global send order of inline stepping; one
+                // sender's sends are contiguous.
+                for w in workers.iter_mut() {
+                    staged.append(&mut w.staged);
                 }
-                if plan.is_some_and(|p| p.rejoins_at(node, round)) {
-                    states[node].on_rejoin(node, round);
-                }
-                let nbrs: &[NodeId] = if use_csr {
-                    csr.neighbors(node)
-                } else {
-                    self.graph.neighbors(node, nbr_buf)
-                };
-                let start = staged.len();
-                let inbox = &arena[lo..hi];
-                let mut out = Outbox::new(node, nbrs, neighbor_pos, staged);
-                states[node].on_round(node, round, inbox, &mut out);
-                // A silent node never filled the position index — there
-                // is nothing to meter and nothing to clear.
-                if out.index_filled() {
-                    // Meter immediately so a violation surfaces before
-                    // any later node steps, exactly as the naive engine
-                    // did.
-                    metrics.meter_node(
-                        self.model,
+                let mut i = 0;
+                let mut w = 0;
+                while i < staged.len() {
+                    let from = staged[i].1;
+                    let j = i + staged[i..].iter().take_while(|s| s.1 == from).count();
+                    let nbrs = adj.of(from, nbr_buf);
+                    for (p, &nb) in nbrs.iter().enumerate() {
+                        neighbor_pos[nb] = p as u32 + 1;
+                    }
+                    w = metrics.meter_sender(
+                        model,
                         round,
-                        &staged[start..],
+                        channel,
+                        staged,
+                        i..j,
+                        w,
+                        nbrs,
                         neighbor_pos,
                         edge_bits,
-                        nbrs.len(),
+                        edge_msgs,
                     )?;
-                    if plan.is_some() {
-                        // Channel faults, after metering: the sender
-                        // paid for the original message. Surviving
-                        // messages are compacted in place, preserving
-                        // send order.
-                        let mut w = start;
-                        for r in start..staged.len() {
-                            let to = staged[r].0;
-                            let pos = (neighbor_pos[to] - 1) as usize;
-                            let idx = edge_msgs[pos];
-                            edge_msgs[pos] += 1;
-                            match channel.apply(round, node, to, idx, &mut staged[r].2) {
-                                None => metrics.dropped_messages += 1,
-                                Some(flips) => {
-                                    metrics.flipped_bits += flips as usize;
-                                    staged.swap(w, r);
-                                    w += 1;
-                                }
-                            }
-                        }
-                        staged.truncate(w);
-                        for b in edge_msgs.iter_mut().take(nbrs.len()) {
-                            *b = 0;
-                        }
+                    i = j;
+                }
+                staged.truncate(w);
+            } else {
+                let visits = if sparse_round {
+                    active.len()
+                } else {
+                    states.len()
+                };
+                for i in 0..visits {
+                    let (node, lo, hi) = if sparse_round {
+                        active[i]
+                    } else {
+                        (i, inbox_offsets[i], inbox_offsets[i + 1])
+                    };
+                    if plan.is_some_and(|p| p.crashed(node, round)) {
+                        continue;
                     }
-                    for &nb in nbrs {
-                        neighbor_pos[nb] = 0;
+                    if plan.is_some_and(|p| p.rejoins_at(node, round)) {
+                        states[node].on_rejoin(node, round);
+                    }
+                    let nbrs = adj.of(node, nbr_buf);
+                    let start = staged.len();
+                    let inbox = &arena[lo..hi];
+                    let mut out = Outbox::new(node, nbrs, neighbor_pos, staged);
+                    states[node].on_round(node, round, inbox, &mut out);
+                    // A silent node never filled the position index —
+                    // there is nothing to meter and nothing to clear.
+                    if out.index_filled() {
+                        let end = staged.len();
+                        let w = metrics.meter_sender(
+                            model,
+                            round,
+                            channel,
+                            staged,
+                            start..end,
+                            start,
+                            nbrs,
+                            neighbor_pos,
+                            edge_bits,
+                            edge_msgs,
+                        )?;
+                        staged.truncate(w);
                     }
                 }
             }
@@ -1502,9 +1455,9 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
     /// Like [`Network::run_with_scratch`], with optional multi-threaded
     /// node stepping for large graphs and optional fault injection
     /// ([`RunOptions::faults`]). Successful runs (and error values) are
-    /// bit-identical to the serial engine regardless of thread count;
-    /// see [`RunOptions`]. With [`FaultPlan::none`] the run is
-    /// bit-identical to [`Network::run_with_scratch`].
+    /// bit-identical at any thread count; see [`RunOptions`]. With
+    /// [`FaultPlan::none`] the run is bit-identical to
+    /// [`Network::run_with_scratch`].
     ///
     /// # Errors
     ///
@@ -1524,8 +1477,8 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
     }
 
     /// [`Network::run_with_options`] recording metrics into `sink`.
-    /// Metering and observation stay serial on the merged send buffer,
-    /// so the recorded metrics are bit-identical regardless of thread
+    /// Metering and observation run on the calling thread in node
+    /// order, so the recorded metrics are bit-identical at any thread
     /// count, exactly like the run results themselves. Fault totals
     /// (`netsim.fault.*`) are recorded only when a plan is active, so
     /// unfaulted observed runs emit exactly the streams they always
@@ -1546,29 +1499,22 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
         P: NodeProtocol + Send,
         P::Msg: Send + Sync + FaultInjectable,
     {
-        let threads = options.effective_threads(self.graph.node_count());
-        let faults = if options.faults.is_none() {
-            None
-        } else {
-            Some(&options.faults)
-        };
-        // Silent-stable protocols step serially: the active list, not
+        // Silent-stable protocols step inline: the active list, not
         // node stepping, is the bottleneck their wavefronts leave.
-        if threads <= 1 || P::SILENT_STABLE {
-            return match faults {
-                // The fault-free plan routes to the plain serial path:
-                // bit-identical to a run without options, by
-                // construction rather than by argument.
-                None => self.run_serial(states, max_rounds, scratch, &Clean, sink),
-                Some(plan) => self.run_serial(states, max_rounds, scratch, plan, sink),
-            };
-        }
-        let shard = if options.shard_delivery {
-            Some(options.shard_threshold)
+        let threads = if P::SILENT_STABLE {
+            1
         } else {
-            None
+            options.effective_threads(self.graph.node_count())
         };
-        self.run_parallel(states, max_rounds, scratch, threads, faults, shard, sink)
+        let fan_out = (threads > 1).then_some((threads, step_on_workers::<P, T> as FanOut<P, T>));
+        if options.faults.is_none() {
+            // The fault-free plan routes to the clean channel:
+            // bit-identical to a run without options, by construction
+            // rather than by argument.
+            self.run_rounds(states, max_rounds, scratch, &Clean, fan_out, sink)
+        } else {
+            self.run_rounds(states, max_rounds, scratch, &options.faults, fan_out, sink)
+        }
     }
 
     fn check_states<P>(&self, states: Vec<P>) -> Result<Vec<P>, EngineError> {
@@ -1586,291 +1532,6 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
             });
         }
         Ok(states)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_parallel<P>(
-        &mut self,
-        states: Vec<P>,
-        max_rounds: usize,
-        scratch: &mut EngineScratch<P::Msg>,
-        threads: usize,
-        faults: Option<&FaultPlan>,
-        shard: Option<usize>,
-        sink: &mut dyn Sink,
-    ) -> Result<RunReport<P>, EngineError>
-    where
-        P: NodeProtocol + Send,
-        P::Msg: Send + Sync + FaultInjectable,
-    {
-        let mut states = self.check_states(states)?;
-        let k = self.graph.node_count();
-        let use_csr = scratch.prepare_for(self.graph);
-        let max_degree = scratch.edge_bits.len();
-        while scratch.workers.len() < threads {
-            scratch.workers.push(WorkerScratch::default());
-        }
-        for w in &mut scratch.workers {
-            w.staged.clear();
-            w.neighbor_pos.clear();
-            w.neighbor_pos.resize(k, 0);
-            w.nbr_buf.clear();
-            w.edge_bits.clear();
-            w.edge_bits.resize(max_degree, 0);
-            w.edge_msgs.clear();
-            w.edge_msgs.resize(max_degree, 0);
-            w.delivered.clear();
-            w.perm.clear();
-        }
-        let EngineScratch {
-            csr,
-            arena,
-            inbox_offsets,
-            staged,
-            counts,
-            perm,
-            neighbor_pos,
-            edge_bits,
-            edge_msgs,
-            nbr_buf,
-            workers,
-            ..
-        } = scratch;
-        let topo = self.graph;
-        let model = self.model;
-        let mut metrics = Metrics::new();
-        let mut obs = RoundObs::new();
-        let chunk_len = k.div_ceil(threads);
-
-        for round in 0..max_rounds {
-            let quiescent = round > 0
-                && arena.is_empty()
-                && states.iter().enumerate().all(|(v, s)| {
-                    s.is_done()
-                        || faults.is_some_and(|plan| {
-                            plan.crashed(v, round) && !plan.will_rejoin(v, round)
-                        })
-                });
-            if quiescent {
-                record_run(sink, round, &metrics);
-                if let Some(plan) = faults {
-                    record_faults(sink, round, &metrics, plan);
-                }
-                return Ok(finish(round, metrics, states));
-            }
-            let span = Span::start(&*sink);
-
-            // Step nodes in contiguous chunks, one per worker. Workers
-            // only read the arena and write their own staging buffers.
-            {
-                let csr = &*csr;
-                let arena = &*arena;
-                let inbox_offsets = &*inbox_offsets;
-                crossbeam::scope(|s| {
-                    let mut handles = Vec::with_capacity(threads);
-                    for ((chunk_idx, chunk), worker) in states
-                        .chunks_mut(chunk_len)
-                        .enumerate()
-                        .zip(workers.iter_mut())
-                    {
-                        let base = chunk_idx * chunk_len;
-                        handles.push(s.spawn(move |_| {
-                            let WorkerScratch {
-                                staged,
-                                neighbor_pos,
-                                nbr_buf,
-                                ..
-                            } = worker;
-                            for (off, state) in chunk.iter_mut().enumerate() {
-                                let node = base + off;
-                                if faults.is_some_and(|plan| plan.crashed(node, round)) {
-                                    continue;
-                                }
-                                if faults.is_some_and(|plan| plan.rejoins_at(node, round)) {
-                                    state.on_rejoin(node, round);
-                                }
-                                let nbrs: &[NodeId] = if use_csr {
-                                    csr.neighbors(node)
-                                } else {
-                                    topo.neighbors(node, nbr_buf)
-                                };
-                                let inbox = &arena[inbox_offsets[node]..inbox_offsets[node + 1]];
-                                let mut out = Outbox::new(node, nbrs, neighbor_pos, staged);
-                                state.on_round(node, round, inbox, &mut out);
-                                if out.index_filled() {
-                                    for &nb in nbrs {
-                                        neighbor_pos[nb] = 0;
-                                    }
-                                }
-                            }
-                        }));
-                    }
-                    for h in handles {
-                        if let Err(p) = h.join() {
-                            std::panic::resume_unwind(p);
-                        }
-                    }
-                })
-                .unwrap_or_else(|p| std::panic::resume_unwind(p));
-            }
-
-            // Merge in worker (== node) order: the merged buffer is in
-            // the exact global send order the serial engine produces.
-            for w in workers.iter_mut() {
-                staged.append(&mut w.staged);
-            }
-
-            let sharded = shard.is_some_and(|t| staged.len() >= t);
-            if sharded {
-                if sink.enabled() {
-                    sink.add(keys::NETSIM_SHARD_ROUNDS, 1);
-                    sink.add(keys::NETSIM_SHARD_MESSAGES, staged.len() as u64);
-                }
-                // Parallel metering: split the merged buffer at
-                // sender-run boundaries (sends of one node are
-                // contiguous), meter each chunk with worker-local
-                // buffers, and merge totals in chunk order — the same
-                // per-edge message indices, survivor order, and first
-                // error the serial pass produces.
-                perm.clear();
-                perm.push(0);
-                let target = staged.len().div_ceil(threads);
-                let mut b = 0;
-                for _ in 1..threads {
-                    b = (b + target).min(staged.len());
-                    while b < staged.len() && staged[b].1 == staged[b - 1].1 {
-                        b += 1;
-                    }
-                    perm.push(b);
-                }
-                perm.push(staged.len());
-                let results = {
-                    let mut slices: Vec<&mut [(NodeId, NodeId, P::Msg)]> =
-                        Vec::with_capacity(threads);
-                    let mut rest: &mut [(NodeId, NodeId, P::Msg)] = staged;
-                    let mut prev = 0;
-                    for &bnd in &perm[1..] {
-                        let (head, tail) = rest.split_at_mut(bnd - prev);
-                        slices.push(head);
-                        rest = tail;
-                        prev = bnd;
-                    }
-                    let csr: &Csr = csr;
-                    crossbeam::scope(|s| {
-                        let mut handles = Vec::with_capacity(threads);
-                        for (slice, worker) in slices.into_iter().zip(workers.iter_mut()) {
-                            handles.push(s.spawn(move |_| {
-                                meter_chunk(model, round, slice, worker, csr, topo, use_csr, faults)
-                            }));
-                        }
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                            .collect::<Vec<_>>()
-                    })
-                    .unwrap_or_else(|p| std::panic::resume_unwind(p))
-                };
-                let mut first_err = None;
-                let mut chunk_survivors = Vec::with_capacity(results.len());
-                for (m, w_local, err) in results {
-                    metrics.total_messages += m.total_messages;
-                    metrics.total_bits += m.total_bits;
-                    metrics.round_max_edge_bits =
-                        metrics.round_max_edge_bits.max(m.round_max_edge_bits);
-                    metrics.dropped_messages += m.dropped_messages;
-                    metrics.flipped_bits += m.flipped_bits;
-                    chunk_survivors.push(w_local);
-                    if first_err.is_none() {
-                        first_err = err;
-                    }
-                }
-                if let Some(e) = first_err {
-                    return Err(e);
-                }
-                if faults.is_some() {
-                    // Survivors sit at the front of each chunk; compact
-                    // them across chunks, preserving order.
-                    let mut gw = 0;
-                    for (c, &survivors) in chunk_survivors.iter().enumerate() {
-                        let chunk_start = perm[c];
-                        for j in 0..survivors {
-                            staged.swap(gw, chunk_start + j);
-                            gw += 1;
-                        }
-                    }
-                    staged.truncate(gw);
-                }
-
-                deliver_sharded(staged, arena, inbox_offsets, counts, workers, threads);
-            } else {
-                // Meter serially over the merged buffer. Sends of one
-                // node are contiguous, so runs of equal `from` share
-                // one neighbor_pos fill. With faults active, each run
-                // is metered at original size and then
-                // filtered/corrupted into the compaction cursor `w` —
-                // the same per-edge message indices and survivor order
-                // the serial faulted path produces, hence bit-identical
-                // results.
-                let mut i = 0;
-                let mut w = 0;
-                while i < staged.len() {
-                    let from = staged[i].1;
-                    let nbrs: &[NodeId] = if use_csr {
-                        csr.neighbors(from)
-                    } else {
-                        topo.neighbors(from, nbr_buf)
-                    };
-                    for (p, &nb) in nbrs.iter().enumerate() {
-                        neighbor_pos[nb] = p as u32 + 1;
-                    }
-                    let mut j = i;
-                    while j < staged.len() && staged[j].1 == from {
-                        j += 1;
-                    }
-                    let res = metrics.meter_node(
-                        model,
-                        round,
-                        &staged[i..j],
-                        neighbor_pos,
-                        edge_bits,
-                        nbrs.len(),
-                    );
-                    if res.is_ok() {
-                        if let Some(plan) = faults {
-                            for r in i..j {
-                                let to = staged[r].0;
-                                let pos = (neighbor_pos[to] - 1) as usize;
-                                let idx = edge_msgs[pos];
-                                edge_msgs[pos] += 1;
-                                match plan.apply(round, from, to, idx, &mut staged[r].2) {
-                                    None => metrics.dropped_messages += 1,
-                                    Some(flips) => {
-                                        metrics.flipped_bits += flips as usize;
-                                        staged.swap(w, r);
-                                        w += 1;
-                                    }
-                                }
-                            }
-                            for b in edge_msgs.iter_mut().take(nbrs.len()) {
-                                *b = 0;
-                            }
-                        }
-                    }
-                    for &nb in nbrs {
-                        neighbor_pos[nb] = 0;
-                    }
-                    res?;
-                    i = j;
-                }
-                if faults.is_some() {
-                    staged.truncate(w);
-                }
-
-                deliver(staged, arena, inbox_offsets, counts, perm);
-            }
-            obs.end_round(sink, &mut metrics, span);
-        }
-        Err(EngineError::RoundLimit { max_rounds })
     }
 }
 

@@ -5,8 +5,8 @@
 //!   families) and bit-identical engine runs;
 //! * active-list stepping of silent-stable protocols vs dense stepping
 //!   and the reference engine;
-//! * sharded intra-run delivery vs serial delivery at 1/2/8 threads,
-//!   with and without fault plans.
+//! * worker-thread stepping on an implicit topology vs inline stepping
+//!   at 1/2/8 threads, with and without fault plans.
 
 use dut_netsim::engine::{
     BandwidthModel, EngineError, EngineScratch, Network, NodeProtocol, Outbox, RunOptions,
@@ -80,7 +80,7 @@ impl NodeProtocol for Bfs {
 }
 
 /// Gossip that keeps every node sending for a fixed number of rounds —
-/// a delivery-heavy load that exercises the sharded path hard.
+/// a delivery-heavy load that keeps every node stepping every round.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Gossip {
     rounds_left: u64,
@@ -564,7 +564,7 @@ fn sparse_fast_forwards_over_quiet_outages() {
 }
 
 // ---------------------------------------------------------------------
-// Sharded delivery bit-identity
+// Worker-thread stepping bit-identity
 // ---------------------------------------------------------------------
 
 fn gossip_states(k: usize) -> Vec<Gossip> {
@@ -577,23 +577,23 @@ fn gossip_states(k: usize) -> Vec<Gossip> {
 }
 
 #[test]
-fn sharded_delivery_matches_serial_at_all_thread_counts() {
+fn parallel_stepping_matches_serial_at_all_thread_counts() {
     let torus = Torus2d::new(16, 16);
     let k = torus.node_count();
     let mut net = Network::new(&torus, BandwidthModel::Local);
     let serial = net.run(gossip_states(k), 64).unwrap();
     for threads in [1usize, 2, 8] {
         let mut scratch = EngineScratch::new();
-        let opts = RunOptions::parallel(threads).with_shard_delivery(0);
-        let sharded = net
+        let opts = RunOptions::parallel(threads);
+        let parallel = net
             .run_with_options(gossip_states(k), 64, &mut scratch, &opts)
             .unwrap();
-        assert_reports_equal(&format!("sharded/{threads}"), &serial, &sharded);
+        assert_reports_equal(&format!("parallel/{threads}"), &serial, &parallel);
     }
 }
 
 #[test]
-fn sharded_delivery_matches_serial_under_fault_plans() {
+fn parallel_stepping_matches_serial_under_fault_plans() {
     let torus = Torus2d::new(12, 12);
     let k = torus.node_count();
     let plans = [
@@ -618,30 +618,15 @@ fn sharded_delivery_matches_serial_under_fault_plans() {
             &RunOptions::serial().with_faults(plan.clone()),
         );
         for threads in [2usize, 8] {
-            let opts = RunOptions::parallel(threads)
-                .with_faults(plan.clone())
-                .with_shard_delivery(0);
-            let sharded = net.run_with_options(gossip_states(k), 64, &mut scratch, &opts);
-            assert_outcomes_equal(&format!("sharded-faulted/{i}/{threads}"), &serial, &sharded);
+            let opts = RunOptions::parallel(threads).with_faults(plan.clone());
+            let parallel = net.run_with_options(gossip_states(k), 64, &mut scratch, &opts);
+            assert_outcomes_equal(
+                &format!("parallel-faulted/{i}/{threads}"),
+                &serial,
+                &parallel,
+            );
         }
     }
-}
-
-#[test]
-fn shard_threshold_gates_per_round() {
-    // With a threshold higher than any round's message count, sharding
-    // never engages; results must still match (it is the same serial
-    // path).
-    let torus = Torus2d::new(10, 10);
-    let k = torus.node_count();
-    let mut net = Network::new(&torus, BandwidthModel::Local);
-    let serial = net.run(gossip_states(k), 64).unwrap();
-    let mut scratch = EngineScratch::new();
-    let opts = RunOptions::parallel(4).with_shard_delivery(usize::MAX);
-    let gated = net
-        .run_with_options(gossip_states(k), 64, &mut scratch, &opts)
-        .unwrap();
-    assert_reports_equal("shard-gated", &serial, &gated);
 }
 
 // ---------------------------------------------------------------------

@@ -1,5 +1,5 @@
-//! Million-node smoke tests for implicit topologies, sharded delivery
-//! and active-list stepping of silent-stable protocols.
+//! Million-node smoke tests for implicit topologies, worker-thread
+//! stepping and active-list stepping of silent-stable protocols.
 //!
 //! These run on 10⁶-node graphs and are `#[ignore]`d so the ordinary
 //! debug test lane stays fast; the `netsim-scale` CI lane runs them in
@@ -140,11 +140,11 @@ fn million_node_tree_phases_complete() {
     assert!(values.iter().all(|&v| v == k as u64));
 }
 
-/// Serial vs 8-thread sharded delivery on a million-node gossip burst:
-/// reports and all 10⁶ final states must be bit-identical.
+/// Inline vs 2-thread stepping on a million-node gossip burst: reports
+/// and all 10⁶ final states must be bit-identical.
 #[test]
 #[ignore = "million-node smoke; run via the netsim-scale lane (release, --ignored)"]
-fn million_node_sharded_delivery_is_bit_identical() {
+fn million_node_parallel_stepping_is_bit_identical() {
     let torus = million_node_torus();
     let k = torus.node_count();
     let states = || {
@@ -160,22 +160,17 @@ fn million_node_sharded_delivery_is_bit_identical() {
     let serial = net
         .run_with_options(states(), 16, &mut scratch, &RunOptions::serial())
         .unwrap();
-    let sharded = net
-        .run_with_options(
-            states(),
-            16,
-            &mut scratch,
-            &RunOptions::parallel(8).with_shard_delivery(4096),
-        )
+    let parallel = net
+        .run_with_options(states(), 16, &mut scratch, &RunOptions::parallel(2))
         .unwrap();
-    assert_reports_equal("million-gossip", &serial, &sharded);
+    assert_reports_equal("million-gossip", &serial, &parallel);
 }
 
 /// Same bit-identity demand with a nonzero fault plan: drops, flips,
-/// and a crash schedule all run through the sharded path.
+/// and a crash schedule all run through worker-thread stepping.
 #[test]
 #[ignore = "million-node smoke; run via the netsim-scale lane (release, --ignored)"]
-fn million_node_sharded_delivery_is_bit_identical_under_faults() {
+fn million_node_parallel_stepping_is_bit_identical_under_faults() {
     use dut_netsim::fault::FaultPlan;
     let torus = million_node_torus();
     let k = torus.node_count();
@@ -201,15 +196,13 @@ fn million_node_sharded_delivery_is_bit_identical_under_faults() {
             &RunOptions::serial().with_faults(plan.clone()),
         )
         .unwrap();
-    let sharded = net
+    let parallel = net
         .run_with_options(
             states(),
             16,
             &mut scratch,
-            &RunOptions::parallel(8)
-                .with_faults(plan)
-                .with_shard_delivery(4096),
+            &RunOptions::parallel(2).with_faults(plan),
         )
         .unwrap();
-    assert_reports_equal("million-gossip-faulted", &serial, &sharded);
+    assert_reports_equal("million-gossip-faulted", &serial, &parallel);
 }

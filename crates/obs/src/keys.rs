@@ -50,14 +50,6 @@ registry! {
 
     // ------------------------------------------- netsim scale-out (PR 8)
 
-    /// Counter: rounds whose delivery ran the sharded (multi-threaded
-    /// counting-sort) path. Recorded only when sharding is opted into
-    /// via `RunOptions::with_shard_delivery` and the round cleared the
-    /// size threshold.
-    NETSIM_SHARD_ROUNDS = "netsim.shard.rounds";
-    /// Counter: messages delivered by sharded rounds (subset of
-    /// `netsim.messages`).
-    NETSIM_SHARD_MESSAGES = "netsim.shard.messages";
     /// Counter: rounds stepped through the active list (only nodes with
     /// pending messages visited). Recorded by serial runs of protocols
     /// that declare `NodeProtocol::SILENT_STABLE`.

@@ -65,10 +65,24 @@ fn all_three_models_agree_on_verdicts() {
     // this scale is the weak "1/2 + Θ(ε²)" signal — compare rejection
     // counts rather than asserting a single verdict.
     let lc_u_rejects = (0..5)
-        .filter(|_| local.run(&lg, &local_uniform, &mut rng).outcome.decision == Decision::Reject)
+        .filter(|_| {
+            local
+                .run(&lg, &local_uniform, &mut rng)
+                .unwrap()
+                .outcome
+                .decision
+                == Decision::Reject
+        })
         .count();
     let lc_f_rejects = (0..5)
-        .filter(|_| local.run(&lg, &local_far, &mut rng).outcome.decision == Decision::Reject)
+        .filter(|_| {
+            local
+                .run(&lg, &local_far, &mut rng)
+                .unwrap()
+                .outcome
+                .decision
+                == Decision::Reject
+        })
         .count();
 
     assert_eq!(zr_u, Decision::Accept, "0-round false alarm");
