@@ -35,8 +35,9 @@ lane_test() {
 lane_fault_differential() {
     echo "==> fault differential suite (serial == parallel == reference, faulted)"
     cargo test --release -p dut-netsim --test differential -q
-    echo "==> Justesen codec differential (tiered decode == reference decoder, row encode == Horner)"
+    echo "==> Justesen codec differential (syndrome decoder == Berlekamp-Welch reference, corrected-bit counts, row encode == Horner)"
     cargo test --release -p dut-ecc --lib justesen -q
+    cargo test --release -p dut-congest --lib codec -q
 }
 
 lane_testkit() {

@@ -58,7 +58,10 @@ fn bench_codec_m5(c: &mut Criterion) {
         for &bit in bits {
             word[bit / 64] ^= 1u64 << (bit % 64);
         }
-        assert_eq!(code.decode(&word).expect("within radius"), msg);
+        assert_eq!(
+            code.decode(&word).expect("within radius"),
+            (msg.clone(), bits.len())
+        );
         word
     };
     let one_flip = flipped(&[37]);

@@ -112,27 +112,21 @@ impl<M: CodecMessage + MessageSize> MessageCodec for JustesenCodec<M> {
     }
 
     fn decode(&self, wire: &CodedWord) -> Result<(M, usize), CodecError> {
-        let message = self.code.decode(&wire.words).map_err(|_| CodecError)?;
-        // Corrected bits = Hamming distance to the re-encoded clean
-        // codeword: the decoder returns only the message, and the
-        // re-encode is a few row XORs.
-        let clean = self.code.encode(&message);
-        let corrected: u32 = clean
-            .iter()
-            .zip(&wire.words)
-            .map(|(&a, &b)| (a ^ b).count_ones())
-            .sum();
+        // The decoder counts corrected bits within `output_bits`, which
+        // is the whole word: `flip_bit` wraps, so padding stays zero.
+        let (message, corrected) = self.code.decode(&wire.words).map_err(|_| CodecError)?;
         let mut bits = u128::from(message[0]);
         if let Some(&hi) = message.get(1) {
             bits |= u128::from(hi) << 64;
         }
-        Ok((M::from_bits(bits), corrected as usize))
+        Ok((M::from_bits(bits), corrected))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conductance::walk::WalkMsg;
     use dut_netsim::algorithms::RelMsg;
     use dut_netsim::engine::Compact;
     use rand::rngs::StdRng;
@@ -189,6 +183,52 @@ mod tests {
             assert_eq!(decoded, msg);
             assert_eq!(corrected, t);
         }
+    }
+
+    /// Flips up to twice the radius: every successful decode's count is
+    /// the Hamming distance from the wire word to the re-encoded result.
+    fn assert_counts_are_distances<M>(codec: &JustesenCodec<M>, draw: impl Fn(&mut StdRng) -> M)
+    where
+        M: CodecMessage + MessageSize + PartialEq + std::fmt::Debug,
+    {
+        let radius = codec.correction_radius();
+        let mut rng = StdRng::seed_from_u64(22);
+        for _ in 0..200 {
+            let msg = draw(&mut rng);
+            let mut wire = codec.encode(&msg);
+            let t = rng.gen_range(0..=2 * radius);
+            let mut flipped = std::collections::HashSet::new();
+            while flipped.len() < t {
+                flipped.insert(rng.gen_range(0..codec.output_bits()));
+            }
+            for &bit in &flipped {
+                wire.flip_bit(bit);
+            }
+            if let Ok((decoded, corrected)) = codec.decode(&wire) {
+                let clean = codec.encode(&decoded);
+                let distance: u32 = clean
+                    .words
+                    .iter()
+                    .zip(&wire.words)
+                    .map(|(&a, &b)| (a ^ b).count_ones())
+                    .sum();
+                assert_eq!(corrected, distance as usize);
+                if t <= radius {
+                    assert_eq!((decoded, corrected), (msg, t));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn corrected_counts_are_distances_to_the_decoded_word() {
+        assert_counts_are_distances(&JustesenCodec::<Compact>::new(), |rng| Compact(rng.gen()));
+        let walk = JustesenCodec::<WalkMsg>::new();
+        assert_eq!(walk.output_bits(), 2 * 63 * 6);
+        assert_counts_are_distances(&walk, |rng| WalkMsg {
+            src: rng.gen(),
+            cnt: rng.gen(),
+        });
     }
 
     #[test]

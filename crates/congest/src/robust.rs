@@ -262,10 +262,11 @@ mod tests {
 
     #[test]
     fn flips_below_radius_leave_packages_identical() {
-        // ~465-bit codewords at flip rate 3e-4 average ~0.14 flips per
-        // word; the odds of any word collecting > 5 (the certified
-        // radius) are negligible at this fixed seed, so every flip is
-        // corrected and the packages match the fault-free run exactly.
+        // 310-bit codewords (m = 5) at flip rate 3e-4 average ~0.093
+        // flips per word; the odds of any word collecting > 5 (the
+        // certified radius) are negligible at this fixed seed, so every
+        // flip is corrected and the packages match the fault-free run
+        // exactly.
         let g = topology::grid(4, 5);
         let k = g.node_count();
         let tokens = unique_tokens(k, 2);

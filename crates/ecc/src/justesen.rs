@@ -18,7 +18,7 @@
 //!   defaults to [`crate::linear::RandomLinearCode`] instead.
 
 use crate::gf::GaloisField;
-use crate::rs_decode::{berlekamp_welch, DecodeError, ErrorUnit};
+use crate::rs_decode::{DecodeError, ErrorUnit};
 use crate::BinaryCode;
 use std::sync::OnceLock;
 
@@ -49,23 +49,19 @@ struct Kernel {
     /// Row `(l, s)` is the codeword of the message whose only nonzero
     /// symbol is `s` at position `l`.
     codeword_table: Vec<u64>,
-    /// Row `(i, s)` is, for the outer word whose only nonzero symbol is
-    /// `s` at position `i`: `f_0 … f_{K−1}` packed as a message in the
-    /// first `message_words` words, then `S_1 … S_{N−K}`.
+    /// Row `(i, s)` is [`JustesenCode::xor_decode_row`] of `s` at
+    /// position `i`.
     decode_table: Vec<u64>,
     codeword_words: usize,
-    message_words: usize,
-    decode_words: usize,
 }
 
 impl Kernel {
     fn build(code: &JustesenCode) -> Kernel {
-        let (field, n, k, m) = (&code.field, code.n_outer, code.k_outer, code.symbol_bits());
+        let (n, m) = (code.n_outer, code.symbol_bits());
         let codeword_words = code.output_bits().div_ceil(64);
-        let message_words = code.input_bits().div_ceil(64);
-        let decode_words = message_words + ((n - k) * m).div_ceil(64);
+        let decode_words = code.decode_words();
         let mut codeword_rows = Vec::with_capacity(code.input_bits() * codeword_words);
-        let mut unit = vec![0u64; message_words];
+        let mut unit = vec![0u64; code.message_words()];
         for b in 0..code.input_bits() {
             unit[b / 64] = 1 << (b % 64);
             codeword_rows.extend(code.encode_horner(&unit));
@@ -73,24 +69,12 @@ impl Kernel {
         }
         let mut decode_rows = vec![0u64; n * m * decode_words];
         for (row, out) in decode_rows.chunks_exact_mut(decode_words).enumerate() {
-            let (i, symbol) = (row / m, 1u16 << (row % m));
-            let (message, syndrome) = out.split_at_mut(message_words);
-            for l in 0..k {
-                // α^{−il} = α^{N² − il}, as i·l < N².
-                let value = field.mul(symbol, field.alpha_pow(n * n - i * l));
-                set_bits(message, l * m, m, value);
-            }
-            for j in 1..=n - k {
-                let value = field.mul(symbol, field.alpha_pow(i * j));
-                set_bits(syndrome, (j - 1) * m, m, value);
-            }
+            code.xor_decode_row(out, row / m, 1 << (row % m));
         }
         Kernel {
             codeword_table: by_symbol(&codeword_rows, m, codeword_words),
             decode_table: by_symbol(&decode_rows, m, decode_words),
             codeword_words,
-            message_words,
-            decode_words,
         }
     }
 
@@ -98,24 +82,10 @@ impl Kernel {
     fn encode(&self, message: &[u64], k: usize, m: usize) -> Vec<u64> {
         let mut out = vec![0u64; self.codeword_words];
         for l in 0..k {
-            let row = (l << m) | usize::from(get_bits(message, l * m, m));
+            let row = (l << m) | get_bits(message, l * m, m) as usize;
             xor_row(&mut out, &self.codeword_table, row);
         }
         out
-    }
-
-    /// The packed message of `symbols` if they form an RS codeword (all
-    /// syndromes zero), `None` otherwise.
-    fn codeword_message(&self, symbols: &[u16], m: usize) -> Option<Vec<u64>> {
-        let mut acc = vec![0u64; self.decode_words];
-        for (i, &symbol) in symbols.iter().enumerate() {
-            xor_row(&mut acc, &self.decode_table, (i << m) | usize::from(symbol));
-        }
-        if acc[self.message_words..].iter().any(|&w| w != 0) {
-            return None;
-        }
-        acc.truncate(self.message_words);
-        Some(acc)
     }
 }
 
@@ -218,10 +188,11 @@ impl JustesenCode {
         })
     }
 
-    /// RS evaluation (Horner) of the message polynomial at `x`.
-    fn eval(&self, message: &[u16], x: u16) -> u16 {
+    /// Horner evaluation at `x` of the polynomial with coefficients
+    /// `coeffs`, low order first.
+    fn eval(&self, coeffs: &[u16], x: u16) -> u16 {
         let mut acc = 0u16;
-        for &c in message.iter().rev() {
+        for &c in coeffs.iter().rev() {
             acc = self.field.add(self.field.mul(acc, x), c);
         }
         acc
@@ -232,14 +203,14 @@ impl JustesenCode {
     fn encode_horner(&self, message: &[u64]) -> Vec<u64> {
         let m = self.symbol_bits();
         let symbols: Vec<u16> = (0..self.k_outer)
-            .map(|i| get_bits(message, i * m, m))
+            .map(|i| get_bits(message, i * m, m) as u16)
             .collect();
         let mut out = vec![0u64; self.output_bits().div_ceil(64)];
         for i in 0..self.n_outer {
             let point = self.field.alpha_pow(i);
             let c = self.eval(&symbols, point);
-            set_bits(&mut out, 2 * i * m, m, c);
-            set_bits(&mut out, (2 * i + 1) * m, m, self.field.mul(point, c));
+            xor_bits(&mut out, 2 * i * m, m, c);
+            xor_bits(&mut out, (2 * i + 1) * m, m, self.field.mul(point, c));
         }
         out
     }
@@ -250,32 +221,42 @@ impl JustesenCode {
     /// [`JustesenCode::decode`]: each flip lands in exactly one inner
     /// block, so `t` flips corrupt at most `t` inner blocks; each
     /// corrupted block yields at most one wrong outer symbol after
-    /// nearest-codeword inner decoding; and the outer Berlekamp–Welch
-    /// decoder corrects up to `⌊(N−K)/2⌋` outer symbol errors.
+    /// nearest-codeword inner decoding; and the outer syndrome decoder
+    /// corrects up to `⌊(N−K)/2⌋` outer symbol errors.
     pub fn certified_correction_radius(&self) -> usize {
         (self.n_outer - self.k_outer) / 2
     }
 
     /// Decodes a received word of [`BinaryCode::output_bits`] bits,
     /// correcting any pattern of at most
-    /// [`JustesenCode::certified_correction_radius`] bit flips, and
-    /// returns the message repacked into `⌈input_bits/64⌉` words. Bits
-    /// past `output_bits` are ignored.
+    /// [`JustesenCode::certified_correction_radius`] bit flips. Returns
+    /// the message repacked into `⌈input_bits/64⌉` words, and the number
+    /// of bits among the first `output_bits` of `received` that differ
+    /// from the decoded codeword (the corrected bits). Bits past
+    /// `output_bits` are ignored.
     ///
     /// Inner decoding picks the nearest Wozencraft codeword `(x, αⁱ·x)`
     /// per position (Hamming cost; ties break to the smallest `x`); a
     /// block that already is one is its own unique nearest, so only
-    /// corrupted blocks are searched. Outer decoding then goes through
-    /// two tiers:
+    /// corrupted blocks are searched. Outer decoding works on the
+    /// syndromes `S_1 … S_{N−K}`, computed together with the inverse DFT
+    /// of the symbols (from the kernel table for `m ≤ 6`, row by row
+    /// above):
     ///
-    /// 1. for `m ≤ 6`, if the symbols already form an RS codeword (all
-    ///    syndromes zero), the message is their inverse DFT;
-    /// 2. otherwise Berlekamp–Welch at the evaluation points
-    ///    `α⁰ … α^{N−1}`.
+    /// 1. if every syndrome is zero, the symbols are an RS codeword and
+    ///    the message is their inverse DFT;
+    /// 2. otherwise Berlekamp–Massey over `S_1 … S_{2t}` gives the error
+    ///    locator `Λ`, a Chien search over `α⁰ … α^{N−1}` its roots and
+    ///    Forney's formula the error values. The corrections are XOR-ed
+    ///    into the syndromes and the inverse DFT, and the word is
+    ///    accepted only if `deg Λ ≤ t` equals its number of distinct
+    ///    roots, every error value is nonzero and all `N−K` syndromes of
+    ///    the corrected symbols are zero.
     ///
-    /// Berlekamp–Welch returns the message of the unique codeword within
-    /// `⌊(N−K)/2⌋` symbols, so at symbol distance 0 it returns what tier
-    /// 1 does: the result is the same function of `received` either way.
+    /// The result is the unique RS codeword within `t = ⌊(N−K)/2⌋`
+    /// symbols of the inner-decoded word, or an error if there is none:
+    /// the same function of `received` as any other bounded-distance
+    /// decoder of that radius, Berlekamp–Welch included.
     ///
     /// # Errors
     ///
@@ -283,74 +264,208 @@ impl JustesenCode {
     /// than `output_bits` bits, and [`DecodeError::BeyondCapacity`]
     /// when the inner-decoded symbols are not within the outer code's
     /// error capacity of any codeword.
-    pub fn decode(&self, received: &[u64]) -> Result<Vec<u64>, DecodeError> {
-        let m = self.symbol_bits();
+    pub fn decode(&self, received: &[u64]) -> Result<(Vec<u64>, usize), DecodeError> {
         if received.len() * 64 < self.output_bits() {
             return Err(DecodeError::WrongLength {
                 expected: self.output_bits(),
                 actual: received.len() * 64,
             });
         }
-        let symbols = self.inner_decode(received);
-        if let Some(message) = self
-            .kernel()
-            .and_then(|kernel| kernel.codeword_message(&symbols, m))
-        {
-            return Ok(message);
+        let kernel = self.kernel();
+        let message_words = self.message_words();
+        let mut acc = vec![0u64; self.decode_words()];
+        let mut corrected = 0;
+        for i in 0..self.n_outer {
+            let (symbol, cost) = self.inner_decode(self.block(received, i), i);
+            corrected += cost;
+            self.xor_row_of(kernel, &mut acc, i, symbol);
         }
-        let points: Vec<u16> = (0..self.n_outer).map(|i| self.field.alpha_pow(i)).collect();
-        let message = berlekamp_welch(&self.field, &points, &symbols, self.k_outer).ok_or(
-            DecodeError::BeyondCapacity {
+        if acc[message_words..].iter().any(|&w| w != 0) {
+            let m = self.symbol_bits();
+            let syndromes: Vec<u16> = (0..self.n_outer - self.k_outer)
+                .map(|j| get_bits(&acc[message_words..], j * m, m) as u16)
+                .collect();
+            let beyond = DecodeError::BeyondCapacity {
                 capacity: self.certified_correction_radius(),
                 unit: ErrorUnit::Bits,
-            },
-        )?;
-        let mut out = vec![0u64; self.input_bits().div_ceil(64)];
-        for (i, &s) in message.iter().enumerate() {
-            set_bits(&mut out, i * m, m, s);
+            };
+            let Some(errors) = self.locate_errors(&syndromes) else {
+                return Err(beyond);
+            };
+            for (i, value) in errors {
+                // Re-price block i against the corrected symbol.
+                let block = self.block(received, i);
+                let (symbol, cost) = self.inner_decode(block, i);
+                corrected = corrected + self.block_cost(block, i, symbol ^ value) - cost;
+                self.xor_row_of(kernel, &mut acc, i, value);
+            }
+            if acc[message_words..].iter().any(|&w| w != 0) {
+                return Err(beyond);
+            }
         }
-        Ok(out)
+        acc.truncate(message_words);
+        Ok((acc, corrected))
     }
 
-    /// The nearest Wozencraft codeword's `x` at every outer position.
-    fn inner_decode(&self, received: &[u64]) -> Vec<u16> {
+    /// The nearest Wozencraft codeword's `x` to inner block `i`, and its
+    /// Hamming cost.
+    fn inner_decode(&self, block: (u16, u16), i: usize) -> (u16, usize) {
+        if self.field.mul_alpha_pow(block.0, i) == block.1 {
+            return (block.0, 0);
+        }
+        let (cost, x) = (0..self.field.size())
+            .map(|x| (self.block_cost(block, i, x as u16), x as u16))
+            .min()
+            .expect("a field is non-empty");
+        (x, cost)
+    }
+
+    /// The two `m`-bit halves of inner block `i` of `received`.
+    fn block(&self, received: &[u64], i: usize) -> (u16, u16) {
         let m = self.symbol_bits();
-        (0..self.n_outer)
-            .map(|i| {
-                let y1 = get_bits(received, 2 * i * m, m);
-                let y2 = get_bits(received, (2 * i + 1) * m, m);
-                if self.field.mul_alpha_pow(y1, i) == y2 {
-                    return y1;
+        // One read of both halves: 2m ≤ 32 bits.
+        let pair = get_bits(received, 2 * i * m, 2 * m);
+        ((pair & ((1 << m) - 1)) as u16, (pair >> m) as u16)
+    }
+
+    /// Hamming distance from `block` to the inner codeword `(x, αⁱ·x)`.
+    fn block_cost(&self, (y1, y2): (u16, u16), i: usize, x: u16) -> usize {
+        ((x ^ y1).count_ones() + (self.field.mul_alpha_pow(x, i) ^ y2).count_ones()) as usize
+    }
+
+    /// Words of a packed message: `⌈input_bits/64⌉`.
+    fn message_words(&self) -> usize {
+        self.input_bits().div_ceil(64)
+    }
+
+    /// Words of a decode row: the packed message, then the `N−K`
+    /// syndromes of `m` bits each.
+    fn decode_words(&self) -> usize {
+        self.message_words() + ((self.n_outer - self.k_outer) * self.symbol_bits()).div_ceil(64)
+    }
+
+    /// XORs into `acc` the decode row of the outer word whose only
+    /// nonzero symbol is `value` at position `i`: its inverse DFT
+    /// `f_0 … f_{K−1}` packed as a message in the first
+    /// [`JustesenCode::message_words`] words, then `S_1 … S_{N−K}`.
+    fn xor_decode_row(&self, acc: &mut [u64], i: usize, value: u16) {
+        let (field, n, m) = (&self.field, self.n_outer, self.symbol_bits());
+        let (message, syndromes) = acc.split_at_mut(self.message_words());
+        for l in 0..self.k_outer {
+            // α^{−il} = α^{N² − il}, as i·l < N².
+            let v = field.mul(value, field.alpha_pow(n * n - i * l));
+            xor_bits(message, l * m, m, v);
+        }
+        for j in 1..=n - self.k_outer {
+            xor_bits(
+                syndromes,
+                (j - 1) * m,
+                m,
+                field.mul(value, field.alpha_pow(i * j)),
+            );
+        }
+    }
+
+    /// [`JustesenCode::xor_decode_row`], read from the kernel table when
+    /// there is one.
+    fn xor_row_of(&self, kernel: Option<&Kernel>, acc: &mut [u64], i: usize, value: u16) {
+        match kernel {
+            Some(kernel) => xor_row(
+                acc,
+                &kernel.decode_table,
+                (i << self.symbol_bits()) | usize::from(value),
+            ),
+            None if value != 0 => self.xor_decode_row(acc, i, value),
+            None => {}
+        }
+    }
+
+    /// The error pattern of at most `t = ⌊(N−K)/2⌋` symbols whose
+    /// syndromes begin with `syndromes[..2t]`, as `(position, value)`
+    /// pairs; `None` if Berlekamp–Massey's locator has degree above `t`
+    /// or fewer distinct roots than its degree, or an error value is
+    /// zero. The caller checks the remaining syndromes.
+    fn locate_errors(&self, syndromes: &[u16]) -> Option<Vec<(usize, u16)>> {
+        let (field, n, t) = (
+            &self.field,
+            self.n_outer,
+            self.certified_correction_radius(),
+        );
+        let s = &syndromes[..2 * t];
+        // Berlekamp–Massey: the shortest Λ (Λ_0 = 1, degree ≤ len) with
+        // Σ_{j ≤ len} Λ_j·S_{r+1−j} = 0 for len ≤ r < 2t.
+        let mut lambda = vec![0u16; 2 * t + 1];
+        lambda[0] = 1;
+        let mut prev = lambda.clone();
+        let (mut len, mut shift, mut prev_d) = (0, 1, 1);
+        for r in 0..2 * t {
+            let d = (0..=len).fold(0, |d, j| d ^ field.mul(lambda[j], s[r - j]));
+            if d == 0 {
+                shift += 1;
+                continue;
+            }
+            let coef = field.div(d, prev_d);
+            let before = (2 * len <= r).then(|| lambda.clone());
+            for (j, &p) in prev[..=2 * t - shift].iter().enumerate() {
+                lambda[j + shift] ^= field.mul(coef, p);
+            }
+            match before {
+                Some(before) => {
+                    (len, prev, prev_d, shift) = (r + 1 - len, before, d, 1);
                 }
-                let mult = self.field.alpha_pow(i);
-                (0..self.field.size())
-                    .map(|x| x as u16)
-                    .min_by_key(|&x| {
-                        (x ^ y1).count_ones() + (self.field.mul(mult, x) ^ y2).count_ones()
-                    })
-                    .expect("a field is non-empty")
+                None => shift += 1,
+            }
+        }
+        if len > t {
+            return None;
+        }
+        let lambda = &lambda[..=len];
+        // Chien search: position i is in error iff Λ(α^{−i}) = 0.
+        let roots: Vec<usize> = (0..n)
+            .filter(|&i| self.eval(lambda, field.alpha_pow(n - i)) == 0)
+            .collect();
+        // With `len` distinct roots Λ is squarefree, so Λ' is nonzero at
+        // every root and Forney's division below is defined.
+        if roots.len() != len {
+            return None;
+        }
+        // Forney (first syndrome exponent 1): Yᵢ = Ω(X⁻¹)/Λ'(X⁻¹) with
+        // Ω = S·Λ mod x^{2t} and Λ' the formal derivative, whose
+        // even-degree terms vanish in characteristic 2.
+        let omega: Vec<u16> = (0..2 * t)
+            .map(|r| (0..=r.min(len)).fold(0, |o, j| o ^ field.mul(lambda[j], s[r - j])))
+            .collect();
+        let derivative: Vec<u16> = (1..=len)
+            .map(|j| if j % 2 == 1 { lambda[j] } else { 0 })
+            .collect();
+        roots
+            .into_iter()
+            .map(|i| {
+                let x = field.alpha_pow(n - i);
+                let value = field.div(self.eval(&omega, x), self.eval(&derivative, x));
+                (value != 0).then_some((i, value))
             })
             .collect()
     }
 }
 
-/// Reads `count ≤ 16` little-endian bits starting at bit `start`.
-fn get_bits(words: &[u64], start: usize, count: usize) -> u16 {
+/// Reads `count ≤ 32` little-endian bits starting at bit `start`.
+fn get_bits(words: &[u64], start: usize, count: usize) -> u32 {
     let (w, off) = (start / 64, start % 64);
     let mut v = words[w] >> off;
     if off + count > 64 {
         v |= words[w + 1] << (64 - off);
     }
-    (v & ((1 << count) - 1)) as u16
+    (v & ((1 << count) - 1)) as u32
 }
 
-/// ORs the low `count ≤ 16` bits of `value` in at bit `start`.
-fn set_bits(words: &mut [u64], start: usize, count: usize, value: u16) {
+/// XORs the low `count ≤ 16` bits of `value` in at bit `start`.
+fn xor_bits(words: &mut [u64], start: usize, count: usize, value: u16) {
     let (w, off) = (start / 64, start % 64);
     let v = u64::from(value) & ((1 << count) - 1);
-    words[w] |= v << off;
+    words[w] ^= v << off;
     if off + count > 64 {
-        words[w + 1] |= v >> (64 - off);
+        words[w + 1] ^= v >> (64 - off);
     }
 }
 
@@ -494,7 +609,7 @@ mod tests {
                 *msg.last_mut().unwrap() &= u64::MAX >> extra;
             }
             let cw = c.encode(&msg);
-            assert_eq!(c.decode(&cw).expect("clean decode"), msg);
+            assert_eq!(c.decode(&cw).expect("clean decode"), (msg, 0));
         }
     }
 
@@ -523,7 +638,7 @@ mod tests {
                 c.decode(&cw).unwrap_or_else(|e| panic!(
                     "trial {trial}: {t} flips within radius failed: {e}"
                 )),
-                msg
+                (msg, t)
             );
         }
     }
@@ -548,15 +663,19 @@ mod tests {
         }
         match c.decode(&cw) {
             Err(e) => assert_eq!(e.capacity(), Some(c.certified_correction_radius())),
-            Ok(decoded) => assert_ne!(decoded, msg),
+            Ok((decoded, _)) => assert_ne!(decoded, msg),
         }
     }
 
     /// The decoder without the kernel or the inner-codeword shortcut:
-    /// bit-by-bit reads, a brute-force inner search at every position and
-    /// Berlekamp–Welch on every word. `decode` must agree with it on
-    /// every input.
-    fn reference_decode(c: &JustesenCode, received: &[u64]) -> Result<Vec<u64>, DecodeError> {
+    /// bit-by-bit reads, a brute-force inner search at every position,
+    /// Berlekamp–Welch on every word, and the corrected-bit count as the
+    /// Hamming distance to the Horner re-encoding of the message.
+    /// `decode` must agree with it on every input.
+    fn reference_decode(
+        c: &JustesenCode,
+        received: &[u64],
+    ) -> Result<(Vec<u64>, usize), DecodeError> {
         let m = c.symbol_bits();
         if received.len() * 64 < c.output_bits() {
             return Err(DecodeError::WrongLength {
@@ -588,12 +707,11 @@ mod tests {
             symbols.push(best);
         }
         let points: Vec<u16> = (0..c.n_outer).map(|i| c.field.alpha_pow(i)).collect();
-        let message = berlekamp_welch(&c.field, &points, &symbols, c.k_outer).ok_or(
-            DecodeError::BeyondCapacity {
+        let message = crate::rs_decode::berlekamp_welch(&c.field, &points, &symbols, c.k_outer)
+            .ok_or(DecodeError::BeyondCapacity {
                 capacity: c.certified_correction_radius(),
                 unit: ErrorUnit::Bits,
-            },
-        )?;
+            })?;
         let mut out = vec![0u64; c.input_bits().div_ceil(64)];
         for (i, &s) in message.iter().enumerate() {
             for b in 0..m {
@@ -603,7 +721,26 @@ mod tests {
                 }
             }
         }
-        Ok(out)
+        let distance = hamming_distance(received, &c.encode_horner(&out), c.output_bits());
+        Ok((out, distance))
+    }
+
+    /// `decode(received)` equals the reference, and a decoded word's
+    /// count is the distance from `received[..output_bits]` to the
+    /// encoding of its message.
+    fn check_decode(c: &JustesenCode, received: &[u64]) -> Result<(), String> {
+        let decoded = c.decode(received);
+        if let Ok((message, count)) = &decoded {
+            let distance = hamming_distance(received, &c.encode(message), c.output_bits());
+            if *count != distance {
+                return Err(format!("count {count} != distance {distance}"));
+            }
+        }
+        let reference = reference_decode(c, received);
+        if decoded != reference {
+            return Err(format!("decode {decoded:?} != reference {reference:?}"));
+        }
+        Ok(())
     }
 
     /// Flips `t` distinct bits among the first `bits` of `word`.
@@ -674,7 +811,7 @@ mod tests {
         ) {
             let c = instance(m, k_pick);
             let word = received_word(&c, kind, &mut StdRng::seed_from_u64(seed));
-            prop_assert_eq!(c.decode(&word), reference_decode(&c, &word));
+            prop_assert_eq!(check_decode(&c, &word), Ok(()));
         }
 
         #[test]
@@ -698,24 +835,99 @@ mod tests {
         for k in 1..=3 {
             let c = JustesenCode::new(2, k);
             for word in 0..1u64 << c.output_bits() {
-                assert_eq!(
-                    c.decode(&[word]),
-                    reference_decode(&c, &[word]),
-                    "k={k} word={word:#x}"
-                );
+                assert_eq!(check_decode(&c, &[word]), Ok(()), "k={k} word={word:#x}");
             }
         }
     }
 
     #[test]
     fn decode_matches_reference_without_kernel() {
-        // m = 7 has no kernel: inner shortcut + Berlekamp–Welch only.
-        let c = JustesenCode::rate_one_third(7);
-        assert!(c.kernel().is_none());
-        let mut rng = StdRng::seed_from_u64(14);
-        for kind in 0..6 {
-            let word = received_word(&c, kind, &mut rng);
-            assert_eq!(c.decode(&word), reference_decode(&c, &word), "kind {kind}");
+        // m > 6 has no kernel: the decode rows are computed per symbol.
+        // At m = 9 an inner block is 18 bits wide.
+        for m in [7, 9] {
+            let c = JustesenCode::rate_one_third(m);
+            assert!(c.kernel().is_none());
+            let mut rng = StdRng::seed_from_u64(14);
+            for kind in 0..6 {
+                let word = received_word(&c, kind, &mut rng);
+                assert_eq!(check_decode(&c, &word), Ok(()), "m={m} kind {kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_matches_reference_on_random_small_words() {
+        // Uniformly random words at m = 3, 4 and every dimension: most
+        // lie beyond the radius, where the locator's degree, its roots
+        // and the syndromes decide between a codeword and a failure.
+        let mut rng = StdRng::seed_from_u64(17);
+        for m in 3..=4 {
+            for k in 1..1usize << m {
+                let c = JustesenCode::new(m, k);
+                for _ in 0..2_000 {
+                    let word = [rng.gen::<u64>()];
+                    assert_eq!(
+                        check_decode(&c, &word),
+                        Ok(()),
+                        "m={m} k={k} word={word:x?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_matches_reference_on_every_one_and_two_bit_flip() {
+        // m = 5 at rate 1/3: 310 one-bit and 47,895 two-bit patterns.
+        let c = JustesenCode::rate_one_third(5);
+        let bits = c.output_bits();
+        let mut rng = StdRng::seed_from_u64(15);
+        let mut message: Vec<u64> = (0..c.message_words()).map(|_| rng.gen()).collect();
+        message[1] &= (1u64 << (c.input_bits() - 64)) - 1;
+        let clean = c.encode(&message);
+        let flip = |word: &mut [u64], bit: usize| word[bit / 64] ^= 1u64 << (bit % 64);
+        let mut words = 0;
+        for a in 0..bits {
+            let mut word = clean.clone();
+            flip(&mut word, a);
+            for b in a..bits {
+                if b != a {
+                    flip(&mut word, b);
+                }
+                let flips = 1 + usize::from(b != a);
+                assert_eq!(check_decode(&c, &word), Ok(()), "flips at {a} and {b}");
+                assert_eq!(c.decode(&word), Ok((message.clone(), flips)));
+                if b != a {
+                    flip(&mut word, b);
+                }
+                words += 1;
+            }
+        }
+        assert_eq!(words, 48_205);
+    }
+
+    #[test]
+    fn decode_checks_every_syndrome_at_odd_redundancy() {
+        // At m = 5, K = 20, N − K = 11 is odd and Berlekamp–Massey reads
+        // only S_1 … S_10. A codeword of the K = 21 code has those ten
+        // syndromes zero but S_11 nonzero, and lies at least 11 symbols
+        // from every K = 20 codeword: with up to 5 flips on top, the
+        // locator finds the flips, and only the check of S_11 rejects.
+        let (c, wider) = (JustesenCode::new(5, 20), JustesenCode::new(5, 21));
+        let mut rng = StdRng::seed_from_u64(16);
+        for flips in 0..=c.certified_correction_radius() {
+            for _ in 0..8 {
+                let mut message: Vec<u64> = (0..wider.message_words()).map(|_| rng.gen()).collect();
+                message[1] |= 1 << (20 * 5 - 64); // symbol 20 is nonzero
+                let mut word = wider.encode(&message);
+                flip_distinct(&mut word, c.output_bits(), flips, &mut rng);
+                let beyond = Err(DecodeError::BeyondCapacity {
+                    capacity: 5,
+                    unit: ErrorUnit::Bits,
+                });
+                assert_eq!(c.decode(&word), beyond, "{flips} flips");
+                assert_eq!(reference_decode(&c, &word), beyond, "{flips} flips");
+            }
         }
     }
 

@@ -1,21 +1,21 @@
-//! Reed–Solomon decoding via the Berlekamp–Welch algorithm.
+//! Reed–Solomon decoding via the Berlekamp–Welch algorithm, and the
+//! decoders' shared error type.
 //!
-//! The SMP Equality referee only compares codeword chunks and never
-//! decodes, but the robust CONGEST protocols decode every wire word:
-//! [`crate::justesen::JustesenCode::decode`] ends here whenever its
-//! inner-decoded symbols are not already an RS codeword. Berlekamp–Welch
-//! corrects up to `e = ⌊(N−K)/2⌋` symbol errors by solving one linear
-//! system over `GF(2^m)`:
+//! [`RsCode::decode`] runs Berlekamp–Welch, which corrects up to
+//! `e = ⌊(N−K)/2⌋` symbol errors by solving one linear system over
+//! `GF(2^m)`:
 //!
 //! find `E(x)` (monic, degree `e`) and `Q(x)` (degree `< K+e`) with
 //! `Q(aᵢ) = rᵢ·E(aᵢ)` at every evaluation point; then the message
 //! polynomial is `Q(x)/E(x)`.
 //!
 //! The solver core (`berlekamp_welch`) is parameterized by the
-//! evaluation points, because [`crate::rs::RsCode`] and the outer code
-//! of [`crate::justesen::JustesenCode`] evaluate at *different* point
-//! sequences (`0, α⁰, α¹, …` versus `α⁰ … α^{N−1}`); both decoders
-//! share it.
+//! evaluation points. [`crate::rs::RsCode`] evaluates at `0, α⁰, α¹, …`,
+//! so its code is not cyclic and has no syndrome decoder here. The outer
+//! code of [`crate::justesen::JustesenCode`] evaluates at
+//! `α⁰ … α^{N−1}`; its decoder works from syndromes (Berlekamp–Massey,
+//! Chien, Forney) and does not end here. Its unit tests keep
+//! Berlekamp–Welch at those points as the reference decoder.
 
 use crate::gf::GaloisField;
 use crate::rs::RsCode;
@@ -190,9 +190,8 @@ fn eval_poly(field: &GaloisField, coeffs: &[u16], x: u16) -> u16 {
 /// `received`, returning its `k` coefficients (low-order first).
 /// Returns `None` when no codeword lies within the error capacity.
 ///
-/// Shared by [`RsCode::decode`] and
-/// [`crate::justesen::JustesenCode::decode`], whose outer codes use
-/// different point sequences.
+/// Used by [`RsCode::decode`], and by the reference decoder in the
+/// [`crate::justesen::JustesenCode`] tests.
 pub(crate) fn berlekamp_welch(
     field: &GaloisField,
     points: &[u16],

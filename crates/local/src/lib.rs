@@ -141,11 +141,10 @@ impl LocalUniformityTester {
     ///
     /// # Errors
     ///
-    /// Fails when no radius yields a feasible per-center plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is disconnected.
+    /// [`PlanError::Infeasible`] with condition `"connected graph"`
+    /// (naming the lowest-numbered node that node 0 cannot reach) if `g`
+    /// is disconnected, checked before any draw from `rng`; otherwise
+    /// fails when no radius yields a feasible per-center plan.
     #[allow(clippy::needless_range_loop)]
     pub fn plan_for_graph<R: Rng + ?Sized>(
         n: usize,
@@ -154,8 +153,16 @@ impl LocalUniformityTester {
         p: f64,
         rng: &mut R,
     ) -> Result<Self, PlanError> {
-        assert!(g.is_connected(), "the LOCAL tester needs a connected graph");
         let k = g.node_count();
+        let unreached = (k > 0)
+            .then(|| g.bfs_distances(0).iter().position(Option::is_none))
+            .flatten();
+        if let Some(node) = unreached {
+            return Err(PlanError::Infeasible {
+                condition: "connected graph",
+                detail: format!("node {node} is unreachable from node 0"),
+            });
+        }
         let mut r = 2usize;
         while r <= 2 * k {
             let gr = power_graph(g, r);
@@ -510,6 +517,27 @@ mod tests {
         );
         // Checked before any sample is drawn.
         assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(8).gen::<u64>());
+    }
+
+    #[test]
+    fn plan_for_graph_rejects_a_disconnected_graph() {
+        // Two disjoint 4-node paths.
+        let mut g = Graph::new(8);
+        for v in [0, 1, 2, 4, 5, 6] {
+            g.add_edge(v, v + 1);
+        }
+        let mut rng = StdRng::seed_from_u64(10);
+        let err =
+            LocalUniformityTester::plan_for_graph(N, &g, EPS, 1.0 / 3.0, &mut rng).unwrap_err();
+        assert_eq!(
+            err,
+            PlanError::Infeasible {
+                condition: "connected graph",
+                detail: "node 4 is unreachable from node 0".into(),
+            }
+        );
+        // Checked before any draw.
+        assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(10).gen::<u64>());
     }
 
     #[test]

@@ -60,8 +60,9 @@ pub struct CodecFuzzReport {
     /// The decoder must ignore both.
     pub trailing_garbage: usize,
     /// Contract violations: a within-radius case that did not decode to
-    /// the original message, or a wrong-length case without the typed
-    /// error. Must be zero.
+    /// the original message (for Justesen: with a corrected-bit count
+    /// equal to the flips inside `output_bits`), or a wrong-length case
+    /// without the typed error. Must be zero.
     pub wrong_decodes: usize,
     /// Decoder panics. Must be zero — decode is total by contract.
     pub panics: usize,
@@ -163,7 +164,8 @@ pub fn fuzz_rs_codec(seed: u64, cases: usize) -> CodecFuzzReport {
 /// random message, and either a truncated wire word (~1 in 16) or `t`
 /// distinct wire-bit flips with `t` from clean through past the
 /// certified correction radius; about 1 in 4 flipped words also carry
-/// garbage past `output_bits`.
+/// garbage past `output_bits`. A within-radius case must return the
+/// message and a corrected-bit count of exactly `t`.
 pub fn fuzz_justesen_codec(seed: u64, cases: usize) -> CodecFuzzReport {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut report = CodecFuzzReport {
@@ -200,8 +202,8 @@ pub fn fuzz_justesen_codec(seed: u64, cases: usize) -> CodecFuzzReport {
             continue;
         }
 
-        let t = rng.gen_range(0..=radius + radius / 2 + 2);
-        for &bit in &distinct_positions(&mut rng, out_bits, t.min(out_bits)) {
+        let t = rng.gen_range(0..=radius + radius / 2 + 2).min(out_bits);
+        for &bit in &distinct_positions(&mut rng, out_bits, t) {
             word[bit / 64] ^= 1u64 << (bit % 64);
         }
         if rng.gen_range(0..4u32) == 0 {
@@ -217,14 +219,16 @@ pub fn fuzz_justesen_codec(seed: u64, cases: usize) -> CodecFuzzReport {
             Ok(outcome) => {
                 if t <= radius {
                     report.within_radius += 1;
-                    if outcome.as_deref() != Ok(&message[..]) {
+                    // Garbage past `output_bits` is ignored by contract,
+                    // so the count is exactly the `t` flips.
+                    if outcome != Ok((message, t)) {
                         report.wrong_decodes += 1;
                     }
                 } else {
                     report.beyond_radius += 1;
                     match outcome {
                         Err(DecodeError::BeyondCapacity { .. }) => report.beyond_rejected += 1,
-                        Ok(other) if other != message => {}
+                        Ok((other, _)) if other != message => {}
                         // Decoding back to the original from beyond the
                         // *certified* radius is possible (the radius is
                         // a lower bound on real correction power).
