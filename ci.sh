@@ -35,6 +35,8 @@ lane_test() {
 lane_fault_differential() {
     echo "==> fault differential suite (serial == parallel == reference, faulted)"
     cargo test --release -p dut-netsim --test differential -q
+    echo "==> silent-stable harness (leader, BFS, convergecast, broadcast, residue == reference, 3 threads, clean and faulted)"
+    cargo test --release -p dut-netsim -p dut-congest --lib matches_reference_engine -q
     echo "==> Justesen codec differential (syndrome decoder == Berlekamp-Welch reference, corrected-bit counts, row encode == Horner)"
     cargo test --release -p dut-ecc --lib justesen -q
     cargo test --release -p dut-congest --lib codec -q

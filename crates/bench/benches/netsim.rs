@@ -2,7 +2,8 @@
 //!
 //! The `netsim_engine` and `netsim_montecarlo` groups compare the
 //! retained naive reference engine (`before`) against the flat-buffer
-//! engine (`after`, plus scratch-reuse and parallel variants); their
+//! engine (`after` on a fresh network, plus reused-network and parallel
+//! variants); their
 //! numbers are recorded in `BENCH_netsim.json` at the repo root.
 //!
 //! `--metrics out.jsonl` skips Criterion and instead runs each engine
@@ -16,7 +17,7 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use dut_core::decision::Decision;
 use dut_core::gap::GapTester;
-use dut_core::montecarlo::{estimate_failure_rate, estimate_failure_rate_with_state, trial_rng};
+use dut_core::montecarlo::{trial_rng, MonteCarlo};
 use dut_core::scratch::TesterScratch;
 use dut_distributions::DiscreteDistribution;
 use dut_netsim::algorithms::bfs::build_bfs_tree;
@@ -24,13 +25,12 @@ use dut_netsim::algorithms::convergecast::convergecast_sum;
 use dut_netsim::algorithms::distributed_mis::distributed_luby_mis;
 use dut_netsim::algorithms::leader::elect_leader;
 use dut_netsim::algorithms::routing::route_to_centers;
-use dut_netsim::engine::{
-    BandwidthModel, EngineScratch, Network, NodeProtocol, Outbox, RunOptions,
-};
+use dut_netsim::engine::{BandwidthModel, Network, NodeProtocol, Outbox, RunOptions};
+use dut_netsim::fault::FaultPlan;
 use dut_netsim::graph::{ImplicitTopology, NodeId};
-use dut_netsim::reference::{run_reference, run_reference_observed};
+use dut_netsim::reference::run_reference;
 use dut_netsim::topology::{self, Torus2d};
-use dut_obs::{JsonlWriter, MemorySink, RunRecord};
+use dut_obs::{JsonlWriter, MemorySink, NoopSink, RunRecord};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -113,34 +113,40 @@ fn bench_engine(c: &mut Criterion) {
             })
             .collect()
     };
+    let none = FaultPlan::none();
+    let serial = RunOptions::serial();
     group.bench_function("clique256_broadcast/before_reference", |b| {
         b.iter(|| {
-            black_box(
-                run_reference(&clique, BandwidthModel::Local, gossip_states(256), 32).unwrap(),
-            )
+            let states = gossip_states(256);
+            let model = BandwidthModel::Local;
+            black_box(run_reference(&clique, model, states, 32, &none, &mut NoopSink).unwrap())
         })
     });
     group.bench_function("clique256_broadcast/after_flat", |b| {
-        let mut net = Network::new(&clique, BandwidthModel::Local);
-        b.iter(|| black_box(net.run(gossip_states(256), 32).unwrap()))
+        // A fresh network per run: a cold run, buffers allocated anew.
+        b.iter(|| {
+            let mut net = Network::new(&clique, BandwidthModel::Local);
+            black_box(
+                net.run(gossip_states(256), 32, &serial, &mut NoopSink)
+                    .unwrap(),
+            )
+        })
     });
     group.bench_function("clique256_broadcast/after_flat_scratch", |b| {
         let mut net = Network::new(&clique, BandwidthModel::Local);
-        let mut scratch = EngineScratch::new();
         b.iter(|| {
             black_box(
-                net.run_with_scratch(gossip_states(256), 32, &mut scratch)
+                net.run(gossip_states(256), 32, &serial, &mut NoopSink)
                     .unwrap(),
             )
         })
     });
     group.bench_function("clique256_broadcast/after_flat_parallel", |b| {
         let mut net = Network::new(&clique, BandwidthModel::Local);
-        let mut scratch = EngineScratch::new();
         let options = RunOptions::parallel(0);
         b.iter(|| {
             black_box(
-                net.run_with_options(gossip_states(256), 32, &mut scratch, &options)
+                net.run(gossip_states(256), 32, &options, &mut NoopSink)
                     .unwrap(),
             )
         })
@@ -152,15 +158,16 @@ fn bench_engine(c: &mut Criterion) {
     let bfs_states = |k: usize| vec![Bfs { dist: None }; k];
     group.bench_function("line4096_bfs/before_reference", |b| {
         b.iter(|| {
-            black_box(run_reference(&line, BandwidthModel::Local, bfs_states(4096), 8192).unwrap())
+            let states = bfs_states(4096);
+            let model = BandwidthModel::Local;
+            black_box(run_reference(&line, model, states, 8192, &none, &mut NoopSink).unwrap())
         })
     });
     group.bench_function("line4096_bfs/after_flat_scratch", |b| {
         let mut net = Network::new(&line, BandwidthModel::Local);
-        let mut scratch = EngineScratch::new();
         b.iter(|| {
             black_box(
-                net.run_with_scratch(bfs_states(4096), 8192, &mut scratch)
+                net.run(bfs_states(4096), 8192, &serial, &mut NoopSink)
                     .unwrap(),
             )
         })
@@ -182,22 +189,24 @@ fn bench_montecarlo(c: &mut Criterion) {
     group.bench_function("mc_gap_20k/before_alloc", |b| {
         b.iter(|| {
             black_box(
-                estimate_failure_rate(trials, 7, |seed| {
-                    let mut rng = trial_rng(seed);
-                    tester.run(&uniform, &mut rng) == Decision::Reject
-                })
-                .expect("trials > 0"),
+                MonteCarlo::new(trials, 7)
+                    .run(|seed| {
+                        let mut rng = trial_rng(seed);
+                        tester.run(&uniform, &mut rng) == Decision::Reject
+                    })
+                    .expect("trials > 0"),
             )
         })
     });
     group.bench_function("mc_gap_20k/after_scratch", |b| {
         b.iter(|| {
             black_box(
-                estimate_failure_rate_with_state(trials, 7, TesterScratch::new, |seed, scratch| {
-                    let mut rng = trial_rng(seed);
-                    tester.run_with_scratch(&uniform, &mut rng, scratch) == Decision::Reject
-                })
-                .expect("trials > 0"),
+                MonteCarlo::new(trials, 7)
+                    .run_with_state(TesterScratch::new, |seed, scratch| {
+                        let mut rng = trial_rng(seed);
+                        tester.run_with_scratch(&uniform, &mut rng, scratch) == Decision::Reject
+                    })
+                    .expect("trials > 0"),
             )
         })
     });
@@ -300,11 +309,13 @@ fn run_metrics(path: &Path) -> std::io::Result<()> {
 
     // 256-node clique, 8 rounds of all-to-all gossip.
     let clique = topology::complete(256);
-    let r = run_reference_observed(
+    let none = FaultPlan::none();
+    let r = run_reference(
         &clique,
         BandwidthModel::Local,
         gossip_states(256),
         32,
+        &none,
         &mut sink,
     )
     .unwrap();
@@ -319,7 +330,9 @@ fn run_metrics(path: &Path) -> std::io::Result<()> {
     )?;
     sink.reset();
     let mut net = Network::new(&clique, BandwidthModel::Local);
-    let r = net.run_observed(gossip_states(256), 32, &mut sink).unwrap();
+    let r = net
+        .run(gossip_states(256), 32, &RunOptions::serial(), &mut sink)
+        .unwrap();
     record(
         &mut w,
         &sink,
@@ -333,11 +346,12 @@ fn run_metrics(path: &Path) -> std::io::Result<()> {
     // 4096-node line BFS wavefront.
     let line = topology::line(4096);
     sink.reset();
-    let r = run_reference_observed(
+    let r = run_reference(
         &line,
         BandwidthModel::Local,
         bfs_states(4096),
         8192,
+        &none,
         &mut sink,
     )
     .unwrap();
@@ -352,9 +366,8 @@ fn run_metrics(path: &Path) -> std::io::Result<()> {
     )?;
     sink.reset();
     let mut net = Network::new(&line, BandwidthModel::Local);
-    let mut scratch = EngineScratch::new();
     let r = net
-        .run_with_scratch_observed(bfs_states(4096), 8192, &mut scratch, &mut sink)
+        .run(bfs_states(4096), 8192, &RunOptions::serial(), &mut sink)
         .unwrap();
     record(
         &mut w,

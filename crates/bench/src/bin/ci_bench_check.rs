@@ -40,11 +40,10 @@ use dut_core::MonteCarlo;
 use dut_distributions::batch::BatchRng;
 use dut_distributions::collision::{has_collision, CollisionScratch};
 use dut_distributions::DiscreteDistribution;
-use dut_netsim::engine::{
-    BandwidthModel, EngineScratch, Network, NodeProtocol, Outbox, RunOptions,
-};
+use dut_netsim::engine::{BandwidthModel, Network, NodeProtocol, Outbox, RunOptions};
 use dut_netsim::graph::{ImplicitTopology, NodeId};
 use dut_netsim::topology::{self, Torus2d};
+use dut_obs::NoopSink;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -144,7 +143,7 @@ fn time_netsim_workload(name: &str) -> f64 {
         "clique256_broadcast" => {
             let clique = topology::complete(256);
             let mut net = Network::new(&clique, BandwidthModel::Local);
-            let mut scratch = EngineScratch::new();
+            let serial = RunOptions::serial();
             let states = || -> Vec<Gossip> {
                 (0..256)
                     .map(|v| Gossip {
@@ -154,18 +153,16 @@ fn time_netsim_workload(name: &str) -> f64 {
                     .collect()
             };
             median_ms(SAMPLES, || {
-                black_box(net.run_with_scratch(states(), 32, &mut scratch).unwrap());
+                black_box(net.run(states(), 32, &serial, &mut NoopSink).unwrap());
             })
         }
         "line4096_bfs" => {
             let line = topology::line(4096);
             let mut net = Network::new(&line, BandwidthModel::Local);
-            let mut scratch = EngineScratch::new();
+            let serial = RunOptions::serial();
             median_ms(SAMPLES, || {
-                black_box(
-                    net.run_with_scratch(vec![Bfs { dist: None }; 4096], 8192, &mut scratch)
-                        .unwrap(),
-                );
+                let states = vec![Bfs { dist: None }; 4096];
+                black_box(net.run(states, 8192, &serial, &mut NoopSink).unwrap());
             })
         }
         "mc_gap_20k" => {
@@ -206,11 +203,10 @@ fn time_torus_1m_gossip() -> f64 {
     let torus = Torus2d::new(1000, 1000);
     let k = torus.node_count();
     let mut net = Network::new(&torus, BandwidthModel::Local);
-    let mut scratch = EngineScratch::new();
     let opts = RunOptions::serial();
     median_ms(3, || {
         black_box(
-            net.run_with_options(torus_1m_states(k), 8, &mut scratch, &opts)
+            net.run(torus_1m_states(k), 8, &opts, &mut NoopSink)
                 .unwrap(),
         );
     })

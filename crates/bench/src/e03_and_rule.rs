@@ -16,7 +16,7 @@
 use crate::table::{fmt_f, Table};
 use crate::Scale;
 use dut_core::decision::Decision;
-use dut_core::montecarlo::{estimate_failure_rate, trial_rng};
+use dut_core::montecarlo::{trial_rng, MonteCarlo};
 use dut_core::params::theorem_1_1_samples;
 use dut_core::zero_round::AndNetworkTester;
 use dut_distributions::exact::paninski_rejection_probability;
@@ -85,10 +85,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
         // Monte-Carlo cross-check of the per-node far rejection rate.
         let node = *tester.node_tester();
         let far = paninski_far(n, eps).expect("valid far instance");
-        let mc = estimate_failure_rate(mc_trials, 303 + k as u64, move |seed| {
-            node.run(&far, &mut trial_rng(seed)) == Decision::Reject
-        })
-        .expect("trials > 0");
+        let mc = MonteCarlo::new(mc_trials, 303 + k as u64)
+            .run(move |seed| node.run(&far, &mut trial_rng(seed)) == Decision::Reject)
+            .expect("trials > 0");
 
         let comp_err = 1.0 - (1.0 - p_u).powi(k as i32);
         let sound_err = (1.0 - p_f).powi(k as i32);

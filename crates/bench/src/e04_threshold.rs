@@ -9,7 +9,7 @@ use crate::table::{fmt_f, Table};
 use crate::Scale;
 use dut_core::baselines::centralized_sample_complexity;
 use dut_core::decision::Decision;
-use dut_core::montecarlo::{estimate_failure_rate, trial_rng};
+use dut_core::montecarlo::{trial_rng, MonteCarlo};
 use dut_core::params::{
     binomial_cdf, binomial_tail_ge, plan_threshold, theorem_1_2_samples, WindowMethod,
 };
@@ -81,10 +81,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
         // Monte-Carlo cross-check of the per-node far rejection rate.
         let node = *tester.node_tester();
         let far = paninski_far(n, eps).expect("valid far instance");
-        let mc = estimate_failure_rate(mc_trials, 403 + k as u64, move |seed| {
-            node.run(&far, &mut trial_rng(seed)) == Decision::Reject
-        })
-        .expect("trials > 0");
+        let mc = MonteCarlo::new(mc_trials, 403 + k as u64)
+            .run(move |seed| node.run(&far, &mut trial_rng(seed)) == Decision::Reject)
+            .expect("trials > 0");
 
         let comp_err = binomial_tail_ge(k, p_u, plan.threshold);
         let sound_err = binomial_cdf(k, p_f, plan.threshold.saturating_sub(1));

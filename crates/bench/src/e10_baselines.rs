@@ -15,7 +15,7 @@ use dut_core::baselines::{
 };
 use dut_core::decision::Decision;
 use dut_core::gap::GapTester;
-use dut_core::montecarlo::{estimate_failure_rate, trial_rng};
+use dut_core::montecarlo::{trial_rng, MonteCarlo};
 use dut_distributions::families::paninski_far;
 use dut_distributions::DiscreteDistribution;
 
@@ -54,53 +54,47 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let counting = CollisionCountTester::with_samples(n, s, eps).expect("valid");
         let cc_u = {
             let u = uniform.clone();
-            estimate_failure_rate(trials, 1001, move |seed| {
-                counting.run(&u, &mut trial_rng(seed)) == Decision::Reject
-            })
-            .expect("trials > 0")
-            .rate
+            MonteCarlo::new(trials, 1001)
+                .run(move |seed| counting.run(&u, &mut trial_rng(seed)) == Decision::Reject)
+                .expect("trials > 0")
+                .rate
         };
         let cc_f = {
             let f = far.clone();
-            estimate_failure_rate(trials, 1002, move |seed| {
-                counting.run(&f, &mut trial_rng(seed)) == Decision::Accept
-            })
-            .expect("trials > 0")
-            .rate
+            MonteCarlo::new(trials, 1002)
+                .run(move |seed| counting.run(&f, &mut trial_rng(seed)) == Decision::Accept)
+                .expect("trials > 0")
+                .rate
         };
         let singleton = SingletonCountTester::with_samples(n, s, eps).expect("valid");
         let sc_u = {
             let u = uniform.clone();
-            estimate_failure_rate(trials, 1005, move |seed| {
-                singleton.run(&u, &mut trial_rng(seed)) == Decision::Reject
-            })
-            .expect("trials > 0")
-            .rate
+            MonteCarlo::new(trials, 1005)
+                .run(move |seed| singleton.run(&u, &mut trial_rng(seed)) == Decision::Reject)
+                .expect("trials > 0")
+                .rate
         };
         let sc_f = {
             let f = far.clone();
-            estimate_failure_rate(trials, 1006, move |seed| {
-                singleton.run(&f, &mut trial_rng(seed)) == Decision::Accept
-            })
-            .expect("trials > 0")
-            .rate
+            MonteCarlo::new(trials, 1006)
+                .run(move |seed| singleton.run(&f, &mut trial_rng(seed)) == Decision::Accept)
+                .expect("trials > 0")
+                .rate
         };
         // Single-collision tester at the same s (δ saturates near 1 for
         // large s; skip when the plan is degenerate).
         let single_err = match GapTester::with_samples(n, s) {
             Ok(g) => {
                 let u = uniform.clone();
-                let su = estimate_failure_rate(trials, 1003, move |seed| {
-                    g.run(&u, &mut trial_rng(seed)) == Decision::Reject
-                })
-                .expect("trials > 0")
-                .rate;
+                let su = MonteCarlo::new(trials, 1003)
+                    .run(move |seed| g.run(&u, &mut trial_rng(seed)) == Decision::Reject)
+                    .expect("trials > 0")
+                    .rate;
                 let f = far.clone();
-                let sf = estimate_failure_rate(trials, 1004, move |seed| {
-                    g.run(&f, &mut trial_rng(seed)) == Decision::Accept
-                })
-                .expect("trials > 0")
-                .rate;
+                let sf = MonteCarlo::new(trials, 1004)
+                    .run(move |seed| g.run(&f, &mut trial_rng(seed)) == Decision::Accept)
+                    .expect("trials > 0")
+                    .rate;
                 fmt_f(su.max(sf))
             }
             Err(_) => "degenerate".to_string(),

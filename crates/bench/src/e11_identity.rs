@@ -12,7 +12,7 @@ use crate::Scale;
 use dut_core::baselines::CollisionCountTester;
 use dut_core::decision::Decision;
 use dut_core::identity::{FilteredOracle, IdentityFilter};
-use dut_core::montecarlo::{estimate_failure_rate, trial_rng};
+use dut_core::montecarlo::{trial_rng, MonteCarlo};
 use dut_core::zero_round::ThresholdNetworkTester;
 use dut_distributions::distance::l1_distance;
 use dut_distributions::DiscreteDistribution;
@@ -67,12 +67,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
     ] {
         let filter_c = filter.clone();
         let mu_c = mu.clone();
-        let err = estimate_failure_rate(trials, 1101, move |seed| {
-            let mut rng = trial_rng(seed);
-            let oracle = FilteredOracle::new(&filter_c, &mu_c);
-            central.run(&oracle, &mut rng) != expect
-        })
-        .expect("trials > 0");
+        let err = MonteCarlo::new(trials, 1101)
+            .run(move |seed| {
+                let mut rng = trial_rng(seed);
+                let oracle = FilteredOracle::new(&filter_c, &mu_c);
+                central.run(&oracle, &mut rng) != expect
+            })
+            .expect("trials > 0");
         t.push_row(vec![
             label.to_string(),
             if expect == Decision::Accept {

@@ -21,7 +21,7 @@ use crate::metrics::MetricsLog;
 use crate::table::{fmt_f, Table};
 use crate::Scale;
 use dut_congest::conductance::walk::{
-    run_walks_observed, run_walks_reference_faulted, walk_bandwidth_model, WalkOutcome,
+    run_walks, run_walks_reference, walk_bandwidth_model, WalkOutcome,
 };
 use dut_congest::ConductanceTester;
 use dut_netsim::engine::RunOptions;
@@ -189,7 +189,7 @@ pub fn run(scale: Scale, log: &mut MetricsLog) -> Vec<Table> {
         ],
     );
     for (plan_name, plan) in [("clean", FaultPlan::none()), ("flips 3e-4", flip_plan())] {
-        let serial = run_walks_observed(
+        let serial = run_walks(
             &ident_g,
             SEED,
             ident_walks,
@@ -203,7 +203,7 @@ pub fn run(scale: Scale, log: &mut MetricsLog) -> Vec<Table> {
             ("serial", serial.clone()),
             (
                 "parallel-2",
-                run_walks_observed(
+                run_walks(
                     &ident_g,
                     SEED,
                     ident_walks,
@@ -216,7 +216,7 @@ pub fn run(scale: Scale, log: &mut MetricsLog) -> Vec<Table> {
             ),
             (
                 "reference",
-                run_walks_reference_faulted(&ident_g, SEED, ident_walks, ident_len, model, &plan)
+                run_walks_reference(&ident_g, SEED, ident_walks, ident_len, model, &plan)
                     .expect("reference walk"),
             ),
         ];

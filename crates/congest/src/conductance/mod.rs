@@ -56,7 +56,7 @@ use dut_netsim::engine::{BandwidthModel, EngineError, RunOptions};
 use dut_netsim::fault::FaultPlan;
 use dut_netsim::graph::{ImplicitTopology, NodeId};
 use dut_obs::{keys, NoopSink, Sink};
-use walk::{run_walks_coded, run_walks_observed, walk_bandwidth_model, WalkMsg, WalkOutcome};
+use walk::{run_walks, run_walks_coded, walk_bandwidth_model, WalkMsg, WalkOutcome};
 
 /// Why a conductance plan could not be built.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -351,7 +351,7 @@ impl ConductanceTester {
 
         // Phase 3: the walk phase.
         let walk_model = walk_bandwidth_model(self.k, self.walks_per_node);
-        let outcome = run_walks_observed(
+        let outcome = run_walks(
             g,
             seed,
             self.walks_per_node,

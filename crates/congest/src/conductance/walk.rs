@@ -32,12 +32,12 @@
 
 use dut_netsim::algorithms::coded::{codec_stats, CodecStats, CodedProtocol, MessageCodec};
 use dut_netsim::engine::{
-    BandwidthModel, Compact, EngineError, EngineScratch, MessageSize, Network, NodeProtocol,
-    Outbox, RunOptions, RunReport,
+    BandwidthModel, Compact, EngineError, MessageSize, Network, NodeProtocol, Outbox, RunOptions,
+    RunReport,
 };
 use dut_netsim::fault::{FaultInjectable, FaultPlan};
 use dut_netsim::graph::{Graph, ImplicitTopology, NodeId};
-use dut_netsim::reference::{run_reference, run_reference_faulted};
+use dut_netsim::reference::run_reference;
 use dut_obs::{NoopSink, Sink};
 
 /// Lane constant separating walk coins from every other counter-keyed
@@ -292,10 +292,9 @@ fn outcome_from_report(report: RunReport<WalkNode>) -> WalkOutcome {
     }
 }
 
-/// Runs the walk phase on the flat-buffer engine with
-/// [`RunOptions::default`]: no faults, and worker threads detected from
-/// the host on graphs of 512 nodes or more (inline below). The census
-/// is the same at any thread count.
+/// Runs the walk phase on the flat-buffer engine with `options`
+/// (thread count, fault plan), recording metrics into `sink`. The
+/// census is the same at any thread count.
 ///
 /// # Errors
 ///
@@ -308,45 +307,17 @@ pub fn run_walks<T: ImplicitTopology>(
     walks_per_node: u64,
     walk_len: usize,
     model: BandwidthModel,
-) -> Result<WalkOutcome, EngineError> {
-    run_walks_observed(
-        g,
-        seed,
-        walks_per_node,
-        walk_len,
-        model,
-        &RunOptions::default(),
-        &mut NoopSink,
-    )
-}
-
-/// [`run_walks`] with explicit [`RunOptions`] (thread count, fault
-/// plan) and metric recording. Successful runs are
-/// bit-identical for every option combination.
-///
-/// # Errors
-///
-/// Same conditions as [`Network::run`].
-pub fn run_walks_observed<T: ImplicitTopology>(
-    g: &T,
-    seed: u64,
-    walks_per_node: u64,
-    walk_len: usize,
-    model: BandwidthModel,
     options: &RunOptions,
     sink: &mut dyn Sink,
 ) -> Result<WalkOutcome, EngineError> {
     let states = walk_states(g.node_count(), walks_per_node, seed, walk_len);
-    let mut net = Network::new(g, model);
-    let mut scratch = EngineScratch::new();
-    let report =
-        net.run_with_options_observed(states, walk_len + 4, &mut scratch, options, sink)?;
+    let report = Network::new(g, model).run(states, walk_len + 4, options, sink)?;
     Ok(outcome_from_report(report))
 }
 
-/// Runs the walk phase on the naive reference engine — the executable
-/// specification the differential suites compare the flat engine
-/// against.
+/// Runs the walk phase under `plan` on the naive reference engine —
+/// the executable specification the differential suites compare the
+/// flat engine against.
 ///
 /// # Errors
 ///
@@ -357,27 +328,10 @@ pub fn run_walks_reference(
     walks_per_node: u64,
     walk_len: usize,
     model: BandwidthModel,
-) -> Result<WalkOutcome, EngineError> {
-    let states = walk_states(g.node_count(), walks_per_node, seed, walk_len);
-    let report = run_reference(g, model, states, walk_len + 4)?;
-    Ok(outcome_from_report(report))
-}
-
-/// [`run_walks_reference`] under a [`FaultPlan`].
-///
-/// # Errors
-///
-/// Same conditions as [`Network::run`].
-pub fn run_walks_reference_faulted(
-    g: &Graph,
-    seed: u64,
-    walks_per_node: u64,
-    walk_len: usize,
-    model: BandwidthModel,
     plan: &FaultPlan,
 ) -> Result<WalkOutcome, EngineError> {
     let states = walk_states(g.node_count(), walks_per_node, seed, walk_len);
-    let report = run_reference_faulted(g, model, states, walk_len + 4, plan)?;
+    let report = run_reference(g, model, states, walk_len + 4, plan, &mut NoopSink)?;
     Ok(outcome_from_report(report))
 }
 
@@ -417,10 +371,8 @@ where
             )
         })
         .collect();
-    let mut net = Network::new(g, model);
-    let mut scratch = EngineScratch::new();
     let opts = options.clone().with_faults(plan.clone());
-    let report = net.run_with_options_observed(states, walk_len + 4, &mut scratch, &opts, sink)?;
+    let report = Network::new(g, model).run(states, walk_len + 4, &opts, sink)?;
     let stats = codec_stats(&report.nodes);
     let outcome = WalkOutcome {
         counts: report

@@ -13,8 +13,11 @@
 
 use dut_netsim::algorithms::bfs::{build_bfs_tree, BfsTree};
 use dut_netsim::algorithms::leader::elect_leader;
-use dut_netsim::engine::{BandwidthModel, Compact, EngineError, Network, NodeProtocol, Outbox};
+use dut_netsim::engine::{
+    BandwidthModel, Compact, EngineError, Network, NodeProtocol, Outbox, RunOptions,
+};
 use dut_netsim::graph::{ImplicitTopology, NodeId};
+use dut_obs::NoopSink;
 use std::collections::VecDeque;
 
 /// Bottom-up residue computation: like a convergecast, but each node
@@ -350,8 +353,12 @@ pub fn solve_token_packaging<T: ImplicitTopology>(
             acc: 0,
         })
         .collect();
-    let mut net = Network::new(g, model);
-    let residue_report = net.run(residue_states, 2 * k + 4)?;
+    let residue_report = Network::new(g, model).run(
+        residue_states,
+        2 * k + 4,
+        &RunOptions::serial(),
+        &mut NoopSink,
+    )?;
     // Unreachable expect: `ResidueNode::is_done` is `c.is_some()`, and the
     // engine only returns a successful report once every node is done.
     let quotas: Vec<u64> = residue_report
@@ -361,10 +368,12 @@ pub fn solve_token_packaging<T: ImplicitTopology>(
         .collect();
 
     // Phase 4: pipelined forwarding for ~τ + height rounds.
+    // Steps inline on one thread, unlike the robust tester's forwarding
+    // (`robust.rs`), which fans out on large graphs.
     let states = forward_states(&tree, tokens, &quotas);
-    let mut net = Network::new(g, model);
     let max_rounds = forward_round_limit(tau, &tree);
-    let forward_report = net.run(states, max_rounds)?;
+    let forward_report =
+        Network::new(g, model).run(states, max_rounds, &RunOptions::serial(), &mut NoopSink)?;
 
     // Cut each node's kept tokens into packages of exactly τ.
     let (packages, discarded) = cut_packages(forward_report.nodes.iter(), tau);
@@ -601,108 +610,28 @@ mod tests {
         assert_eq!(r.tree.root, 4);
     }
 
-    /// Runs `states` on the flat engine (which steps silent-stable
-    /// protocols through its active list) and on the reference engine
-    /// (which steps every node), clean and under two fault plans, and
-    /// asserts equal reports and final states (through `view`).
-    fn assert_matches_reference<T, P, V>(label: &str, topo: &T, states: Vec<P>, view: fn(&P) -> V)
-    where
-        T: ImplicitTopology,
-        P: NodeProtocol<Msg = Compact> + Clone + Send,
-        V: PartialEq + std::fmt::Debug,
-    {
-        use dut_netsim::engine::{EngineScratch, RunOptions, RunReport};
-        use dut_netsim::fault::FaultPlan;
-        use dut_netsim::reference::{run_reference, run_reference_faulted};
-        type Outcome<V> = Result<(usize, usize, usize, usize, usize, usize, Vec<V>), EngineError>;
-        let outcome = |run: Result<RunReport<P>, EngineError>| -> Outcome<V> {
-            run.map(|r| {
-                (
-                    r.rounds,
-                    r.total_messages,
-                    r.total_bits,
-                    r.max_edge_bits_per_round,
-                    r.dropped_messages,
-                    r.flipped_bits,
-                    r.nodes.iter().map(view).collect(),
-                )
-            })
-        };
-        let g = topo.materialize();
-        let model = BandwidthModel::Congest { bits_per_edge: 64 };
-        let max_rounds = 2 * g.node_count() + 4;
-        let mut net = Network::new(topo, model);
-        assert_eq!(
-            outcome(net.run(states.clone(), max_rounds)),
-            outcome(run_reference(&g, model, states.clone(), max_rounds)),
-            "{label}: clean"
-        );
-        let plans = [
-            FaultPlan::seeded(0x51E7).with_flips(0.02),
-            FaultPlan::seeded(0x51E8)
-                .with_drops(0.05)
-                .with_crash(3, 0)
-                .with_rejoin(3, 2),
-        ];
-        for (i, plan) in plans.iter().enumerate() {
-            let options = RunOptions::parallel(3).with_faults(plan.clone());
-            let mut scratch = EngineScratch::new();
-            assert_eq!(
-                outcome(net.run_with_options(states.clone(), max_rounds, &mut scratch, &options)),
-                outcome(run_reference_faulted(
-                    &g,
-                    model,
-                    states.clone(),
-                    max_rounds,
-                    plan
-                )),
-                "{label}: fault plan {i}"
-            );
-        }
-    }
-
     /// The residue phase declares `SILENT_STABLE`; this pins that the
     /// declaration is true, plain and through `CodedProtocol`, on the
     /// `dut-netsim` differential topologies plus the implicit 12×12
     /// torus.
     #[test]
     fn residue_matches_reference_engine() {
-        use dut_netsim::algorithms::{CodedProtocol, IdentityCodec};
-        use dut_netsim::topology::Torus2d;
-        fn check<T: ImplicitTopology>(label: &str, topo: &T) {
-            let g = topo.materialize();
-            let tree = build_bfs_tree(&g, 0, BandwidthModel::Local).unwrap().0;
-            let states: Vec<ResidueNode> = (0..g.node_count())
-                .map(|v| ResidueNode {
-                    parent: tree.parent[v],
-                    expected_children: tree.children[v].len(),
-                    received: 0,
-                    own_tokens: v as u64 % 5,
-                    tau: 3,
-                    c: None,
-                    acc: 0,
-                })
-                .collect();
-            let coded: Vec<_> = states
-                .iter()
-                .map(|s| CodedProtocol::new(s.clone(), IdentityCodec::<Compact>::new()))
-                .collect();
-            assert_matches_reference(label, topo, states, ResidueNode::clone);
-            assert_matches_reference(&format!("{label}/coded"), topo, coded, |n| {
-                (n.inner().clone(), n.corrected_bits(), n.decode_failures())
-            });
-        }
-        const {
-            assert!(ResidueNode::SILENT_STABLE);
-            assert!(CodedProtocol::<ResidueNode, IdentityCodec<Compact>>::SILENT_STABLE);
-        }
-        let mut rng = StdRng::seed_from_u64(0xD1FF);
-        check("line", &topology::line(9));
-        check("star", &topology::star(10));
-        check("clique", &topology::complete(8));
-        check("grid", &topology::grid(3, 4));
-        let er = topology::connected_erdos_renyi(16, 0.25, &mut rng);
-        check("erdos-renyi", &er);
-        check("torus-12x12", &Torus2d::new(12, 12));
+        dut_netsim::algorithms::reference_check::assert_silent_stable_matches_reference(
+            "residue",
+            |g| {
+                let tree = build_bfs_tree(g, 0, BandwidthModel::Local).unwrap().0;
+                (0..g.node_count())
+                    .map(|v| ResidueNode {
+                        parent: tree.parent[v],
+                        expected_children: tree.children[v].len(),
+                        received: 0,
+                        own_tokens: v as u64 % 5,
+                        tau: 3,
+                        c: None,
+                        acc: 0,
+                    })
+                    .collect()
+            },
+        );
     }
 }

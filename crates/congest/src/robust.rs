@@ -32,10 +32,10 @@ use dut_netsim::algorithms::coded::{codec_stats, CodedProtocol};
 use dut_netsim::algorithms::{
     build_bfs_tree_coded, elect_leader_coded, reliable_convergecast_sums_coded, RelMsg, RetryPolicy,
 };
-use dut_netsim::engine::{BandwidthModel, Compact, EngineScratch, Network, RunOptions};
+use dut_netsim::engine::{BandwidthModel, Compact, Network, RunOptions};
 use dut_netsim::fault::FaultPlan;
 use dut_netsim::graph::ImplicitTopology;
-use dut_obs::Sink;
+use dut_obs::{NoopSink, Sink};
 
 /// Fault-handling totals of one robust packaging (or tester) run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -160,15 +160,11 @@ pub fn solve_token_packaging_robust<T: ImplicitTopology>(
         .into_iter()
         .map(|s| CodedProtocol::new(s, compact_codec.clone()))
         .collect();
-    let mut net = Network::new(g, model);
-    let mut scratch = EngineScratch::new();
+    // Worker threads engage from 512 nodes (`RunOptions::default`),
+    // unlike the plain tester's serial forwarding (`packaging.rs`).
     let options = RunOptions::default().with_faults(plan.clone());
-    let forward_report = net.run_with_options(
-        states,
-        forward_round_limit(tau, &tree),
-        &mut scratch,
-        &options,
-    )?;
+    let max_rounds = forward_round_limit(tau, &tree);
+    let forward_report = Network::new(g, model).run(states, max_rounds, &options, &mut NoopSink)?;
     stats.absorb_codec(codec_stats(&forward_report.nodes));
 
     // Token conservation: a dropped forwarding message loses its token

@@ -6,9 +6,7 @@
 //! honesty contract (flips absorbed, losses typed, never a skewed
 //! verdict).
 
-use dut_congest::conductance::walk::{
-    run_walks_observed, run_walks_reference, run_walks_reference_faulted, walk_bandwidth_model,
-};
+use dut_congest::conductance::walk::{run_walks, run_walks_reference, walk_bandwidth_model};
 use dut_congest::{ConductanceError, ConductanceStage, ConductanceTester};
 use dut_netsim::engine::RunOptions;
 use dut_netsim::fault::FaultPlan;
@@ -59,9 +57,8 @@ fn walk_census_matches_reference_clean_and_faulted() {
     ];
     for plan in plans {
         let opts = RunOptions::default().with_faults(plan.clone());
-        let flat =
-            run_walks_observed(&g, SEED, 8, 16, model, &opts, &mut NoopSink).expect("flat engine");
-        let parallel = run_walks_observed(
+        let flat = run_walks(&g, SEED, 8, 16, model, &opts, &mut NoopSink).expect("flat engine");
+        let parallel = run_walks(
             &g,
             SEED,
             8,
@@ -72,7 +69,7 @@ fn walk_census_matches_reference_clean_and_faulted() {
         )
         .expect("parallel engine");
         let reference =
-            run_walks_reference_faulted(&g, SEED, 8, 16, model, &plan).expect("reference engine");
+            run_walks_reference(&g, SEED, 8, 16, model, &plan).expect("reference engine");
         assert_eq!(flat, parallel, "flat vs parallel under {plan:?}");
         assert_eq!(
             flat.counts, reference.counts,
@@ -87,7 +84,8 @@ fn walk_census_matches_reference_clean_and_faulted() {
 fn clean_walks_conserve_tokens_exactly() {
     let g = MargulisExpander::new(5).materialize();
     let model = walk_bandwidth_model(25, 6);
-    let outcome = run_walks_reference(&g.clone(), SEED, 6, 12, model).expect("reference run");
+    let outcome = run_walks_reference(&g.clone(), SEED, 6, 12, model, &FaultPlan::none())
+        .expect("reference run");
     assert_eq!(outcome.total_tokens(), 25 * 6);
     // Every source keeps its 6 tokens somewhere.
     for src in 0..25 {

@@ -4,9 +4,7 @@
 //! stationary distribution on a clique must be uniform within Wilson
 //! bounds.
 
-use dut_congest::conductance::walk::{
-    run_walks_observed, run_walks_reference_faulted, walk_bandwidth_model,
-};
+use dut_congest::conductance::walk::{run_walks, run_walks_reference, walk_bandwidth_model};
 use dut_core::montecarlo::ErrorEstimate;
 use dut_netsim::engine::RunOptions;
 use dut_netsim::topology::complete;
@@ -27,7 +25,7 @@ proptest! {
     ) {
         let k = g.node_count();
         let model = walk_bandwidth_model(k, walks);
-        let serial = run_walks_observed(
+        let serial = run_walks(
             &g,
             seed,
             walks,
@@ -37,7 +35,7 @@ proptest! {
             &mut NoopSink,
         ).unwrap();
         for threads in [2usize, 5] {
-            let parallel = run_walks_observed(
+            let parallel = run_walks(
                 &g,
                 seed,
                 walks,
@@ -49,7 +47,7 @@ proptest! {
             prop_assert_eq!(&serial, &parallel, "diverged at {} threads", threads);
         }
         let reference =
-            run_walks_reference_faulted(&g, seed, walks, walk_len, model, &plan).unwrap();
+            run_walks_reference(&g, seed, walks, walk_len, model, &plan).unwrap();
         prop_assert_eq!(&serial.counts, &reference.counts);
         prop_assert_eq!(serial.rounds, reference.rounds);
         prop_assert_eq!(serial.dropped_messages, reference.dropped_messages);
@@ -75,7 +73,7 @@ fn lazy_walk_on_clique_is_uniform_within_wilson_bounds() {
     let mut per_node = vec![0u64; k];
     let mut total = 0u64;
     for seed in 0..40u64 {
-        let outcome = run_walks_observed(
+        let outcome = run_walks(
             &g,
             0x5EED ^ (seed * 0x9E37_79B9),
             walks,

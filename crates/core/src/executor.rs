@@ -153,8 +153,8 @@ pub struct MonteCarloConfig {
 }
 
 impl MonteCarloConfig {
-    /// Auto threads, auto chunk size — what the free
-    /// `estimate_failure_rate*` functions use.
+    /// Auto threads, auto chunk size — what a [`crate::MonteCarlo`]
+    /// run uses unless configured otherwise.
     pub fn auto() -> Self {
         MonteCarloConfig::default()
     }

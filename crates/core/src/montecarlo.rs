@@ -11,13 +11,12 @@
 //! exactly at any thread count — and runs can checkpoint/resume
 //! ([`crate::checkpoint`]) without changing a single bit of the result.
 //!
-//! Entry points, from simplest to fullest:
-//!
-//! * [`estimate_failure_rate`] — stateless trials, auto config.
-//! * [`estimate_failure_rate_with_state`] — per-worker scratch reuse.
-//! * [`MonteCarlo`] — the builder: explicit
-//!   [`MonteCarloConfig`], metrics-observing trials
-//!   ([`MonteCarlo::run_observed`]), and chunk-level checkpointing.
+//! The one entry point is the [`MonteCarlo`] builder:
+//! `MonteCarlo::new(trials, base_seed)` runs stateless trials
+//! ([`MonteCarlo::run`]), trials with per-worker scratch
+//! ([`MonteCarlo::run_with_state`]) or metrics-observing trials
+//! ([`MonteCarlo::run_observed`]), with an optional explicit
+//! [`MonteCarloConfig`] and chunk-level checkpointing.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -329,83 +328,6 @@ impl<'a> MonteCarlo<'a> {
     }
 }
 
-/// Runs `trials` independent boolean trials in parallel and estimates
-/// the failure rate at 95% confidence.
-///
-/// `trial(seed)` must return `true` iff the trial **failed**. Each trial
-/// receives a distinct deterministic seed derived from `base_seed`, so
-/// the estimate is reproducible and independent of the number of worker
-/// threads. Equivalent to [`MonteCarlo::new`]`(trials, base_seed).run(trial)`.
-///
-/// # Errors
-///
-/// Returns [`MonteCarloError::ZeroTrials`] if `trials == 0`.
-///
-/// # Panics
-///
-/// If a trial closure panics, the **original panic payload** is
-/// re-raised on the calling thread (not a generic "worker panicked"
-/// message), so `catch_unwind`-based harnesses and test assertions see
-/// the trial's own message.
-pub fn estimate_failure_rate<F>(
-    trials: usize,
-    base_seed: u64,
-    trial: F,
-) -> Result<ErrorEstimate, MonteCarloError>
-where
-    F: Fn(u64) -> bool + Sync,
-{
-    MonteCarlo::new(trials, base_seed).run(trial)
-}
-
-/// [`estimate_failure_rate`] with per-worker mutable state; see
-/// [`MonteCarlo::run_with_state`] for the contract.
-///
-/// # Errors
-///
-/// Returns [`MonteCarloError::ZeroTrials`] if `trials == 0`.
-///
-/// # Panics
-///
-/// Re-raises the original payload of the first observed trial panic,
-/// as [`estimate_failure_rate`] does.
-pub fn estimate_failure_rate_with_state<S, I, F>(
-    trials: usize,
-    base_seed: u64,
-    init: I,
-    trial: F,
-) -> Result<ErrorEstimate, MonteCarloError>
-where
-    I: Fn() -> S + Sync,
-    F: Fn(u64, &mut S) -> bool + Sync,
-{
-    MonteCarlo::new(trials, base_seed).run_with_state(init, trial)
-}
-
-/// [`estimate_failure_rate`] with metrics-observing trials; see
-/// [`MonteCarlo::run_observed`] for the merge guarantees.
-///
-/// # Errors
-///
-/// Returns [`MonteCarloError::ZeroTrials`] if `trials == 0`.
-///
-/// # Panics
-///
-/// Re-raises the original payload of the first observed trial panic,
-/// as [`estimate_failure_rate`] does.
-pub fn estimate_failure_rate_observed<S, I, F>(
-    trials: usize,
-    base_seed: u64,
-    init: I,
-    trial: F,
-) -> Result<(ErrorEstimate, MemorySink), MonteCarloError>
-where
-    I: Fn() -> S + Sync,
-    F: Fn(u64, &mut S, &mut dyn Sink) -> bool + Sync,
-{
-    MonteCarlo::new(trials, base_seed).run_observed(init, trial)
-}
-
 /// Convenience: a seeded [`StdRng`] for use inside trial closures.
 pub fn trial_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
@@ -486,15 +408,15 @@ mod tests {
     #[test]
     fn estimate_is_deterministic() {
         let f = |seed: u64| trial_rng(seed).gen::<f64>() < 0.25;
-        let a = estimate_failure_rate(10_000, 7, f).unwrap();
-        let b = estimate_failure_rate(10_000, 7, f).unwrap();
+        let a = MonteCarlo::new(10_000, 7).run(f).unwrap();
+        let b = MonteCarlo::new(10_000, 7).run(f).unwrap();
         assert_eq!(a.failures, b.failures);
     }
 
     #[test]
     fn estimate_converges_to_truth() {
         let f = |seed: u64| trial_rng(seed).gen::<f64>() < 0.3;
-        let e = estimate_failure_rate(100_000, 11, f).unwrap();
+        let e = MonteCarlo::new(100_000, 11).run(f).unwrap();
         assert!((e.rate - 0.3).abs() < 0.01, "rate {} far from 0.3", e.rate);
         assert!(e.lower <= 0.3 && 0.3 <= e.upper);
     }
@@ -502,36 +424,34 @@ mod tests {
     #[test]
     fn with_state_matches_stateless() {
         let f = |seed: u64| trial_rng(seed).gen::<f64>() < 0.25;
-        let a = estimate_failure_rate(10_000, 7, f).unwrap();
+        let a = MonteCarlo::new(10_000, 7).run(f).unwrap();
         // Per-worker counters must not perturb seeding or counting.
-        let b = estimate_failure_rate_with_state(
-            10_000,
-            7,
-            || 0u64,
-            |seed, calls| {
-                *calls += 1;
-                f(seed)
-            },
-        )
-        .unwrap();
+        let b = MonteCarlo::new(10_000, 7)
+            .run_with_state(
+                || 0u64,
+                |seed, calls| {
+                    *calls += 1;
+                    f(seed)
+                },
+            )
+            .unwrap();
         assert_eq!(a.failures, b.failures);
     }
 
     #[test]
     fn observed_matches_stateless_and_counts_metrics() {
         let f = |seed: u64| trial_rng(seed).gen::<f64>() < 0.25;
-        let a = estimate_failure_rate(10_000, 7, f).unwrap();
-        let (b, sink) = estimate_failure_rate_observed(
-            10_000,
-            7,
-            || (),
-            |seed, (), sink: &mut dyn Sink| {
-                sink.add(dut_obs::keys::CORE_GAP_RUNS, 1);
-                sink.observe(dut_obs::keys::NETSIM_ROUND_BITS, seed % 128);
-                f(seed)
-            },
-        )
-        .unwrap();
+        let a = MonteCarlo::new(10_000, 7).run(f).unwrap();
+        let (b, sink) = MonteCarlo::new(10_000, 7)
+            .run_observed(
+                || (),
+                |seed, (), sink: &mut dyn Sink| {
+                    sink.add(dut_obs::keys::CORE_GAP_RUNS, 1);
+                    sink.observe(dut_obs::keys::NETSIM_ROUND_BITS, seed % 128);
+                    f(seed)
+                },
+            )
+            .unwrap();
         assert_eq!(a, b);
         assert_eq!(sink.counter(dut_obs::keys::CORE_GAP_RUNS), 10_000);
         assert_eq!(
@@ -545,7 +465,7 @@ mod tests {
     #[test]
     fn builder_configs_are_result_invariant() {
         let f = |seed: u64| trial_rng(seed).gen::<f64>() < 0.25;
-        let auto = estimate_failure_rate(4_096, 9, f).unwrap();
+        let auto = MonteCarlo::new(4_096, 9).run(f).unwrap();
         for cfg in [
             MonteCarloConfig::serial(),
             MonteCarloConfig::with_threads(2),
@@ -559,17 +479,19 @@ mod tests {
     #[test]
     fn different_seeds_give_different_streams() {
         let f = |seed: u64| trial_rng(seed).gen::<f64>() < 0.5;
-        let a = estimate_failure_rate(10_000, 1, f).unwrap();
-        let b = estimate_failure_rate(10_000, 2, f).unwrap();
+        let a = MonteCarlo::new(10_000, 1).run(f).unwrap();
+        let b = MonteCarlo::new(10_000, 2).run(f).unwrap();
         assert_ne!(a.failures, b.failures);
     }
 
     #[test]
     fn zero_trials_is_typed_error() {
         // The seed code panicked here via `assert!`.
-        let err = estimate_failure_rate(0, 7, |_| false).unwrap_err();
+        let err = MonteCarlo::new(0, 7).run(|_| false).unwrap_err();
         assert_eq!(err, MonteCarloError::ZeroTrials);
-        let err = estimate_failure_rate_with_state(0, 7, || (), |_, ()| false).unwrap_err();
+        let err = MonteCarlo::new(0, 7)
+            .run_with_state(|| (), |_, ()| false)
+            .unwrap_err();
         assert_eq!(err, MonteCarloError::ZeroTrials);
     }
 
@@ -578,7 +500,7 @@ mod tests {
         // The seed code joined workers through the scoped-thread shim,
         // which replaces the payload with "a scoped thread panicked".
         let caught = std::panic::catch_unwind(|| {
-            let _ = estimate_failure_rate(100, 7, |seed| {
+            let _ = MonteCarlo::new(100, 7).run(|seed| {
                 if seed % 3 == 0 {
                     panic!("distinctive trial failure 0xBEEF");
                 }
@@ -613,7 +535,7 @@ mod tests {
         let path = dir.join("resume.jsonl");
         let _ = std::fs::remove_file(&path);
         let f = |seed: u64| trial_rng(seed).gen::<f64>() < 0.25;
-        let plain = estimate_failure_rate(2_000, 5, f).unwrap();
+        let plain = MonteCarlo::new(2_000, 5).run(f).unwrap();
 
         let mut ck = Checkpoint::open(&path).unwrap();
         let first = MonteCarlo::new(2_000, 5)
@@ -644,7 +566,7 @@ mod tests {
     #[test]
     fn adaptive_spends_fewer_trials_and_agrees_on_the_decision() {
         let f = |seed: u64| trial_rng(seed).gen::<f64>() < 0.02;
-        let fixed = estimate_failure_rate(100_000, 7, f).unwrap();
+        let fixed = MonteCarlo::new(100_000, 7).run(f).unwrap();
         let adaptive = MonteCarlo::new(100_000, 7)
             .config(MonteCarloConfig::adaptive(0.01).stop_threshold(0.5))
             .run(f)

@@ -11,29 +11,25 @@
 //! generation-stamped collision detector agrees exactly with the sorting
 //! one.
 //!
-//! Pair with [`crate::montecarlo::estimate_failure_rate_with_state`],
-//! which gives every worker thread its own scratch:
+//! Pair with [`crate::montecarlo::MonteCarlo::run_with_state`], which
+//! gives every worker thread its own scratch:
 //!
 //! ```rust
 //! use dut_core::gap::GapTester;
 //! use dut_core::decision::Decision;
-//! use dut_core::montecarlo::{estimate_failure_rate_with_state, trial_rng};
+//! use dut_core::montecarlo::{trial_rng, MonteCarlo};
 //! use dut_core::scratch::TesterScratch;
 //! use dut_distributions::DiscreteDistribution;
 //!
 //! let n = 1 << 12;
 //! let tester = GapTester::new(n, 0.05).unwrap();
 //! let uniform = DiscreteDistribution::uniform(n);
-//! let estimate = estimate_failure_rate_with_state(
-//!     5_000,
-//!     7,
-//!     TesterScratch::new,
-//!     |seed, scratch| {
+//! let estimate = MonteCarlo::new(5_000, 7)
+//!     .run_with_state(TesterScratch::new, |seed, scratch| {
 //!         let mut rng = trial_rng(seed);
 //!         tester.run_with_scratch(&uniform, &mut rng, scratch) == Decision::Reject
-//!     },
-//! )
-//! .unwrap();
+//!     })
+//!     .unwrap();
 //! assert!(estimate.rate <= 0.1);
 //! ```
 

@@ -1,7 +1,7 @@
 //! Monte-Carlo estimates from `dut-core` cross-checked against the
 //! exact combinatorial oracles in `dut-testkit`.
 
-use dut_core::montecarlo::estimate_failure_rate;
+use dut_core::montecarlo::MonteCarlo;
 use dut_distributions::DiscreteDistribution;
 use dut_testkit::oracles::all_distinct_probability;
 use rand::rngs::StdRng;
@@ -18,15 +18,16 @@ fn wilson_interval_covers_exact_collision_probability() {
     let dist = DiscreteDistribution::from_pmf(masses).expect("valid pmf");
 
     let trials = 20_000;
-    let est = estimate_failure_rate(trials, 0x0C0D_E001, |seed| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut seen = [false; 4];
-        (0..s).any(|_| {
-            let x = dist.sample(&mut rng);
-            std::mem::replace(&mut seen[x], true)
+    let est = MonteCarlo::new(trials, 0x0C0D_E001)
+        .run(|seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut seen = [false; 4];
+            (0..s).any(|_| {
+                let x = dist.sample(&mut rng);
+                std::mem::replace(&mut seen[x], true)
+            })
         })
-    })
-    .expect("trials > 0");
+        .expect("trials > 0");
 
     let slack = 3.0 * (exact_fail * (1.0 - exact_fail) / trials as f64).sqrt();
     assert!(
@@ -42,10 +43,9 @@ fn wilson_interval_covers_exact_collision_probability() {
 #[test]
 fn estimates_are_deterministic_in_the_base_seed() {
     let run = || {
-        estimate_failure_rate(4_096, 0x0C0D_E002, |seed| {
-            seed.wrapping_mul(2_654_435_761) % 5 == 0
-        })
-        .expect("trials > 0")
+        MonteCarlo::new(4_096, 0x0C0D_E002)
+            .run(|seed| seed.wrapping_mul(2_654_435_761) % 5 == 0)
+            .expect("trials > 0")
     };
     let a = run();
     let b = run();

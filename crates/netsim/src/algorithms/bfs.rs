@@ -8,10 +8,11 @@
 
 use crate::algorithms::coded::{codec_stats, CodecStats, CodedProtocol, MessageCodec};
 use crate::engine::{
-    BandwidthModel, Compact, EngineError, EngineScratch, Network, NodeProtocol, Outbox, RunOptions,
+    BandwidthModel, Compact, EngineError, Network, NodeProtocol, Outbox, RunOptions,
 };
 use crate::fault::FaultPlan;
 use crate::graph::{ImplicitTopology, NodeId};
+use dut_obs::NoopSink;
 
 /// Per-node state of the BFS protocol.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,8 +123,8 @@ pub fn build_bfs_tree<T: ImplicitTopology>(
             depth: None,
         })
         .collect();
-    let mut net = Network::new(g, model);
-    let report = net.run(states, 2 * k + 4)?;
+    let report =
+        Network::new(g, model).run(states, 2 * k + 4, &RunOptions::serial(), &mut NoopSink)?;
 
     let mut parent = vec![None; k];
     let mut depth = vec![0usize; k];
@@ -189,10 +190,8 @@ where
             )
         })
         .collect();
-    let mut net = Network::new(g, model);
-    let mut scratch = EngineScratch::new();
     let options = RunOptions::default().with_faults(plan.clone());
-    let report = net.run_with_options(states, 2 * k + 4, &mut scratch, &options)?;
+    let report = Network::new(g, model).run(states, 2 * k + 4, &options, &mut NoopSink)?;
     let stats = codec_stats(&report.nodes);
 
     let mut parent = vec![None; k];

@@ -253,12 +253,15 @@ where
             self.pos.resize(needed, 0);
         }
         debug_assert!(self.stage.is_empty());
-        let filled = {
+        let (filled, bad_send) = {
             let mut inner_out = Outbox::new(node, neighbors, &mut self.pos, &mut self.stage);
             self.inner
                 .on_round(node, round, &self.plain_inbox, &mut inner_out);
-            inner_out.index_filled()
+            (inner_out.index_filled(), inner_out.bad_send())
         };
+        if let Some(to) = bad_send {
+            out.reject(to);
+        }
         if filled {
             // Restore the all-zero invariant of the private index.
             for &nb in neighbors {
@@ -317,9 +320,10 @@ pub fn codec_stats<P, C: MessageCodec>(nodes: &[CodedProtocol<P, C>]) -> CodecSt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{BandwidthModel, Compact, EngineScratch, Network, RunOptions};
+    use crate::engine::{BandwidthModel, Compact, Network, RunOptions};
     use crate::fault::FaultPlan;
     use crate::topology;
+    use dut_obs::NoopSink;
 
     /// Max-id flood used as the inner protocol under test.
     #[derive(Debug, Clone, PartialEq)]
@@ -411,14 +415,14 @@ mod tests {
         let g = topology::grid(4, 5);
         let n = g.node_count();
         let plain = Network::new(&g, BandwidthModel::Local)
-            .run(flood_states(n), 64)
+            .run(flood_states(n), 64, &RunOptions::serial(), &mut NoopSink)
             .unwrap();
         let coded_states: Vec<_> = flood_states(n)
             .into_iter()
             .map(|s| CodedProtocol::new(s, IdentityCodec::<Compact>::new()))
             .collect();
         let coded = Network::new(&g, BandwidthModel::Local)
-            .run(coded_states, 64)
+            .run(coded_states, 64, &RunOptions::serial(), &mut NoopSink)
             .unwrap();
         assert_eq!(plain.rounds, coded.rounds);
         assert_eq!(plain.total_messages, coded.total_messages);
@@ -440,16 +444,15 @@ mod tests {
                 .collect()
         };
         let clean = Network::new(&g, BandwidthModel::Local)
-            .run(mk(), 64)
+            .run(mk(), 64, &RunOptions::serial(), &mut NoopSink)
             .unwrap();
         // Flip rate low enough that (at this fixed seed) no bit
         // position of a word is hit in two copies: majority vote fixes
         // everything, so every flipped bit is a corrected bit.
         let plan = FaultPlan::seeded(0xC0DE).with_flips(0.0005);
-        let mut scratch = EngineScratch::new();
         let opts = RunOptions::serial().with_faults(plan);
         let faulted = Network::new(&g, BandwidthModel::Local)
-            .run_with_options(mk(), 64, &mut scratch, &opts)
+            .run(mk(), 64, &opts, &mut NoopSink)
             .unwrap();
         assert!(faulted.flipped_bits > 0, "fault plan must actually flip");
         let stats = codec_stats(&faulted.nodes);

@@ -6,7 +6,9 @@
 //! `O(log k)`-bit messages.
 
 use super::bfs::BfsTree;
-use crate::engine::{BandwidthModel, Compact, EngineError, Network, NodeProtocol, Outbox};
+use crate::engine::{
+    BandwidthModel, Compact, EngineError, Network, NodeProtocol, Outbox, RunOptions,
+};
 use crate::graph::{ImplicitTopology, NodeId};
 use dut_obs::{keys, NoopSink, Sink};
 
@@ -110,8 +112,8 @@ pub fn convergecast_sum_observed<T: ImplicitTopology>(
             sent: false,
         })
         .collect();
-    let mut net = Network::new(g, model);
-    let report = net.run_observed(states, 2 * g.node_count() + 4, sink)?;
+    let report =
+        Network::new(g, model).run(states, 2 * g.node_count() + 4, &RunOptions::serial(), sink)?;
     let cost = TreeOpCost {
         rounds: report.rounds,
         messages: report.total_messages,
@@ -201,8 +203,8 @@ pub fn broadcast_value_observed<T: ImplicitTopology>(
             sent: false,
         })
         .collect();
-    let mut net = Network::new(g, model);
-    let report = net.run_observed(states, 2 * g.node_count() + 4, sink)?;
+    let report =
+        Network::new(g, model).run(states, 2 * g.node_count() + 4, &RunOptions::serial(), sink)?;
     let cost = TreeOpCost {
         rounds: report.rounds,
         messages: report.total_messages,

@@ -11,8 +11,10 @@
 //! (3) their neighbors retire and announce that. Messages are
 //! `O(log k)` bits, so the protocol runs in CONGEST.
 
-use crate::engine::{BandwidthModel, EngineError, Network, NodeProtocol, Outbox};
+use crate::engine::{BandwidthModel, EngineError, Network, NodeProtocol, Outbox, RunOptions};
+use crate::fault::FaultInjectable;
 use crate::graph::{Graph, NodeId};
+use dut_obs::NoopSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,7 +42,7 @@ struct LubyNode {
 /// Message: tagged value. Low bit encodes the kind, the rest the
 /// payload — priorities are drawn from 2^48 so the packing stays within
 /// the CONGEST budget for any realistic k.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LubyMsg {
     Priority(u64),
     JoinedMis,
@@ -54,6 +56,22 @@ impl crate::engine::MessageSize for LubyMsg {
             LubyMsg::Priority(_) => 2 + 48,
             LubyMsg::JoinedMis | LubyMsg::Retired => 2,
         }
+    }
+}
+
+/// Flips act on the metered encoding: a 2-bit kind tag (`00` priority,
+/// `01` joined, `11` retired), then the 48-bit priority. A flip that
+/// would not leave a message of the same metered width — a priority's
+/// tag, or a control tag turned into `00` or the unused `10` — is a
+/// no-op, so every flip is its own inverse.
+impl FaultInjectable for LubyMsg {
+    fn flip_bit(&mut self, bit: usize) {
+        *self = match (*self, bit) {
+            (LubyMsg::Priority(p), 2..50) => LubyMsg::Priority(p ^ (1 << (bit - 2))),
+            (LubyMsg::JoinedMis, 1) => LubyMsg::Retired,
+            (LubyMsg::Retired, 1) => LubyMsg::JoinedMis,
+            (msg, _) => msg,
+        };
     }
 }
 
@@ -151,8 +169,9 @@ pub fn distributed_luby_mis(
             phases: 0,
         })
         .collect();
-    let mut net = Network::new(g, model);
-    let report = net.run(states, 90 * (k.max(2).ilog2() as usize + 2))?;
+    let max_rounds = 90 * (k.max(2).ilog2() as usize + 2);
+    let report =
+        Network::new(g, model).run(states, max_rounds, &RunOptions::serial(), &mut NoopSink)?;
     let in_mis = report
         .nodes
         .iter()
@@ -222,6 +241,30 @@ mod tests {
         let g = Graph::new(9);
         let r = distributed_luby_mis(&g, BandwidthModel::Local, 6).unwrap();
         assert!(r.in_mis.iter().all(|&m| m), "all isolated nodes join");
+    }
+
+    #[test]
+    fn luby_msg_flips_round_trip() {
+        use crate::engine::MessageSize;
+        for msg in [
+            LubyMsg::Priority(0),
+            LubyMsg::Priority((1 << 48) - 1),
+            LubyMsg::Priority(0x1234_5678_9ABC),
+            LubyMsg::JoinedMis,
+            LubyMsg::Retired,
+        ] {
+            let bits = msg.size_bits();
+            for b in 0..bits {
+                let mut m = msg;
+                m.flip_bit(b);
+                assert_eq!(m.size_bits(), bits, "{msg:?} bit {b} keeps its width");
+                m.flip_bit(b);
+                assert_eq!(m, msg, "{msg:?} bit {b}");
+            }
+        }
+        let mut p = LubyMsg::Priority(1);
+        p.flip_bit(2);
+        assert_eq!(p, LubyMsg::Priority(0), "bit 2 is the priority's low bit");
     }
 
     #[test]

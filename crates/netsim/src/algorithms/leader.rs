@@ -7,10 +7,11 @@
 
 use crate::algorithms::coded::{codec_stats, CodecStats, CodedProtocol, MessageCodec};
 use crate::engine::{
-    BandwidthModel, Compact, EngineError, EngineScratch, Network, NodeProtocol, Outbox, RunOptions,
+    BandwidthModel, Compact, EngineError, Network, NodeProtocol, Outbox, RunOptions,
 };
 use crate::fault::FaultPlan;
 use crate::graph::{ImplicitTopology, NodeId};
+use dut_obs::NoopSink;
 
 /// Per-node max-flood state.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,8 +99,12 @@ pub fn elect_leader<T: ImplicitTopology>(
             pending: false,
         })
         .collect();
-    let mut net = Network::new(g, model);
-    let report = net.run(states, 2 * g.node_count() + 4)?;
+    let report = Network::new(g, model).run(
+        states,
+        2 * g.node_count() + 4,
+        &RunOptions::serial(),
+        &mut NoopSink,
+    )?;
     // Unreachable expect: the unique maximum checked above never loses a
     // comparison, so the node holding it still has `best == my_id == max`
     // once the flood quiesces.
@@ -147,10 +152,9 @@ where
             )
         })
         .collect();
-    let mut net = Network::new(g, model);
-    let mut scratch = EngineScratch::new();
     let options = RunOptions::default().with_faults(plan.clone());
-    let report = net.run_with_options(states, 2 * g.node_count() + 4, &mut scratch, &options)?;
+    let report =
+        Network::new(g, model).run(states, 2 * g.node_count() + 4, &options, &mut NoopSink)?;
     let stats = codec_stats(&report.nodes);
     // Unreachable expect: no id exceeds the unique maximum, so faults can
     // delay but never displace the max holder's self-election.

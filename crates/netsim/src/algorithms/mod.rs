@@ -13,8 +13,8 @@ pub mod convergecast;
 pub mod distributed_mis;
 pub mod leader;
 pub mod mis;
-#[cfg(test)]
-mod reference_check;
+#[doc(hidden)]
+pub mod reference_check;
 pub mod reliable;
 pub mod routing;
 
@@ -30,8 +30,7 @@ pub use distributed_mis::{distributed_luby_mis, DistributedMisResult};
 pub use leader::{elect_leader, elect_leader_coded};
 pub use mis::{luby_mis, verify_mis, MisResult};
 pub use reliable::{
-    reliable_broadcast_value, reliable_broadcast_value_coded, reliable_broadcast_value_observed,
-    reliable_convergecast_sums, reliable_convergecast_sums_coded,
-    reliable_convergecast_sums_observed, RelMsg, ReliableCost, RetryPolicy,
+    reliable_broadcast_value_coded, reliable_convergecast_sums_coded, RelMsg, ReliableCost,
+    RetryPolicy,
 };
 pub use routing::{route_to_centers, Parcel};

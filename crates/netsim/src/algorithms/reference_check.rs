@@ -5,16 +5,21 @@
 //! every node every round. Equal outcomes on every topology, clean and
 //! under faults, are the check that the declaration is true: a node
 //! that would have acted on an empty inbox shows up as a divergence.
+//!
+//! Test support, not API: public (and hidden from the docs) only so
+//! that crates with private silent-stable protocols of their own, such
+//! as `dut-congest`'s packaging residue, can check them with the same
+//! harness.
 
 use crate::algorithms::coded::{CodedProtocol, IdentityCodec};
 use crate::engine::{
-    BandwidthModel, Compact, EngineError, EngineScratch, Network, NodeProtocol, RunOptions,
-    RunReport,
+    BandwidthModel, Compact, EngineError, Network, NodeProtocol, RunOptions, RunReport,
 };
 use crate::fault::{FaultInjectable, FaultPlan};
 use crate::graph::{Graph, ImplicitTopology};
-use crate::reference::{run_reference, run_reference_faulted};
+use crate::reference::run_reference;
 use crate::topology::{self, Torus2d};
+use dut_obs::NoopSink;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Debug;
@@ -34,11 +39,12 @@ fn topologies() -> Vec<(&'static str, Graph)> {
     ]
 }
 
-/// Two fault plans: bit flips only (runs complete, on corrupted
-/// values), and drops with node 3 down in round 0 and back in round 2
-/// (so the active list must wake it).
-fn fault_plans() -> [FaultPlan; 2] {
+/// The clean plan, then two fault plans: bit flips only (runs
+/// complete, on corrupted values), and drops with node 3 down in round
+/// 0 and back in round 2 (so the active list must wake it).
+fn plans() -> [FaultPlan; 3] {
     [
+        FaultPlan::none(),
         FaultPlan::seeded(0x51E7).with_flips(0.02),
         FaultPlan::seeded(0x51E8)
             .with_drops(0.05)
@@ -64,12 +70,10 @@ fn outcome<P, V>(run: Result<RunReport<P>, EngineError>, view: impl Fn(&P) -> V)
     })
 }
 
-/// Runs `states` on `topo` with the flat engine and on its
-/// materialized graph with the reference engine — clean through
-/// [`Network::run`], then under each fault plan through
-/// [`Network::run_with_options`] at 3 threads — and asserts equal
-/// rounds, messages, bits, fault counts and final states (through
-/// `view`). The round limit is the tree primitives' `2k + 4`.
+/// Runs `states` on `topo` with the flat engine at 3 threads and on its
+/// materialized graph with the reference engine, once per plan, and
+/// asserts equal rounds, messages, bits, fault counts and final states
+/// (through `view`). The round limit is the tree primitives' `2k + 4`.
 fn assert_matches_reference<T, P, V>(
     label: &str,
     topo: &T,
@@ -85,24 +89,14 @@ fn assert_matches_reference<T, P, V>(
     let g = topo.materialize();
     let max_rounds = 2 * g.node_count() + 4;
     let mut net = Network::new(topo, model);
-    assert_eq!(
-        outcome(net.run(states.clone(), max_rounds), view),
-        outcome(run_reference(&g, model, states.clone(), max_rounds), view),
-        "{label}: clean"
-    );
-    for (i, plan) in fault_plans().iter().enumerate() {
-        let options = RunOptions::parallel(3).with_faults(plan.clone());
-        let mut scratch = EngineScratch::new();
+    for (i, plan) in plans().into_iter().enumerate() {
+        let reference = run_reference(&g, model, states.clone(), max_rounds, &plan, &mut NoopSink);
+        let options = RunOptions::parallel(3).with_faults(plan);
+        let flat = net.run(states.clone(), max_rounds, &options, &mut NoopSink);
         assert_eq!(
-            outcome(
-                net.run_with_options(states.clone(), max_rounds, &mut scratch, &options),
-                view
-            ),
-            outcome(
-                run_reference_faulted(&g, model, states.clone(), max_rounds, plan),
-                view
-            ),
-            "{label}: fault plan {i}"
+            outcome(flat, view),
+            outcome(reference, view),
+            "{label}: plan {i}"
         );
     }
 }
@@ -112,10 +106,13 @@ fn assert_matches_reference<T, P, V>(
 /// differential topologies and the implicit 12×12 [`Torus2d`] (whose
 /// states `build` gets from its materialized graph). `build` makes the
 /// initial states for a graph.
-pub(crate) fn assert_silent_stable_matches_reference<P>(
-    label: &str,
-    build: impl Fn(&Graph) -> Vec<P>,
-) where
+///
+/// # Panics
+///
+/// On any divergence between the engines, or if `P` does not declare
+/// [`NodeProtocol::SILENT_STABLE`].
+pub fn assert_silent_stable_matches_reference<P>(label: &str, build: impl Fn(&Graph) -> Vec<P>)
+where
     P: NodeProtocol<Msg = Compact> + Clone + PartialEq + Debug + Send,
 {
     assert!(P::SILENT_STABLE, "{label} must declare SILENT_STABLE");

@@ -27,17 +27,14 @@
 //! the ARQ recovers.
 
 use super::bfs::BfsTree;
-use super::coded::{
-    codec_stats, CodecMessage, CodecStats, CodedProtocol, IdentityCodec, MessageCodec,
-};
+use super::coded::{codec_stats, CodecMessage, CodecStats, CodedProtocol, MessageCodec};
 use crate::engine::{
-    BandwidthModel, EngineError, EngineScratch, MessageSize, Network, NodeProtocol, Outbox,
-    RunOptions,
+    BandwidthModel, EngineError, MessageSize, Network, NodeProtocol, Outbox, RunOptions,
 };
 use crate::fault::{FaultInjectable, FaultPlan};
 use crate::graph::{ImplicitTopology, NodeId};
 use crate::recover::{opt_word, RecoverError, Recoverable, WordReader};
-use dut_obs::{keys, NoopSink, Sink};
+use dut_obs::{keys, Sink};
 
 /// One message of the reliable tree protocols.
 ///
@@ -592,16 +589,8 @@ where
             )
         })
         .collect();
-    let mut net = Network::new(g, model);
-    let mut scratch = EngineScratch::new();
     let options = RunOptions::default().with_faults(plan.clone());
-    let report = net.run_with_options_observed(
-        states,
-        policy.max_rounds(tree),
-        &mut scratch,
-        &options,
-        sink,
-    )?;
+    let report = Network::new(g, model).run(states, policy.max_rounds(tree), &options, sink)?;
     let stats = codec_stats(&report.nodes);
     let (mut retransmits, mut failures) = (0u64, 0u64);
     let sums: Vec<u64> = report
@@ -666,16 +655,8 @@ where
             )
         })
         .collect();
-    let mut net = Network::new(g, model);
-    let mut scratch = EngineScratch::new();
     let options = RunOptions::default().with_faults(plan.clone());
-    let report = net.run_with_options_observed(
-        states,
-        policy.max_rounds(tree),
-        &mut scratch,
-        &options,
-        sink,
-    )?;
+    let report = Network::new(g, model).run(states, policy.max_rounds(tree), &options, sink)?;
     let stats = codec_stats(&report.nodes);
     let (mut retransmits, mut failures) = (0u64, 0u64);
     let received: Vec<Option<u64>> = report
@@ -705,113 +686,58 @@ fn record_reliable(sink: &mut dyn Sink, cost: &ReliableCost) {
     }
 }
 
-/// [`reliable_convergecast_sums_coded`] with the identity codec (ARQ
-/// only, no flip correction).
-///
-/// # Errors
-///
-/// Same conditions as [`reliable_convergecast_sums_coded`].
-///
-/// # Panics
-///
-/// Panics if `values` length does not match the graph.
-pub fn reliable_convergecast_sums<T: ImplicitTopology>(
-    g: &T,
-    tree: &BfsTree,
-    values: &[u64],
-    model: BandwidthModel,
-    plan: &FaultPlan,
-    policy: RetryPolicy,
-) -> Result<(Vec<u64>, ReliableCost), EngineError> {
-    reliable_convergecast_sums_observed(g, tree, values, model, plan, policy, &mut NoopSink)
-}
-
-/// [`reliable_convergecast_sums`] recording `netsim.reliable.*` metrics
-/// into `sink`.
-///
-/// # Errors
-///
-/// Same conditions as [`reliable_convergecast_sums_coded`].
-///
-/// # Panics
-///
-/// Panics if `values` length does not match the graph.
-pub fn reliable_convergecast_sums_observed<T: ImplicitTopology>(
-    g: &T,
-    tree: &BfsTree,
-    values: &[u64],
-    model: BandwidthModel,
-    plan: &FaultPlan,
-    policy: RetryPolicy,
-    sink: &mut dyn Sink,
-) -> Result<(Vec<u64>, ReliableCost), EngineError> {
-    let (sums, cost, _) = reliable_convergecast_sums_coded(
-        g,
-        tree,
-        values,
-        model,
-        plan,
-        policy,
-        IdentityCodec::<RelMsg>::new(),
-        sink,
-    )?;
-    Ok((sums, cost))
-}
-
-/// [`reliable_broadcast_value_coded`] with the identity codec (ARQ
-/// only, no flip correction).
-///
-/// # Errors
-///
-/// Same conditions as [`reliable_convergecast_sums_coded`].
-pub fn reliable_broadcast_value<T: ImplicitTopology>(
-    g: &T,
-    tree: &BfsTree,
-    value: u64,
-    model: BandwidthModel,
-    plan: &FaultPlan,
-    policy: RetryPolicy,
-) -> Result<(Vec<Option<u64>>, ReliableCost), EngineError> {
-    reliable_broadcast_value_observed(g, tree, value, model, plan, policy, &mut NoopSink)
-}
-
-/// [`reliable_broadcast_value`] recording `netsim.reliable.*` metrics
-/// into `sink`.
-///
-/// # Errors
-///
-/// Same conditions as [`reliable_convergecast_sums_coded`].
-pub fn reliable_broadcast_value_observed<T: ImplicitTopology>(
-    g: &T,
-    tree: &BfsTree,
-    value: u64,
-    model: BandwidthModel,
-    plan: &FaultPlan,
-    policy: RetryPolicy,
-    sink: &mut dyn Sink,
-) -> Result<(Vec<Option<u64>>, ReliableCost), EngineError> {
-    let (received, cost, _) = reliable_broadcast_value_coded(
-        g,
-        tree,
-        value,
-        model,
-        plan,
-        policy,
-        IdentityCodec::<RelMsg>::new(),
-        sink,
-    )?;
-    Ok((received, cost))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms::bfs::build_bfs_tree;
+    use crate::algorithms::coded::IdentityCodec;
     use crate::algorithms::convergecast::convergecast_sum;
     use crate::topology;
+    use dut_obs::NoopSink;
 
     fn tree_of(g: &crate::graph::Graph, root: NodeId) -> BfsTree {
         build_bfs_tree(g, root, BandwidthModel::Local).unwrap().0
+    }
+
+    /// ARQ convergecast under LOCAL through the identity codec.
+    fn arq_sums(
+        g: &crate::graph::Graph,
+        tree: &BfsTree,
+        values: &[u64],
+        plan: &FaultPlan,
+        policy: RetryPolicy,
+        sink: &mut dyn Sink,
+    ) -> (Vec<u64>, ReliableCost) {
+        let codec = IdentityCodec::<RelMsg>::new();
+        let model = BandwidthModel::Local;
+        let (sums, cost, _) =
+            reliable_convergecast_sums_coded(g, tree, values, model, plan, policy, codec, sink)
+                .unwrap();
+        (sums, cost)
+    }
+
+    /// ARQ broadcast under LOCAL through the identity codec.
+    fn arq_broadcast(
+        g: &crate::graph::Graph,
+        tree: &BfsTree,
+        value: u64,
+        plan: &FaultPlan,
+        policy: RetryPolicy,
+    ) -> (Vec<Option<u64>>, ReliableCost) {
+        let codec = IdentityCodec::<RelMsg>::new();
+        let model = BandwidthModel::Local;
+        let (values, cost, _) = reliable_broadcast_value_coded(
+            g,
+            tree,
+            value,
+            model,
+            plan,
+            policy,
+            codec,
+            &mut NoopSink,
+        )
+        .unwrap();
+        (values, cost)
     }
 
     #[test]
@@ -858,15 +784,14 @@ mod tests {
             let (plain_total, _) =
                 convergecast_sum(&g, &tree, &values, BandwidthModel::Local).unwrap();
             let policy = RetryPolicy::for_tree(&tree, 4);
-            let (sums, cost) = reliable_convergecast_sums(
+            let (sums, cost) = arq_sums(
                 &g,
                 &tree,
                 &values,
-                BandwidthModel::Local,
                 &FaultPlan::none(),
                 policy,
-            )
-            .unwrap();
+                &mut NoopSink,
+            );
             assert_eq!(sums[tree.root], plain_total);
             assert_eq!(cost.retransmits, 0, "no faults, no retries");
             assert_eq!(cost.failures, 0);
@@ -887,9 +812,7 @@ mod tests {
         let values: Vec<u64> = (1..=10).collect();
         let policy = RetryPolicy::for_tree(&tree, 8);
         let plan = FaultPlan::seeded(42).with_drops(0.3);
-        let (sums, cost) =
-            reliable_convergecast_sums(&g, &tree, &values, BandwidthModel::Local, &plan, policy)
-                .unwrap();
+        let (sums, cost) = arq_sums(&g, &tree, &values, &plan, policy, &mut NoopSink);
         assert_eq!(cost.failures, 0, "retry budget should absorb 30% drops");
         assert_eq!(sums[tree.root], 55, "total must be exact despite drops");
         assert!(cost.retransmits > 0, "a 30% drop rate must force retries");
@@ -905,9 +828,7 @@ mod tests {
             deadline: 24,
         };
         let plan = FaultPlan::seeded(7).with_drops(0.97);
-        let (sums, cost) =
-            reliable_convergecast_sums(&g, &tree, &values, BandwidthModel::Local, &plan, policy)
-                .unwrap();
+        let (sums, cost) = arq_sums(&g, &tree, &values, &plan, policy, &mut NoopSink);
         assert!(cost.failures > 0, "97% drops must defeat a 1-retry budget");
         assert!(sums[tree.root] < 8, "partial total under failures");
     }
@@ -917,15 +838,7 @@ mod tests {
         let g = topology::balanced_binary_tree(31);
         let tree = tree_of(&g, 0);
         let policy = RetryPolicy::for_tree(&tree, 4);
-        let (values, cost) = reliable_broadcast_value(
-            &g,
-            &tree,
-            99,
-            BandwidthModel::Local,
-            &FaultPlan::none(),
-            policy,
-        )
-        .unwrap();
+        let (values, cost) = arq_broadcast(&g, &tree, 99, &FaultPlan::none(), policy);
         assert!(values.iter().all(|&v| v == Some(99)));
         assert_eq!(cost.retransmits, 0);
         assert_eq!(cost.failures, 0);
@@ -937,8 +850,7 @@ mod tests {
         let tree = tree_of(&g, 0);
         let policy = RetryPolicy::for_tree(&tree, 8);
         let plan = FaultPlan::seeded(5).with_drops(0.3);
-        let (values, cost) =
-            reliable_broadcast_value(&g, &tree, 7, BandwidthModel::Local, &plan, policy).unwrap();
+        let (values, cost) = arq_broadcast(&g, &tree, 7, &plan, policy);
         assert!(
             values.iter().all(|&v| v == Some(7)),
             "ARQ must deliver everywhere: {values:?}"
@@ -959,9 +871,7 @@ mod tests {
         // Node 4 crashes immediately: node 5's reports die, and node
         // 3 never hears from 4.
         let plan = FaultPlan::seeded(1).with_crash(4, 0);
-        let (sums, cost) =
-            reliable_convergecast_sums(&g, &tree, &values, BandwidthModel::Local, &plan, policy)
-                .unwrap();
+        let (sums, cost) = arq_sums(&g, &tree, &values, &plan, policy, &mut NoopSink);
         assert!(cost.failures > 0, "crash must surface as failures");
         assert_eq!(sums[tree.root], 4, "nodes 0..=3 still counted");
     }
@@ -976,9 +886,7 @@ mod tests {
         // widened for the outage must deliver the exact total.
         let plan = FaultPlan::seeded(1).with_crash(4, 0).with_rejoin(4, 6);
         let policy = RetryPolicy::for_tree(&tree, 2).allowing_outage(plan.max_outage_rounds());
-        let (sums, cost) =
-            reliable_convergecast_sums(&g, &tree, &values, BandwidthModel::Local, &plan, policy)
-                .unwrap();
+        let (sums, cost) = arq_sums(&g, &tree, &values, &plan, policy, &mut NoopSink);
         assert_eq!(cost.failures, 0, "outage-sized policy must recover");
         assert_eq!(sums[tree.root], 6, "total exact after rejoin");
     }
@@ -992,8 +900,7 @@ mod tests {
         // outage and the whole subtree still converges.
         let plan = FaultPlan::seeded(9).with_crash(1, 0).with_rejoin(1, 8);
         let policy = RetryPolicy::for_tree(&tree, 2).allowing_outage(plan.max_outage_rounds());
-        let (values, cost) =
-            reliable_broadcast_value(&g, &tree, 42, BandwidthModel::Local, &plan, policy).unwrap();
+        let (values, cost) = arq_broadcast(&g, &tree, 42, &plan, policy);
         assert!(
             values.iter().all(|&v| v == Some(42)),
             "rejoined subtree must still receive the value: {values:?}"
@@ -1036,10 +943,9 @@ mod tests {
                     )
                 })
                 .collect();
-            let mut scratch = EngineScratch::new();
             let options = RunOptions::parallel(threads).with_faults(plan.clone());
             let report = net
-                .run_with_options(states, policy.max_rounds(&tree), &mut scratch, &options)
+                .run(states, policy.max_rounds(&tree), &options, &mut NoopSink)
                 .unwrap();
             (
                 report.rounds,
@@ -1127,16 +1033,7 @@ mod tests {
         let policy = RetryPolicy::for_tree(&tree, 8);
         let plan = FaultPlan::seeded(42).with_drops(0.3);
         let mut sink = MemorySink::new();
-        let (_, cost) = reliable_convergecast_sums_observed(
-            &g,
-            &tree,
-            &values,
-            BandwidthModel::Local,
-            &plan,
-            policy,
-            &mut sink,
-        )
-        .unwrap();
+        let (_, cost) = arq_sums(&g, &tree, &values, &plan, policy, &mut sink);
         assert_eq!(
             sink.counter(keys::NETSIM_RELIABLE_RETRANSMITS),
             cost.retransmits

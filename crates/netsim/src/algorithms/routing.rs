@@ -13,8 +13,12 @@
 //! Total rounds = the maximum assignment distance (≤ r for MIS
 //! assignments within `N^r`), plus quiescence detection.
 
-use crate::engine::{BandwidthModel, EngineError, MessageSize, Network, NodeProtocol, Outbox};
+use crate::engine::{
+    BandwidthModel, EngineError, MessageSize, Network, NodeProtocol, Outbox, RunOptions,
+};
+use crate::fault::FaultInjectable;
 use crate::graph::{Graph, NodeId};
+use dut_obs::NoopSink;
 use std::collections::VecDeque;
 
 /// A payload in flight: destination plus an opaque value.
@@ -26,12 +30,42 @@ pub struct Parcel {
     pub value: u64,
 }
 
+/// The natural bit length of `x` (at least 1).
+fn bit_len(x: u64) -> usize {
+    (64 - x.leading_zeros() as usize).max(1)
+}
+
+/// Flips bit `b` of a field metered at its bit length, unless that would
+/// change the length: the leading one of a multi-bit field (and any bit
+/// past the field) stays put, so every flip is its own inverse.
+fn flip_in_field(x: u64, b: usize) -> u64 {
+    let len = bit_len(x);
+    if b + 1 < len || (len == 1 && b == 0) {
+        x ^ (1 << b)
+    } else {
+        x
+    }
+}
+
 impl MessageSize for Parcel {
     fn size_bits(&self) -> usize {
         // destination id + value, both at their natural bit lengths
-        let id_bits = (64 - (self.dest as u64).leading_zeros() as usize).max(1);
-        let val_bits = (64 - self.value.leading_zeros() as usize).max(1);
-        id_bits + val_bits
+        bit_len(self.dest as u64) + bit_len(self.value)
+    }
+}
+
+/// Flips act on the metered encoding, destination bits first, then the
+/// value's. A flip that would change a field's bit length (the leading
+/// one of a multi-bit field) is a no-op, so every flip is its own
+/// inverse.
+impl FaultInjectable for Parcel {
+    fn flip_bit(&mut self, bit: usize) {
+        let id_bits = bit_len(self.dest as u64);
+        if bit < id_bits {
+            self.dest = flip_in_field(self.dest as u64, bit) as NodeId;
+        } else {
+            self.value = flip_in_field(self.value, bit - id_bits);
+        }
     }
 }
 
@@ -174,8 +208,9 @@ pub fn route_to_centers(
         .collect();
 
     let max_payloads: usize = payloads.iter().map(Vec::len).sum::<usize>().max(1);
-    let mut net = Network::new(g, model);
-    let report = net.run(states, 2 * (k + max_payloads) + 8)?;
+    let max_rounds = 2 * (k + max_payloads) + 8;
+    let report =
+        Network::new(g, model).run(states, max_rounds, &RunOptions::serial(), &mut NoopSink)?;
     let delivered = report.nodes.into_iter().map(|n| n.delivered).collect();
     Ok((delivered, report.rounds))
 }
@@ -184,6 +219,32 @@ pub fn route_to_centers(
 mod tests {
     use super::*;
     use crate::topology;
+
+    #[test]
+    fn parcel_flips_round_trip() {
+        let cases = [
+            (0, 0),
+            (1, 1),
+            (5, 0),
+            (6, 0x8000_0000_0000_0001),
+            (1023, 77),
+        ];
+        for (dest, value) in cases {
+            let parcel = Parcel { dest, value };
+            let bits = parcel.size_bits();
+            for b in 0..bits {
+                let mut p = parcel;
+                p.flip_bit(b);
+                assert_eq!(p.size_bits(), bits, "{parcel:?} bit {b} keeps its width");
+                p.flip_bit(b);
+                assert_eq!(p, parcel, "{parcel:?} bit {b}");
+            }
+        }
+        // Bit 3 of (dest 5, value 6) is the value's low bit.
+        let mut p = Parcel { dest: 5, value: 6 };
+        p.flip_bit(3);
+        assert_eq!(p, Parcel { dest: 5, value: 7 });
+    }
 
     #[test]
     fn routes_to_single_center_on_line() {

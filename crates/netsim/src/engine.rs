@@ -9,10 +9,10 @@
 //!
 //! # Performance architecture
 //!
-//! The engine is built for Monte-Carlo workloads where the same (or a
-//! same-shaped) network is run thousands of times. All per-round and
-//! per-run buffers live in an [`EngineScratch`] that callers can reuse
-//! across runs, so the steady state performs **no heap allocation**:
+//! The engine is built for Monte-Carlo workloads where the same network
+//! is run thousands of times. All per-round and per-run buffers live in
+//! a private `EngineScratch` that each [`Network`] owns and reuses
+//! across its runs, so the steady state performs **no heap allocation**:
 //!
 //! * The graph is flattened into a [`Csr`] (flat neighbor + offset
 //!   arrays) once per run, reusing capacity.
@@ -34,12 +34,11 @@
 //!   scans it in order, so the list comes out sorted by node id with no
 //!   sort.
 //!
-//! [`Network::run`] is a thin wrapper that allocates a fresh scratch;
-//! hot callers use [`Network::run_with_scratch`] or, for large graphs,
-//! [`Network::run_with_options`] which can step independent nodes on
-//! multiple threads with bit-identical results. The pre-existing
-//! nested-`Vec` engine is retained as [`crate::reference`] for
-//! differential testing and benchmarking.
+//! [`Network::run`] is the one entry point. Its [`RunOptions`] pick the
+//! thread count (large graphs can step independent nodes on several
+//! threads, with bit-identical results) and the fault plan. The
+//! pre-existing nested-`Vec` engine is retained as [`crate::reference`]
+//! for differential testing and benchmarking.
 //!
 //! # Invariants
 //!
@@ -75,21 +74,21 @@
 //!    [`crate::reference`] and the serial/parallel bit-identity
 //!    guarantee both depend on this.
 //!
-//! 4. **EngineScratch reuse contract.** Between runs a scratch holds
-//!    only capacity, never state: every run begins by re-sizing and
-//!    re-zeroing (see `EngineScratch::prepare_for`). The delivery
+//! 4. **Scratch reuse contract.** Between runs a [`Network`]'s scratch
+//!    holds only capacity, never state: every run begins by re-sizing
+//!    and re-zeroing (see `EngineScratch::prepare_for`). The delivery
 //!    buffers `counts`/`active_mask` are all-zero between rounds, and
 //!    the transient buffers `neighbor_pos`/`edge_bits` are all-zero
 //!    outside the windows in which a single node is stepped or metered
 //!    — restored even on early error returns by `prepare_for` of the
 //!    *next* run.
-//!    Hence a scratch may be reused across different graphs, protocols,
-//!    and bandwidth models, and a run's results never depend on what
-//!    the scratch was previously used for.
+//!    Hence a network may be reused across protocols, options and
+//!    failed runs, and a run's results never depend on what the network
+//!    ran before.
 
 use crate::fault::{FaultInjectable, FaultPlan};
 use crate::graph::{Csr, Graph, ImplicitTopology, NodeId};
-use dut_obs::{keys, NoopSink, Sink, Span};
+use dut_obs::{keys, Sink, Span};
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
@@ -201,6 +200,17 @@ pub enum EngineError {
         /// The enforced budget.
         budget: usize,
     },
+    /// A node sent to a node it is not adjacent to — protocols may
+    /// only talk over edges. The first such send of the run, in node
+    /// order.
+    NotANeighbor {
+        /// Sending node.
+        from: NodeId,
+        /// The non-neighbor it addressed.
+        to: NodeId,
+        /// Round in which the send was attempted.
+        round: usize,
+    },
     /// The protocol did not terminate within the round limit.
     RoundLimit {
         /// The limit that was hit.
@@ -245,6 +255,9 @@ impl fmt::Display for EngineError {
                 f,
                 "congest violation on edge {from}->{to} in round {round}: {bits} bits > budget {budget}"
             ),
+            EngineError::NotANeighbor { from, to, round } => {
+                write!(f, "node {from} tried to send to non-neighbor {to} in round {round}")
+            }
             EngineError::RoundLimit { max_rounds } => {
                 write!(f, "protocol did not terminate within {max_rounds} rounds")
             }
@@ -335,6 +348,9 @@ pub struct Outbox<'a, M> {
     /// (the common case in wavefront-style protocols) never touch it —
     /// and the engine only needs to clear it when this is set.
     filled: bool,
+    /// The target of this node's first send to a non-neighbor, if any;
+    /// the engine ends the run with [`EngineError::NotANeighbor`].
+    bad_send: Option<NodeId>,
 }
 
 impl<'a, M> Outbox<'a, M> {
@@ -350,6 +366,7 @@ impl<'a, M> Outbox<'a, M> {
             neighbor_pos,
             staged,
             filled: false,
+            bad_send: None,
         }
     }
 
@@ -365,23 +382,38 @@ impl<'a, M> Outbox<'a, M> {
         self.filled = true;
     }
 
+    /// The target of the first send to a non-neighbor, if any.
+    pub(crate) fn bad_send(&self) -> Option<NodeId> {
+        self.bad_send
+    }
+
+    /// Records a send to the non-neighbor `to`; only the first counts.
+    /// Fills the position index like any send, so a node with a bad
+    /// send always reports [`Outbox::index_filled`]. Cold and out of
+    /// line, so [`Outbox::send`] stays one branch around its push.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn reject(&mut self, to: NodeId) {
+        if !self.filled {
+            self.fill_index();
+        }
+        self.bad_send.get_or_insert(to);
+    }
+
     /// Sends `msg` to neighbor `to`.
     ///
-    /// # Panics
-    ///
-    /// Panics if `to` is not a neighbor of the sending node — protocols
-    /// may only talk over edges.
+    /// Protocols may only talk over edges: a send to a non-neighbor is
+    /// discarded, and the run ends with [`EngineError::NotANeighbor`]
+    /// once this node's round is over.
     pub fn send(&mut self, to: NodeId, msg: M) {
         if !self.filled {
             self.fill_index();
         }
-        assert!(
-            to < self.neighbor_pos.len() && self.neighbor_pos[to] != 0,
-            "node {} tried to send to non-neighbor {}",
-            self.node,
-            to
-        );
-        self.staged.push((to, self.node, msg));
+        if to < self.neighbor_pos.len() && self.neighbor_pos[to] != 0 {
+            self.staged.push((to, self.node, msg));
+        } else {
+            self.reject(to);
+        }
     }
 
     /// Sends a copy of `msg` to every neighbor.
@@ -455,19 +487,16 @@ impl<M> Default for WorkerScratch<M> {
     }
 }
 
-/// Reusable buffers for [`Network::run_with_scratch`].
+/// The reusable buffers a [`Network`] keeps across its runs.
 ///
 /// Holds every allocation the round engine needs: the CSR graph view,
 /// the double-buffered flat message arena, per-destination counts and
 /// offsets, the dense neighbor-position index, and per-neighbor CONGEST
-/// bit accounting. After the first run on a given graph size, subsequent
-/// runs perform no heap allocation (message payloads that themselves
+/// bit accounting. After the first run, subsequent runs of the same
+/// network perform no heap allocation (message payloads that themselves
 /// allocate, e.g. `Vec<u64>`, are the protocol's business).
-///
-/// A scratch is keyed by nothing: it adapts to whatever graph the next
-/// run uses, growing buffers as needed and reusing them otherwise.
 #[derive(Debug)]
-pub struct EngineScratch<M> {
+struct EngineScratch<M> {
     csr: Csr,
     /// Messages delivered this round, grouped by destination:
     /// `arena[inbox_offsets[v]..inbox_offsets[v+1]]` is node `v`'s inbox.
@@ -529,11 +558,6 @@ impl<M> Default for EngineScratch<M> {
 }
 
 impl<M> EngineScratch<M> {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        EngineScratch::default()
-    }
-
     /// Sizes every buffer for `topo` and resets per-run state. Reuses
     /// existing capacity; also re-establishes the all-zero invariants of
     /// `counts` / `active_mask` / `neighbor_pos` / `edge_bits` that an
@@ -583,7 +607,7 @@ impl<M> EngineScratch<M> {
     }
 }
 
-/// Execution options for [`Network::run_with_options`].
+/// Execution options for [`Network::run`].
 ///
 /// With more than one thread, each dense round steps its nodes on
 /// scoped worker threads, one contiguous node chunk each, and merges
@@ -604,11 +628,9 @@ pub struct RunOptions {
     /// run steps inline regardless of `threads`.
     pub parallel_threshold: usize,
     /// The fault model applied to the run. [`FaultPlan::none`] (the
-    /// default) routes to the plain, unfaulted code paths, so results
-    /// are bit-identical to runs without options. Any active plan is
-    /// applied identically at every thread count (and by
-    /// [`crate::reference::run_reference_faulted`]); see
-    /// [`crate::fault`].
+    /// default) routes to the plain, unfaulted code paths. Any active
+    /// plan is applied identically at every thread count (and by
+    /// [`crate::reference::run_reference`]); see [`crate::fault`].
     pub faults: FaultPlan,
 }
 
@@ -860,9 +882,8 @@ fn record_faults(sink: &mut dyn Sink, rounds: usize, metrics: &Metrics, plan: &F
 
 /// The channel a serial run sends through. [`Clean`] delivers every
 /// message untouched; a [`FaultPlan`] crashes nodes and drops or
-/// corrupts messages. One serial loop is generic over it, so the plain
-/// entry points need no [`FaultInjectable`] bound and compile with
-/// every fault branch folded away.
+/// corrupts messages. The round loop is generic over it, so clean runs
+/// compile with every fault branch folded away.
 trait Channel<M> {
     /// The fault plan, or `None` on the clean channel.
     fn plan(&self) -> Option<&FaultPlan>;
@@ -1052,12 +1073,15 @@ type FanOut<P, T> = fn(
     Option<&FaultPlan>,
     &mut [P],
     &mut [WorkerScratch<<P as NodeProtocol>::Msg>],
-);
+) -> Option<(NodeId, NodeId)>;
 
 /// Steps every live node of one dense round on scoped worker threads,
 /// one contiguous node chunk per worker, each staging its sends into
 /// its own [`WorkerScratch`]. Workers only read the arena. A worker's
 /// panic is re-raised with its original payload.
+///
+/// Returns the first node, in node order, that sent to a non-neighbor,
+/// with that send's target; a worker stops stepping at its first one.
 fn step_on_workers<P, T>(
     adj: &Adjacency<'_, T>,
     arena: &[(NodeId, P::Msg)],
@@ -1066,7 +1090,8 @@ fn step_on_workers<P, T>(
     plan: Option<&FaultPlan>,
     states: &mut [P],
     workers: &mut [WorkerScratch<P::Msg>],
-) where
+) -> Option<(NodeId, NodeId)>
+where
     P: NodeProtocol + Send,
     P::Msg: Send + Sync,
     T: ImplicitTopology,
@@ -1097,23 +1122,32 @@ fn step_on_workers<P, T>(
                         let mut out = Outbox::new(node, nbrs, neighbor_pos, staged);
                         state.on_round(node, round, inbox, &mut out);
                         if out.index_filled() {
+                            let bad = out.bad_send();
                             for &nb in nbrs {
                                 neighbor_pos[nb] = 0;
                             }
+                            if let Some(to) = bad {
+                                return Some((node, to));
+                            }
                         }
                     }
+                    None
                 })
             })
             .collect();
+        let mut first_bad = None;
         for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
+            match h.join() {
+                Ok(bad) => first_bad = first_bad.or(bad),
+                Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-    });
+        first_bad
+    })
 }
 
-/// A synchronous network: a topology plus a bandwidth model.
+/// A synchronous network: a topology plus a bandwidth model, and the
+/// buffers its runs reuse.
 ///
 /// The topology parameter defaults to [`Graph`] (stored adjacency,
 /// flattened into a CSR per run). Implicit families
@@ -1121,16 +1155,25 @@ fn step_on_workers<P, T>(
 /// parameter and compute neighbors on the fly, so a 10⁷-node run never
 /// materializes an edge list; engine results are bit-identical to a run
 /// on `topology.materialize()`.
+///
+/// `M` is the message type of the protocols the network runs, inferred
+/// from the first [`Network::run`]. Holding one network across many
+/// runs reuses its buffers, so repeated runs do not allocate.
 #[derive(Debug)]
-pub struct Network<'g, T: ImplicitTopology = Graph> {
+pub struct Network<'g, M, T: ImplicitTopology = Graph> {
     graph: &'g T,
     model: BandwidthModel,
+    scratch: EngineScratch<M>,
 }
 
-impl<'g, T: ImplicitTopology> Network<'g, T> {
+impl<'g, M, T: ImplicitTopology> Network<'g, M, T> {
     /// Creates a network over `graph` with the given bandwidth model.
     pub fn new(graph: &'g T, model: BandwidthModel) -> Self {
-        Network { graph, model }
+        Network {
+            graph,
+            model,
+            scratch: EngineScratch::default(),
+        }
     }
 
     /// The underlying topology.
@@ -1144,79 +1187,57 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
     }
 
     /// Runs the protocol to quiescence (all nodes done, no messages in
-    /// flight) or up to `max_rounds`.
+    /// flight) or up to `max_rounds`, recording metrics into `sink`.
     ///
-    /// Allocates a fresh [`EngineScratch`] per call; loops running many
-    /// trials should hold a scratch and call
-    /// [`Network::run_with_scratch`] instead.
+    /// `options` picks the thread count and the fault plan (see
+    /// [`RunOptions`]). Results — reports, final states and error
+    /// values — are bit-identical at any thread count, and a
+    /// [`FaultPlan::none`] plan runs the unfaulted code path.
+    /// Silent-stable protocols always step inline through their active
+    /// list: the active list, not node stepping, is the bottleneck
+    /// their wavefronts leave.
+    ///
+    /// The sink sees run-total counters plus per-round histograms of
+    /// messages, bits, max single-edge bits and wall-clock nanoseconds
+    /// (`netsim.*` in [`dut_obs::keys`]), and fault totals
+    /// (`netsim.fault.*`) only when a plan is active. Metering and
+    /// observation run on the calling thread in node order, and sinks
+    /// never influence execution.
     ///
     /// # Errors
     ///
+    /// * [`EngineError::EmptyNetwork`] on a graph with no nodes.
     /// * [`EngineError::NodeCountMismatch`] if `states` has the wrong
     ///   length.
     /// * [`EngineError::BandwidthExceeded`] on a CONGEST violation.
+    /// * [`EngineError::NotANeighbor`] if a node sends over a non-edge.
     /// * [`EngineError::RoundLimit`] if quiescence is not reached.
-    pub fn run<P: NodeProtocol>(
+    ///
+    /// After an error the network stays usable.
+    pub fn run<P>(
         &mut self,
         states: Vec<P>,
         max_rounds: usize,
-    ) -> Result<RunReport<P>, EngineError> {
-        let mut scratch = EngineScratch::new();
-        self.run_with_scratch(states, max_rounds, &mut scratch)
-    }
-
-    /// Like [`Network::run`], but reuses `scratch` so repeated runs do
-    /// not allocate. The scratch adapts to any graph/protocol pairing;
-    /// results are identical to [`Network::run`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Network::run`].
-    pub fn run_with_scratch<P: NodeProtocol>(
-        &mut self,
-        states: Vec<P>,
-        max_rounds: usize,
-        scratch: &mut EngineScratch<P::Msg>,
-    ) -> Result<RunReport<P>, EngineError> {
-        self.run_with_scratch_observed(states, max_rounds, scratch, &mut NoopSink)
-    }
-
-    /// Like [`Network::run`], recording metrics into `sink` (see
-    /// [`dut_obs::keys`], `netsim.*`): run-total counters plus per-round
-    /// histograms of messages, bits, max single-edge bits, and
-    /// wall-clock nanoseconds. Allocates a fresh scratch per call.
-    ///
-    /// Sinks never influence execution — an observed run makes the same
-    /// decisions, metrics, and errors as an unobserved one, and a
-    /// [`NoopSink`] reduces this to exactly [`Network::run`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Network::run`].
-    pub fn run_observed<P: NodeProtocol>(
-        &mut self,
-        states: Vec<P>,
-        max_rounds: usize,
+        options: &RunOptions,
         sink: &mut dyn Sink,
-    ) -> Result<RunReport<P>, EngineError> {
-        let mut scratch = EngineScratch::new();
-        self.run_with_scratch_observed(states, max_rounds, &mut scratch, sink)
-    }
-
-    /// [`Network::run_observed`] with a caller-held [`EngineScratch`];
-    /// the allocation-free path for instrumented Monte-Carlo loops.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Network::run`].
-    pub fn run_with_scratch_observed<P: NodeProtocol>(
-        &mut self,
-        states: Vec<P>,
-        max_rounds: usize,
-        scratch: &mut EngineScratch<P::Msg>,
-        sink: &mut dyn Sink,
-    ) -> Result<RunReport<P>, EngineError> {
-        self.run_rounds(states, max_rounds, scratch, &Clean, None, sink)
+    ) -> Result<RunReport<P>, EngineError>
+    where
+        P: NodeProtocol<Msg = M> + Send,
+        M: Clone + MessageSize + FaultInjectable + Send + Sync,
+    {
+        let threads = if P::SILENT_STABLE {
+            1
+        } else {
+            options.effective_threads(self.graph.node_count())
+        };
+        let fan_out = (threads > 1).then_some((threads, step_on_workers::<P, T> as FanOut<P, T>));
+        if options.faults.is_none() {
+            // The fault-free plan routes to the clean channel, whose
+            // fault branches compile away.
+            self.run_rounds(states, max_rounds, &Clean, fan_out, sink)
+        } else {
+            self.run_rounds(states, max_rounds, &options.faults, fan_out, sink)
+        }
     }
 
     /// The round loop — the only one — over a clean or a faulted
@@ -1241,19 +1262,20 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
         &mut self,
         states: Vec<P>,
         max_rounds: usize,
-        scratch: &mut EngineScratch<P::Msg>,
         channel: &C,
         fan_out: Option<(usize, FanOut<P, T>)>,
         sink: &mut dyn Sink,
     ) -> Result<RunReport<P>, EngineError>
     where
-        P: NodeProtocol,
-        C: Channel<P::Msg>,
+        P: NodeProtocol<Msg = M>,
+        M: Clone + MessageSize,
+        C: Channel<M>,
     {
         let sparse = P::SILENT_STABLE;
         let plan = channel.plan();
         let model = self.model;
         let mut states = self.check_states(states)?;
+        let scratch = &mut self.scratch;
         let use_csr = scratch.prepare_for(self.graph);
         if let Some((threads, _)) = fan_out {
             scratch.prepare_workers(threads, states.len());
@@ -1350,7 +1372,7 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
             }
 
             if let Some((_, step)) = fan_out {
-                step(
+                let bad = step(
                     &adj,
                     arena,
                     inbox_offsets,
@@ -1365,9 +1387,12 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
                 for w in workers.iter_mut() {
                     staged.append(&mut w.staged);
                 }
+                // Inline stepping fails at the bad node before metering
+                // it, so only the senders before it are metered here.
+                let stop = bad.map_or(NodeId::MAX, |(node, _)| node);
                 let mut i = 0;
                 let mut w = 0;
-                while i < staged.len() {
+                while i < staged.len() && staged[i].1 < stop {
                     let from = staged[i].1;
                     let j = i + staged[i..].iter().take_while(|s| s.1 == from).count();
                     let nbrs = adj.of(from, nbr_buf);
@@ -1387,6 +1412,9 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
                         edge_msgs,
                     )?;
                     i = j;
+                }
+                if let Some((from, to)) = bad {
+                    return Err(EngineError::NotANeighbor { from, to, round });
                 }
                 staged.truncate(w);
             } else {
@@ -1413,8 +1441,15 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
                     let mut out = Outbox::new(node, nbrs, neighbor_pos, staged);
                     states[node].on_round(node, round, inbox, &mut out);
                     // A silent node never filled the position index —
-                    // there is nothing to meter and nothing to clear.
+                    // there is nothing to meter, clear or reject.
                     if out.index_filled() {
+                        if let Some(to) = out.bad_send() {
+                            return Err(EngineError::NotANeighbor {
+                                from: node,
+                                to,
+                                round,
+                            });
+                        }
                         let end = staged.len();
                         let w = metrics.meter_sender(
                             model,
@@ -1452,71 +1487,6 @@ impl<'g, T: ImplicitTopology> Network<'g, T> {
         Err(EngineError::RoundLimit { max_rounds })
     }
 
-    /// Like [`Network::run_with_scratch`], with optional multi-threaded
-    /// node stepping for large graphs and optional fault injection
-    /// ([`RunOptions::faults`]). Successful runs (and error values) are
-    /// bit-identical at any thread count; see [`RunOptions`]. With
-    /// [`FaultPlan::none`] the run is bit-identical to
-    /// [`Network::run_with_scratch`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Network::run`].
-    pub fn run_with_options<P>(
-        &mut self,
-        states: Vec<P>,
-        max_rounds: usize,
-        scratch: &mut EngineScratch<P::Msg>,
-        options: &RunOptions,
-    ) -> Result<RunReport<P>, EngineError>
-    where
-        P: NodeProtocol + Send,
-        P::Msg: Send + Sync + FaultInjectable,
-    {
-        self.run_with_options_observed(states, max_rounds, scratch, options, &mut NoopSink)
-    }
-
-    /// [`Network::run_with_options`] recording metrics into `sink`.
-    /// Metering and observation run on the calling thread in node
-    /// order, so the recorded metrics are bit-identical at any thread
-    /// count, exactly like the run results themselves. Fault totals
-    /// (`netsim.fault.*`) are recorded only when a plan is active, so
-    /// unfaulted observed runs emit exactly the streams they always
-    /// did.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Network::run`].
-    pub fn run_with_options_observed<P>(
-        &mut self,
-        states: Vec<P>,
-        max_rounds: usize,
-        scratch: &mut EngineScratch<P::Msg>,
-        options: &RunOptions,
-        sink: &mut dyn Sink,
-    ) -> Result<RunReport<P>, EngineError>
-    where
-        P: NodeProtocol + Send,
-        P::Msg: Send + Sync + FaultInjectable,
-    {
-        // Silent-stable protocols step inline: the active list, not
-        // node stepping, is the bottleneck their wavefronts leave.
-        let threads = if P::SILENT_STABLE {
-            1
-        } else {
-            options.effective_threads(self.graph.node_count())
-        };
-        let fan_out = (threads > 1).then_some((threads, step_on_workers::<P, T> as FanOut<P, T>));
-        if options.faults.is_none() {
-            // The fault-free plan routes to the clean channel:
-            // bit-identical to a run without options, by construction
-            // rather than by argument.
-            self.run_rounds(states, max_rounds, scratch, &Clean, fan_out, sink)
-        } else {
-            self.run_rounds(states, max_rounds, scratch, &options.faults, fan_out, sink)
-        }
-    }
-
     fn check_states<P>(&self, states: Vec<P>) -> Result<Vec<P>, EngineError> {
         if self.graph.node_count() == 0 {
             // A 0-node run used to "succeed" vacuously in 1 round; at
@@ -1551,6 +1521,21 @@ fn finish<P>(rounds: usize, metrics: Metrics, states: Vec<P>) -> RunReport<P> {
 mod tests {
     use super::*;
     use crate::topology;
+    use dut_obs::NoopSink;
+
+    /// A serial, fault-free run with no sink.
+    fn run_serial<M, P, T>(
+        net: &mut Network<'_, M, T>,
+        states: Vec<P>,
+        max_rounds: usize,
+    ) -> Result<RunReport<P>, EngineError>
+    where
+        P: NodeProtocol<Msg = M> + Send,
+        M: Clone + MessageSize + FaultInjectable + Send + Sync,
+        T: ImplicitTopology,
+    {
+        net.run(states, max_rounds, &RunOptions::serial(), &mut NoopSink)
+    }
 
     /// Flood protocol used across the tests.
     #[derive(Clone, Debug)]
@@ -1705,7 +1690,7 @@ mod tests {
     fn flood_reaches_everyone_on_a_line() {
         let g = topology::line(8);
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let report = net.run(vec![Flood { seen: false }; 8], 32).unwrap();
+        let report = run_serial(&mut net, vec![Flood { seen: false }; 8], 32).unwrap();
         assert!(report.nodes.iter().all(|n| n.seen));
         // 0 announces in round 0; node 7 hears in round 7 and re-broadcasts;
         // round 8 drains node 7's broadcast; round 9 detects quiescence.
@@ -1716,7 +1701,7 @@ mod tests {
     fn flood_rounds_scale_with_diameter() {
         let g_star = topology::star(16);
         let mut net = Network::new(&g_star, BandwidthModel::Local);
-        let report = net.run(vec![Flood { seen: false }; 16], 32).unwrap();
+        let report = run_serial(&mut net, vec![Flood { seen: false }; 16], 32).unwrap();
         assert!(
             report.rounds <= 4,
             "star flood took {} rounds",
@@ -1728,63 +1713,110 @@ mod tests {
     fn message_metrics_are_counted() {
         let g = topology::line(3);
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let report = net.run(vec![Flood { seen: false }; 3], 32).unwrap();
+        let report = run_serial(&mut net, vec![Flood { seen: false }; 3], 32).unwrap();
         // round 0: 0->1. round 1: 1->0, 1->2. round 2: 2->1.
         assert_eq!(report.total_messages, 4);
         assert_eq!(report.total_bits, 4); // unit messages cost 1 bit each
         assert_eq!(report.max_edge_bits_per_round, 1);
     }
 
-    #[test]
-    fn scratch_reuse_gives_identical_reports() {
-        let g = topology::line(8);
-        let mut net = Network::new(&g, BandwidthModel::Local);
-        let mut scratch = EngineScratch::new();
-        let first = net
-            .run_with_scratch(vec![Flood { seen: false }; 8], 32, &mut scratch)
-            .unwrap();
-        for _ in 0..3 {
-            let again = net
-                .run_with_scratch(vec![Flood { seen: false }; 8], 32, &mut scratch)
-                .unwrap();
-            assert_eq!(again.rounds, first.rounds);
-            assert_eq!(again.total_messages, first.total_messages);
-            assert_eq!(again.total_bits, first.total_bits);
-            assert_eq!(again.max_edge_bits_per_round, first.max_edge_bits_per_round);
+    /// Relays a hop count outward from node 0. When `armed`, node 0
+    /// instead sends two 64-bit messages to node 1 in round 0, which
+    /// breaks a 64-bit CONGEST budget.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Relay {
+        armed: bool,
+        hops: Option<u64>,
+    }
+
+    impl NodeProtocol for Relay {
+        type Msg = Compact;
+        fn on_round(
+            &mut self,
+            node: NodeId,
+            round: usize,
+            inbox: &[(NodeId, Compact)],
+            out: &mut Outbox<'_, Compact>,
+        ) {
+            if node == 0 && round == 0 {
+                self.hops = Some(0);
+                if self.armed {
+                    out.send(1, Compact(u64::MAX));
+                    out.send(1, Compact(u64::MAX));
+                } else {
+                    out.broadcast(Compact(1));
+                }
+            } else if let (None, Some((_, m))) = (self.hops, inbox.first()) {
+                self.hops = Some(m.0);
+                out.broadcast(Compact(m.0.wrapping_add(1)));
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.hops.is_some()
         }
     }
 
+    /// Every field of a run's result, comparable across runs.
+    type Outcome<P> = Result<(usize, usize, usize, usize, usize, usize, Vec<P>), EngineError>;
+
+    fn outcome<P>(run: Result<RunReport<P>, EngineError>) -> Outcome<P> {
+        run.map(|r| {
+            (
+                r.rounds,
+                r.total_messages,
+                r.total_bits,
+                r.max_edge_bits_per_round,
+                r.dropped_messages,
+                r.flipped_bits,
+                r.nodes,
+            )
+        })
+    }
+
     #[test]
-    fn scratch_adapts_across_graphs() {
-        let mut scratch = EngineScratch::new();
-        let g1 = topology::complete(12);
-        let g2 = topology::line(5);
-        let mut net1 = Network::new(&g1, BandwidthModel::Local);
-        let r1 = net1
-            .run_with_scratch(vec![Flood { seen: false }; 12], 32, &mut scratch)
-            .unwrap();
-        assert!(r1.nodes.iter().all(|n| n.seen));
-        let mut net2 = Network::new(&g2, BandwidthModel::Local);
-        let r2 = net2
-            .run_with_scratch(vec![Flood { seen: false }; 5], 32, &mut scratch)
-            .unwrap();
-        assert!(r2.nodes.iter().all(|n| n.seen));
-        assert_eq!(r2.rounds, 6);
+    fn scratch_reuse_gives_identical_reports() {
+        let g = topology::grid(4, 5);
+        let model = BandwidthModel::Congest { bits_per_edge: 64 };
+        let states = |armed| vec![Relay { armed, hops: None }; 20];
+        let flips = FaultPlan::seeded(0xF11B).with_flips(0.05);
+        let runs = [
+            (false, RunOptions::serial()),
+            (false, RunOptions::serial()),
+            (true, RunOptions::serial()),
+            (false, RunOptions::serial()),
+            (false, RunOptions::serial().with_faults(flips.clone())),
+            (true, RunOptions::parallel(3).with_faults(flips.clone())),
+            (false, RunOptions::parallel(3).with_faults(flips)),
+            (false, RunOptions::parallel(3)),
+            (true, RunOptions::parallel(3)),
+            (false, RunOptions::serial()),
+        ];
+        let mut net = Network::new(&g, model);
+        for (i, (armed, options)) in runs.iter().enumerate() {
+            let reused = outcome(net.run(states(*armed), 64, options, &mut NoopSink));
+            let fresh =
+                outcome(Network::new(&g, model).run(states(*armed), 64, options, &mut NoopSink));
+            assert_eq!(
+                reused.as_ref().err().is_some(),
+                *armed,
+                "run {i}: only armed runs fail"
+            );
+            assert_eq!(reused, fresh, "run {i}");
+        }
     }
 
     #[test]
     fn parallel_run_matches_serial() {
         let g = topology::complete(24);
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let serial = net.run(vec![Flood { seen: false }; 24], 32).unwrap();
+        let serial = run_serial(&mut net, vec![Flood { seen: false }; 24], 32).unwrap();
         for threads in [2, 3, 8] {
-            let mut scratch = EngineScratch::new();
             let par = net
-                .run_with_options(
+                .run(
                     vec![Flood { seen: false }; 24],
                     32,
-                    &mut scratch,
                     &RunOptions::parallel(threads),
+                    &mut NoopSink,
                 )
                 .unwrap();
             assert_eq!(par.rounds, serial.rounds);
@@ -1827,7 +1859,7 @@ mod tests {
         }
         let g = topology::line(2);
         let mut net = Network::new(&g, BandwidthModel::Congest { bits_per_edge: 64 });
-        let err = net.run(vec![Fat, Fat], 8).unwrap_err();
+        let err = run_serial(&mut net, vec![Fat, Fat], 8).unwrap_err();
         assert!(matches!(err, EngineError::BandwidthExceeded { .. }));
     }
 
@@ -1856,7 +1888,7 @@ mod tests {
         }
         let g = topology::line(2);
         let mut net = Network::new(&g, BandwidthModel::Congest { bits_per_edge: 100 });
-        let err = net.run(vec![TwoMsgs, TwoMsgs], 8).unwrap_err();
+        let err = run_serial(&mut net, vec![TwoMsgs, TwoMsgs], 8).unwrap_err();
         assert!(matches!(
             err,
             EngineError::BandwidthExceeded { bits: 128, .. }
@@ -1867,7 +1899,7 @@ mod tests {
     fn congest_within_budget_succeeds() {
         let g = topology::line(4);
         let mut net = Network::new(&g, BandwidthModel::Congest { bits_per_edge: 8 });
-        let report = net.run(vec![Flood { seen: false }; 4], 32).unwrap();
+        let report = run_serial(&mut net, vec![Flood { seen: false }; 4], 32).unwrap();
         assert!(report.nodes.iter().all(|n| n.seen));
     }
 
@@ -1897,15 +1929,10 @@ mod tests {
         }
         let g = topology::line(2);
         let mut net = Network::new(&g, BandwidthModel::Congest { bits_per_edge: 8 });
-        let mut scratch = EngineScratch::new();
-        let err = net
-            .run_with_scratch(vec![MaybeFat { armed: true }; 2], 8, &mut scratch)
-            .unwrap_err();
+        let err = run_serial(&mut net, vec![MaybeFat { armed: true }; 2], 8).unwrap_err();
         assert!(matches!(err, EngineError::BandwidthExceeded { .. }));
-        // The same scratch must run clean afterwards.
-        let ok = net
-            .run_with_scratch(vec![MaybeFat { armed: false }; 2], 8, &mut scratch)
-            .unwrap();
+        // The network's own scratch must run clean afterwards.
+        let ok = run_serial(&mut net, vec![MaybeFat { armed: false }; 2], 8).unwrap();
         assert_eq!(ok.total_messages, 0);
         assert_eq!(ok.rounds, 1);
     }
@@ -1932,7 +1959,7 @@ mod tests {
         }
         let g = topology::line(2);
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let err = net.run(vec![Chatter, Chatter], 10).unwrap_err();
+        let err = run_serial(&mut net, vec![Chatter, Chatter], 10).unwrap_err();
         assert_eq!(err, EngineError::RoundLimit { max_rounds: 10 });
     }
 
@@ -1940,35 +1967,81 @@ mod tests {
     fn node_count_mismatch_detected() {
         let g = topology::line(3);
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let err = net.run(vec![Flood { seen: false }; 2], 8).unwrap_err();
+        let err = run_serial(&mut net, vec![Flood { seen: false }; 2], 8).unwrap_err();
         assert!(matches!(err, EngineError::NodeCountMismatch { .. }));
     }
 
     #[test]
-    #[should_panic(expected = "non-neighbor")]
-    fn send_to_non_neighbor_panics() {
-        #[derive(Debug)]
+    fn send_to_non_neighbor_is_an_error() {
+        /// In round 1, node 1 sends to its neighbor 0 and then to the
+        /// non-neighbor 4; node 3 sends to the non-neighbor 0. Node 2
+        /// breaks the bandwidth budget after node 1 — too late.
+        #[derive(Debug, Clone)]
         struct Bad;
         impl NodeProtocol for Bad {
-            type Msg = ();
+            type Msg = u64;
             fn on_round(
                 &mut self,
                 node: NodeId,
-                _round: usize,
-                _inbox: &[(NodeId, ())],
-                out: &mut Outbox<'_, ()>,
+                round: usize,
+                _inbox: &[(NodeId, u64)],
+                out: &mut Outbox<'_, u64>,
             ) {
-                if node == 0 {
-                    out.send(2, ());
+                match (round, node) {
+                    (0, _) => out.broadcast(1),
+                    (1, 1) => {
+                        out.send(0, 2);
+                        out.send(4, 3);
+                        out.send(2, 4);
+                    }
+                    (1, 2) => {
+                        out.send(3, 5);
+                        out.send(3, 6);
+                    }
+                    (1, 3) => out.send(0, 7),
+                    _ => {}
                 }
             }
             fn is_done(&self) -> bool {
-                true
+                false
             }
         }
-        let g = topology::line(3); // 0-1-2: node 2 not adjacent to 0
-        let mut net = Network::new(&g, BandwidthModel::Local);
-        let _ = net.run(vec![Bad, Bad, Bad], 8);
+        let g = topology::line(5); // 0-1-2-3-4
+        let model = BandwidthModel::Congest { bits_per_edge: 64 };
+        let want = Err(EngineError::NotANeighbor {
+            from: 1,
+            to: 4,
+            round: 1,
+        });
+        let reference = crate::reference::run_reference(
+            &g,
+            model,
+            vec![Bad; 5],
+            8,
+            &FaultPlan::none(),
+            &mut NoopSink,
+        );
+        assert_eq!(reference.map(|r| r.rounds), want);
+        let coded = || {
+            vec![Bad; 5]
+                .into_iter()
+                .map(|b| {
+                    crate::algorithms::CodedProtocol::new(
+                        b,
+                        crate::algorithms::IdentityCodec::<u64>::new(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        for threads in [1, 3] {
+            let options = RunOptions::parallel(threads);
+            let mut net = Network::new(&g, model);
+            let flat = net.run(vec![Bad; 5], 8, &options, &mut NoopSink);
+            assert_eq!(flat.map(|r| r.rounds), want, "{threads} threads");
+            let mut net = Network::new(&g, model);
+            let flat = net.run(coded(), 8, &options, &mut NoopSink);
+            assert_eq!(flat.map(|r| r.rounds), want, "coded, {threads} threads");
+        }
     }
 
     #[test]

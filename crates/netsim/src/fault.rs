@@ -367,9 +367,10 @@ impl Default for FaultPlan {
 
 /// Messages that can be corrupted bit-wise by the fault layer.
 ///
-/// Running under [`crate::engine::RunOptions`] (which carries a
-/// [`FaultPlan`]) requires the protocol's message type to implement
-/// this; the plain `run`/`run_with_scratch` entry points do not.
+/// [`crate::engine::Network::run`] and
+/// [`crate::reference::run_reference`] require the protocol's message
+/// type to implement this, since their options may carry a
+/// [`FaultPlan`].
 ///
 /// `flip_bit(b)` flips wire bit `b`, where `b` is drawn below
 /// [`MessageSize::size_bits`] *as measured before any flip of this

@@ -384,7 +384,7 @@ impl Graph {
 ///
 /// A `Csr` is a reusable buffer: [`Csr::rebuild_from`] refills it from a
 /// graph without allocating once its capacity has grown, which is what
-/// lets [`crate::engine::EngineScratch`] run Monte-Carlo trial after
+/// lets a reused [`crate::engine::Network`] run Monte-Carlo trial after
 /// trial allocation-free.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Csr {

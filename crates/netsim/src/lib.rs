@@ -23,7 +23,7 @@
 //!   materializing an edge list.
 //! * [`engine`] — the synchronous round engine: implement
 //!   [`engine::NodeProtocol`] and run it on any graph under either
-//!   bandwidth model.
+//!   bandwidth model through [`Network::run`], the one entry point.
 //! * [`algorithms`] — the building blocks the paper's protocols assume:
 //!   distributed BFS-tree construction, max-id leader election,
 //!   convergecast aggregation and broadcast, and Luby's MIS (on power
@@ -35,7 +35,7 @@
 //! # Example: flooding a token
 //!
 //! ```rust
-//! use dut_netsim::engine::{BandwidthModel, Network, NodeProtocol, Outbox};
+//! use dut_netsim::engine::{BandwidthModel, Network, NodeProtocol, Outbox, RunOptions};
 //! use dut_netsim::graph::NodeId;
 //! use dut_netsim::topology;
 //!
@@ -62,7 +62,8 @@
 //!
 //! let g = topology::line(8);
 //! let mut net = Network::new(&g, BandwidthModel::Local);
-//! let report = net.run(vec![Flood { seen: false }; 8], 32).unwrap();
+//! let states = vec![Flood { seen: false }; 8];
+//! let report = net.run(states, 32, &RunOptions::serial(), &mut dut_obs::NoopSink).unwrap();
 //! // 7 hops, one round draining the last broadcast, one quiescent round.
 //! assert_eq!(report.rounds, 9);
 //! ```
@@ -79,7 +80,7 @@ pub mod recover;
 pub mod reference;
 pub mod topology;
 
-pub use engine::{BandwidthModel, EngineScratch, Network, RunOptions, RunReport};
+pub use engine::{BandwidthModel, Network, RunOptions, RunReport};
 pub use fault::{FaultInjectable, FaultPlan};
 pub use graph::{Csr, DegreeStats, Graph, GraphError, ImplicitTopology, NodeId};
 pub use topology::{

@@ -14,42 +14,36 @@
 use crate::engine::{BandwidthModel, EngineError, MessageSize, NodeProtocol, Outbox, RunReport};
 use crate::fault::{FaultInjectable, FaultPlan};
 use crate::graph::{Graph, NodeId};
-use dut_obs::{keys, NoopSink, Sink, Span};
+use dut_obs::{keys, Sink, Span};
 
-/// Runs `states` on `graph` under `model` with the naive engine.
+/// Runs `states` on `graph` under `model` with the naive engine,
+/// recording metrics into `sink` under the `reference.*` keys (see
+/// [`dut_obs::keys`]) — the same shape the flat engine records under
+/// `netsim.*`, so a differential harness can compare the two engines'
+/// per-round cost profiles, not just their final reports. An active
+/// `plan` adds the `reference.fault.*` fault totals.
 ///
-/// Semantics (decisions, metrics, error values, panic messages) match
-/// [`crate::engine::Network::run`] exactly; only the implementation
-/// strategy — and therefore the allocation profile — differs.
+/// Semantics (decisions, metrics, error values) match
+/// [`crate::engine::Network::run`] with the same plan exactly; only the
+/// implementation strategy — and therefore the allocation profile —
+/// differs. Like the engine, a [`FaultPlan::none`] plan takes the clean
+/// body.
 ///
 /// # Errors
 ///
 /// Same conditions as [`crate::engine::Network::run`].
-pub fn run_reference<P: NodeProtocol>(
+pub fn run_reference<P>(
     graph: &Graph,
     model: BandwidthModel,
     states: Vec<P>,
     max_rounds: usize,
-) -> Result<RunReport<P>, EngineError> {
-    run_reference_observed(graph, model, states, max_rounds, &mut NoopSink)
-}
-
-/// [`run_reference`] recording metrics into `sink` under the
-/// `reference.*` keys (see [`dut_obs::keys`]) — the same shape the flat
-/// engine records under `netsim.*`, so a differential harness can
-/// compare the two engines' per-round cost profiles, not just their
-/// final reports.
-///
-/// # Errors
-///
-/// Same conditions as [`crate::engine::Network::run`].
-pub fn run_reference_observed<P: NodeProtocol>(
-    graph: &Graph,
-    model: BandwidthModel,
-    states: Vec<P>,
-    max_rounds: usize,
+    plan: &FaultPlan,
     sink: &mut dyn Sink,
-) -> Result<RunReport<P>, EngineError> {
+) -> Result<RunReport<P>, EngineError>
+where
+    P: NodeProtocol,
+    P::Msg: FaultInjectable,
+{
     let k = graph.node_count();
     if k == 0 {
         // Mirrors the flat engine: an empty network is a typed error,
@@ -62,6 +56,23 @@ pub fn run_reference_observed<P: NodeProtocol>(
             states: states.len(),
         });
     }
+    if plan.is_none() {
+        run_clean(graph, model, states, max_rounds, sink)
+    } else {
+        run_faulted(graph, model, states, max_rounds, plan, sink)
+    }
+}
+
+/// The unfaulted executable specification, for a non-empty graph with
+/// one state per node.
+fn run_clean<P: NodeProtocol>(
+    graph: &Graph,
+    model: BandwidthModel,
+    states: Vec<P>,
+    max_rounds: usize,
+    sink: &mut dyn Sink,
+) -> Result<RunReport<P>, EngineError> {
+    let k = graph.node_count();
     let mut states = states;
     let mut inboxes: Vec<Vec<(NodeId, P::Msg)>> = vec![Vec::new(); k];
     let mut next_inboxes: Vec<Vec<(NodeId, P::Msg)>> = vec![Vec::new(); k];
@@ -101,6 +112,13 @@ pub fn run_reference_observed<P: NodeProtocol>(
             let mut sends: Vec<(NodeId, NodeId, P::Msg)> = Vec::new();
             let mut out = Outbox::new(node, neighbors, &mut neighbor_pos, &mut sends);
             state.on_round(node, round, &inboxes[node], &mut out);
+            if let Some(to) = out.bad_send() {
+                return Err(EngineError::NotANeighbor {
+                    from: node,
+                    to,
+                    round,
+                });
+            }
             for &nb in neighbors {
                 neighbor_pos[nb] = 0;
             }
@@ -156,41 +174,17 @@ pub fn run_reference_observed<P: NodeProtocol>(
     Err(EngineError::RoundLimit { max_rounds })
 }
 
-/// [`run_reference`] under an active [`FaultPlan`], in the naive style:
+/// The faulted executable specification, for a non-empty graph with
+/// one state per node, in the naive style:
 /// per-send linear scans for CONGEST accounting *and* for the per-edge
-/// message index that keys the fault stream. This is the executable
-/// specification of faulted execution the flat engine's serial and
-/// parallel fault paths are differentially tested against.
+/// message index that keys the fault stream. The flat engine's serial
+/// and parallel fault paths are differentially tested against it.
 ///
 /// Semantics mirror the flat engine exactly: crashed nodes are skipped
 /// and count as done for quiescence; every send is metered at its
 /// original size (the sender pays even for dropped messages); the plan
 /// then drops or bit-flips the message before delivery.
-///
-/// # Errors
-///
-/// Same conditions as [`crate::engine::Network::run`].
-pub fn run_reference_faulted<P>(
-    graph: &Graph,
-    model: BandwidthModel,
-    states: Vec<P>,
-    max_rounds: usize,
-    plan: &FaultPlan,
-) -> Result<RunReport<P>, EngineError>
-where
-    P: NodeProtocol,
-    P::Msg: FaultInjectable,
-{
-    run_reference_faulted_observed(graph, model, states, max_rounds, plan, &mut NoopSink)
-}
-
-/// [`run_reference_faulted`] recording metrics into `sink` under the
-/// `reference.*` keys, plus the `reference.fault.*` fault totals.
-///
-/// # Errors
-///
-/// Same conditions as [`crate::engine::Network::run`].
-pub fn run_reference_faulted_observed<P>(
+fn run_faulted<P>(
     graph: &Graph,
     model: BandwidthModel,
     states: Vec<P>,
@@ -203,17 +197,6 @@ where
     P::Msg: FaultInjectable,
 {
     let k = graph.node_count();
-    if k == 0 {
-        // Mirrors the flat engine: an empty network is a typed error,
-        // not a vacuous 1-round success.
-        return Err(EngineError::EmptyNetwork);
-    }
-    if states.len() != k {
-        return Err(EngineError::NodeCountMismatch {
-            graph_nodes: k,
-            states: states.len(),
-        });
-    }
     let mut states = states;
     let mut inboxes: Vec<Vec<(NodeId, P::Msg)>> = vec![Vec::new(); k];
     let mut next_inboxes: Vec<Vec<(NodeId, P::Msg)>> = vec![Vec::new(); k];
@@ -268,6 +251,13 @@ where
             let mut sends: Vec<(NodeId, NodeId, P::Msg)> = Vec::new();
             let mut out = Outbox::new(node, neighbors, &mut neighbor_pos, &mut sends);
             state.on_round(node, round, &inboxes[node], &mut out);
+            if let Some(to) = out.bad_send() {
+                return Err(EngineError::NotANeighbor {
+                    from: node,
+                    to,
+                    round,
+                });
+            }
             for &nb in neighbors {
                 neighbor_pos[nb] = 0;
             }
@@ -334,6 +324,7 @@ where
 mod tests {
     use super::*;
     use crate::topology;
+    use dut_obs::NoopSink;
 
     #[derive(Clone, Debug)]
     struct Flood {
@@ -368,6 +359,8 @@ mod tests {
             BandwidthModel::Local,
             vec![Flood { seen: false }; 8],
             32,
+            &FaultPlan::none(),
+            &mut NoopSink,
         )
         .unwrap();
         assert!(report.nodes.iter().all(|n| n.seen));
@@ -379,6 +372,8 @@ mod tests {
             BandwidthModel::Local,
             vec![Flood { seen: false }; 3],
             32,
+            &FaultPlan::none(),
+            &mut NoopSink,
         )
         .unwrap();
         assert_eq!(r3.total_messages, 4);
@@ -389,8 +384,15 @@ mod tests {
     #[test]
     fn reference_detects_node_count_mismatch() {
         let g = topology::line(3);
-        let err = run_reference(&g, BandwidthModel::Local, vec![Flood { seen: false }; 2], 8)
-            .unwrap_err();
+        let err = run_reference(
+            &g,
+            BandwidthModel::Local,
+            vec![Flood { seen: false }; 2],
+            8,
+            &FaultPlan::none(),
+            &mut NoopSink,
+        )
+        .unwrap_err();
         assert!(matches!(err, EngineError::NodeCountMismatch { .. }));
     }
 }

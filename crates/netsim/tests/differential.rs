@@ -9,13 +9,13 @@
 //! exactly, including the offending edge and bit counts.
 
 use dut_netsim::engine::{
-    BandwidthModel, EngineError, EngineScratch, Network, NodeProtocol, Outbox, RunOptions,
-    RunReport,
+    BandwidthModel, EngineError, Network, NodeProtocol, Outbox, RunOptions, RunReport,
 };
 use dut_netsim::fault::{FaultInjectable, FaultPlan};
 use dut_netsim::graph::{Graph, NodeId};
-use dut_netsim::reference::{run_reference, run_reference_faulted};
+use dut_netsim::reference::run_reference;
 use dut_netsim::topology;
+use dut_obs::NoopSink;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -210,18 +210,29 @@ where
     P: NodeProtocol + Clone + PartialEq + std::fmt::Debug + Send,
     P::Msg: Send + Sync + FaultInjectable,
 {
-    let reference = run_reference(g, model, states.clone(), max_rounds)
-        .unwrap_or_else(|e| panic!("{label}: reference failed: {e}"));
+    let reference = run_reference(
+        g,
+        model,
+        states.clone(),
+        max_rounds,
+        &FaultPlan::none(),
+        &mut NoopSink,
+    )
+    .unwrap_or_else(|e| panic!("{label}: reference failed: {e}"));
 
     let mut net = Network::new(g, model);
     let serial = net
-        .run(states.clone(), max_rounds)
+        .run(
+            states.clone(),
+            max_rounds,
+            &RunOptions::serial(),
+            &mut NoopSink,
+        )
         .unwrap_or_else(|e| panic!("{label}: serial flat engine failed: {e}"));
     assert_reports_equal(&format!("{label} (serial)"), &reference, &serial);
 
-    let mut scratch = EngineScratch::new();
     let parallel = net
-        .run_with_options(states, max_rounds, &mut scratch, &RunOptions::parallel(3))
+        .run(states, max_rounds, &RunOptions::parallel(3), &mut NoopSink)
         .unwrap_or_else(|e| panic!("{label}: parallel flat engine failed: {e}"));
     assert_reports_equal(&format!("{label} (parallel)"), &reference, &parallel);
 }
@@ -311,19 +322,28 @@ fn bandwidth_errors_match_reference() {
             .collect();
         let model = BandwidthModel::Congest { bits_per_edge: 512 };
 
-        let ref_err = run_reference(&g, model, states.clone(), 16).unwrap_err();
+        let ref_err = run_reference(
+            &g,
+            model,
+            states.clone(),
+            16,
+            &FaultPlan::none(),
+            &mut NoopSink,
+        )
+        .unwrap_err();
         assert!(
             matches!(ref_err, EngineError::BandwidthExceeded { .. }),
             "{name}: reference produced {ref_err:?}"
         );
 
         let mut net = Network::new(&g, model);
-        let serial_err = net.run(states.clone(), 16).unwrap_err();
+        let serial_err = net
+            .run(states.clone(), 16, &RunOptions::serial(), &mut NoopSink)
+            .unwrap_err();
         assert_eq!(ref_err, serial_err, "{name}: serial error");
 
-        let mut scratch = EngineScratch::new();
         let parallel_err = net
-            .run_with_options(states, 16, &mut scratch, &RunOptions::parallel(3))
+            .run(states, 16, &RunOptions::parallel(3), &mut NoopSink)
             .unwrap_err();
         assert_eq!(ref_err, parallel_err, "{name}: parallel error");
     }
@@ -335,16 +355,25 @@ fn round_limit_errors_match_reference() {
         let k = g.node_count();
         let states = vec![Chatter; k];
 
-        let ref_err = run_reference(&g, BandwidthModel::Local, states.clone(), 7).unwrap_err();
+        let ref_err = run_reference(
+            &g,
+            BandwidthModel::Local,
+            states.clone(),
+            7,
+            &FaultPlan::none(),
+            &mut NoopSink,
+        )
+        .unwrap_err();
         assert_eq!(ref_err, EngineError::RoundLimit { max_rounds: 7 });
 
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let serial_err = net.run(states.clone(), 7).unwrap_err();
+        let serial_err = net
+            .run(states.clone(), 7, &RunOptions::serial(), &mut NoopSink)
+            .unwrap_err();
         assert_eq!(ref_err, serial_err, "{name}: serial error");
 
-        let mut scratch = EngineScratch::new();
         let parallel_err = net
-            .run_with_options(states, 7, &mut scratch, &RunOptions::parallel(3))
+            .run(states, 7, &RunOptions::parallel(3), &mut NoopSink)
             .unwrap_err();
         assert_eq!(ref_err, parallel_err, "{name}: parallel error");
     }
@@ -418,16 +447,15 @@ fn fault_differential<P>(
     P: NodeProtocol + Clone + PartialEq + std::fmt::Debug + Send,
     P::Msg: Send + Sync + FaultInjectable,
 {
-    let reference = run_reference_faulted(g, model, states.clone(), max_rounds, plan);
+    let reference = run_reference(g, model, states.clone(), max_rounds, plan, &mut NoopSink);
 
     let mut net = Network::new(g, model);
-    let mut scratch = EngineScratch::new();
     let serial_options = RunOptions::default().with_faults(plan.clone());
-    let serial = net.run_with_options(states.clone(), max_rounds, &mut scratch, &serial_options);
+    let serial = net.run(states.clone(), max_rounds, &serial_options, &mut NoopSink);
     assert_outcomes_equal(&format!("{label} (serial)"), &reference, &serial);
 
     let parallel_options = RunOptions::parallel(3).with_faults(plan.clone());
-    let parallel = net.run_with_options(states, max_rounds, &mut scratch, &parallel_options);
+    let parallel = net.run(states, max_rounds, &parallel_options, &mut NoopSink);
     assert_outcomes_equal(&format!("{label} (parallel)"), &reference, &parallel);
 }
 
@@ -537,13 +565,18 @@ fn zero_fault_plan_matches_unfaulted_run() {
             let k = g.node_count();
             let plain = {
                 let mut net = Network::new(&g, BandwidthModel::Local);
-                net.run(vec![Bfs { dist: None }; k], 4 * k).unwrap()
+                net.run(
+                    vec![Bfs { dist: None }; k],
+                    4 * k,
+                    &RunOptions::serial(),
+                    &mut NoopSink,
+                )
+                .unwrap()
             };
             let mut net = Network::new(&g, BandwidthModel::Local);
-            let mut scratch = EngineScratch::new();
             let options = RunOptions::default().with_faults(plan.clone());
             let faulted = net
-                .run_with_options(vec![Bfs { dist: None }; k], 4 * k, &mut scratch, &options)
+                .run(vec![Bfs { dist: None }; k], 4 * k, &options, &mut NoopSink)
                 .unwrap();
             assert_reports_equal(&format!("bfs-zero-fault/{name}"), &plain, &faulted);
         }
@@ -551,27 +584,47 @@ fn zero_fault_plan_matches_unfaulted_run() {
 }
 
 // ---------------------------------------------------------------------
-// Scratch-reuse equivalence across heterogeneous runs
+// Network reuse across heterogeneous runs
 // ---------------------------------------------------------------------
 
 #[test]
-fn one_scratch_reused_across_topologies_matches_reference() {
-    // A single scratch serving every topology in sequence (the
-    // Monte-Carlo usage pattern) must not leak state between runs.
-    let mut scratch = EngineScratch::new();
+fn one_network_reused_across_runs_matches_reference() {
+    // One network serving a sequence of runs (the Monte-Carlo usage
+    // pattern), serial, on workers and faulted, must not leak its
+    // buffers' state between runs.
+    let plan = FaultPlan::seeded(0x5C7A).with_drops(0.1);
+    let runs = [
+        RunOptions::serial(),
+        RunOptions::parallel(3),
+        RunOptions::serial().with_faults(plan.clone()),
+        RunOptions::parallel(3).with_faults(plan),
+        RunOptions::serial(),
+    ];
     for (name, g) in topologies() {
         let k = g.node_count();
-        let reference = run_reference(
-            &g,
-            BandwidthModel::Local,
-            vec![Bfs { dist: None }; k],
-            4 * k,
-        )
-        .unwrap();
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let report = net
-            .run_with_scratch(vec![Bfs { dist: None }; k], 4 * k, &mut scratch)
-            .unwrap();
-        assert_reports_equal(&format!("bfs-reused-scratch/{name}"), &reference, &report);
+        for (i, options) in runs.iter().enumerate() {
+            let reference = run_reference(
+                &g,
+                BandwidthModel::Local,
+                vec![Bfs { dist: None }; k],
+                4 * k,
+                &options.faults,
+                &mut NoopSink,
+            );
+            let report = net.run(vec![Bfs { dist: None }; k], 4 * k, options, &mut NoopSink);
+            match (reference, report) {
+                (Ok(reference), Ok(report)) => assert_reports_equal(
+                    &format!("bfs-reused-network/{name}/run {i}"),
+                    &reference,
+                    &report,
+                ),
+                (reference, report) => assert_eq!(
+                    reference.err(),
+                    report.err(),
+                    "bfs-reused-network/{name}/run {i}"
+                ),
+            }
+        }
     }
 }

@@ -9,15 +9,15 @@
 //!   at 1/2/8 threads, with and without fault plans.
 
 use dut_netsim::engine::{
-    BandwidthModel, EngineError, EngineScratch, Network, NodeProtocol, Outbox, RunOptions,
-    RunReport,
+    BandwidthModel, EngineError, Network, NodeProtocol, Outbox, RunOptions, RunReport,
 };
 use dut_netsim::fault::FaultPlan;
 use dut_netsim::graph::{Graph, ImplicitTopology, NodeId};
-use dut_netsim::reference::{run_reference, run_reference_faulted};
+use dut_netsim::reference::run_reference;
 use dut_netsim::topology::{
     Hypercube, ImplicitLine, ImplicitRing, ImplicitTree, MargulisExpander, Torus2d,
 };
+use dut_obs::NoopSink;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -237,29 +237,51 @@ fn assert_runs_match<T: ImplicitTopology>(label: &str, topo: &T) {
     let mut imp_net = Network::new(topo, model);
 
     let mat = mat_net
-        .run(vec![Bfs { dist: None }; k], max_rounds)
+        .run(
+            vec![Bfs { dist: None }; k],
+            max_rounds,
+            &RunOptions::serial(),
+            &mut NoopSink,
+        )
         .unwrap();
     let imp = imp_net
-        .run(vec![Bfs { dist: None }; k], max_rounds)
+        .run(
+            vec![Bfs { dist: None }; k],
+            max_rounds,
+            &RunOptions::serial(),
+            &mut NoopSink,
+        )
         .unwrap();
     assert_reports_equal(&format!("{label}/bfs"), &mat, &imp);
 
-    let mut scratch = EngineScratch::new();
     let imp_par = imp_net
-        .run_with_options(
+        .run(
             vec![Bfs { dist: None }; k],
             max_rounds,
-            &mut scratch,
             &RunOptions::parallel(3),
+            &mut NoopSink,
         )
         .unwrap();
     assert_reports_equal(&format!("{label}/bfs-parallel"), &mat, &imp_par);
 
+    // A network is typed by its message type: Flood gets its own pair.
+    let mut mat_net = Network::new(&g, model);
+    let mut imp_net = Network::new(topo, model);
     let mat = mat_net
-        .run(vec![Flood { seen: false }; k], max_rounds)
+        .run(
+            vec![Flood { seen: false }; k],
+            max_rounds,
+            &RunOptions::serial(),
+            &mut NoopSink,
+        )
         .unwrap();
     let imp = imp_net
-        .run(vec![Flood { seen: false }; k], max_rounds)
+        .run(
+            vec![Flood { seen: false }; k],
+            max_rounds,
+            &RunOptions::serial(),
+            &mut NoopSink,
+        )
         .unwrap();
     assert_reports_equal(&format!("{label}/flood"), &mat, &imp);
 }
@@ -385,17 +407,42 @@ fn sparse_matches_dense_on_wavefront_protocols() {
         let k = g.node_count();
         let mut net = Network::new(g, BandwidthModel::Local);
         let bfs = vec![Bfs { dist: None }; k];
-        let dense = net.run(bfs.clone(), 4 * k);
-        let sparse = unwrap_report(net.run(silent_stable(bfs.clone()), 4 * k));
+        let dense = net.run(bfs.clone(), 4 * k, &RunOptions::serial(), &mut NoopSink);
+        let sparse = unwrap_report(net.run(
+            silent_stable(bfs.clone()),
+            4 * k,
+            &RunOptions::serial(),
+            &mut NoopSink,
+        ));
         assert_outcomes_equal(&format!("sparse-bfs/{name}"), &dense, &sparse);
-        let reference = run_reference(g, BandwidthModel::Local, bfs, 4 * k);
+        let reference = run_reference(
+            g,
+            BandwidthModel::Local,
+            bfs,
+            4 * k,
+            &FaultPlan::none(),
+            &mut NoopSink,
+        );
         assert_outcomes_equal(&format!("sparse-bfs-ref/{name}"), &reference, &sparse);
 
         let flood = vec![Flood { seen: false }; k];
-        let dense = net.run(flood.clone(), 4 * k);
-        let sparse = unwrap_report(net.run(silent_stable(flood.clone()), 4 * k));
+        let mut net = Network::new(g, BandwidthModel::Local);
+        let dense = net.run(flood.clone(), 4 * k, &RunOptions::serial(), &mut NoopSink);
+        let sparse = unwrap_report(net.run(
+            silent_stable(flood.clone()),
+            4 * k,
+            &RunOptions::serial(),
+            &mut NoopSink,
+        ));
         assert_outcomes_equal(&format!("sparse-flood/{name}"), &dense, &sparse);
-        let reference = run_reference(g, BandwidthModel::Local, flood, 4 * k);
+        let reference = run_reference(
+            g,
+            BandwidthModel::Local,
+            flood,
+            4 * k,
+            &FaultPlan::none(),
+            &mut NoopSink,
+        );
         assert_outcomes_equal(&format!("sparse-flood-ref/{name}"), &reference, &sparse);
     }
 }
@@ -420,17 +467,12 @@ fn sparse_matches_dense_under_faults() {
     let bfs = vec![Bfs { dist: None }; k];
     for (i, plan) in plans.iter().enumerate() {
         let mut net = Network::new(&g, model);
-        let mut scratch = EngineScratch::new();
         let options = RunOptions::serial().with_faults(plan.clone());
-        let dense = net.run_with_options(bfs.clone(), 4 * k, &mut scratch, &options);
-        let sparse = unwrap_report(net.run_with_options(
-            silent_stable(bfs.clone()),
-            4 * k,
-            &mut scratch,
-            &options,
-        ));
+        let dense = net.run(bfs.clone(), 4 * k, &options, &mut NoopSink);
+        let sparse =
+            unwrap_report(net.run(silent_stable(bfs.clone()), 4 * k, &options, &mut NoopSink));
         assert_outcomes_equal(&format!("sparse-faulted/{i}"), &dense, &sparse);
-        let reference = run_reference_faulted(&g, model, bfs.clone(), 4 * k, plan);
+        let reference = run_reference(&g, model, bfs.clone(), 4 * k, plan, &mut NoopSink);
         assert_outcomes_equal(&format!("sparse-faulted-ref/{i}"), &reference, &sparse);
     }
 }
@@ -458,8 +500,17 @@ fn sparse_round_limit_error_matches_dense() {
     }
     let g = dut_netsim::topology::line(6);
     let mut net = Network::new(&g, BandwidthModel::Local);
-    let dense = net.run(vec![NeverDone; 6], 12).unwrap_err();
-    let sparse = net.run(silent_stable(vec![NeverDone; 6]), 12).unwrap_err();
+    let dense = net
+        .run(vec![NeverDone; 6], 12, &RunOptions::serial(), &mut NoopSink)
+        .unwrap_err();
+    let sparse = net
+        .run(
+            silent_stable(vec![NeverDone; 6]),
+            12,
+            &RunOptions::serial(),
+            &mut NoopSink,
+        )
+        .unwrap_err();
     assert_eq!(dense, sparse);
     assert_eq!(dense, EngineError::RoundLimit { max_rounds: 12 });
 }
@@ -529,16 +580,20 @@ fn sparse_fast_forwards_over_quiet_outages() {
         .with_crash(3, 1)
         .with_rejoin(3, 40);
     let mut net = Network::new(&g, BandwidthModel::Local);
-    let mut scratch = EngineScratch::new();
     let options = RunOptions::serial().with_faults(plan.clone());
-    let dense = net
-        .run_with_options(fresh(), 128, &mut scratch, &options)
-        .unwrap();
+    let dense = net.run(fresh(), 128, &options, &mut NoopSink).unwrap();
     let sparse =
-        unwrap_report(net.run_with_options(silent_stable(fresh()), 128, &mut scratch, &options))
-            .unwrap();
+        unwrap_report(net.run(silent_stable(fresh()), 128, &options, &mut NoopSink)).unwrap();
     assert_reports_equal("sparse-rejoin-wakeup", &dense, &sparse);
-    let reference = run_reference_faulted(&g, BandwidthModel::Local, fresh(), 128, &plan).unwrap();
+    let reference = run_reference(
+        &g,
+        BandwidthModel::Local,
+        fresh(),
+        128,
+        &plan,
+        &mut NoopSink,
+    )
+    .unwrap();
     assert_reports_equal("sparse-rejoin-wakeup-ref", &reference, &sparse);
     assert!(
         dense.rounds > 40,
@@ -554,11 +609,9 @@ fn sparse_fast_forwards_over_quiet_outages() {
     // Same shape, but the node never rejoins: both modes must report
     // the identical RoundLimit (the active list fast-forwards to it).
     let stuck = RunOptions::serial().with_faults(FaultPlan::seeded(0xFF02).with_crash(3, 1));
-    let dense = net
-        .run_with_options(fresh(), 64, &mut scratch, &stuck)
-        .map(|_| ());
+    let dense = net.run(fresh(), 64, &stuck, &mut NoopSink).map(|_| ());
     let sparse = net
-        .run_with_options(silent_stable(fresh()), 64, &mut scratch, &stuck)
+        .run(silent_stable(fresh()), 64, &stuck, &mut NoopSink)
         .map(|_| ());
     assert_eq!(dense, sparse);
 }
@@ -581,13 +634,12 @@ fn parallel_stepping_matches_serial_at_all_thread_counts() {
     let torus = Torus2d::new(16, 16);
     let k = torus.node_count();
     let mut net = Network::new(&torus, BandwidthModel::Local);
-    let serial = net.run(gossip_states(k), 64).unwrap();
+    let serial = net
+        .run(gossip_states(k), 64, &RunOptions::serial(), &mut NoopSink)
+        .unwrap();
     for threads in [1usize, 2, 8] {
-        let mut scratch = EngineScratch::new();
         let opts = RunOptions::parallel(threads);
-        let parallel = net
-            .run_with_options(gossip_states(k), 64, &mut scratch, &opts)
-            .unwrap();
+        let parallel = net.run(gossip_states(k), 64, &opts, &mut NoopSink).unwrap();
         assert_reports_equal(&format!("parallel/{threads}"), &serial, &parallel);
     }
 }
@@ -610,16 +662,15 @@ fn parallel_stepping_matches_serial_under_fault_plans() {
     ];
     for (i, plan) in plans.iter().enumerate() {
         let mut net = Network::new(&torus, BandwidthModel::Local);
-        let mut scratch = EngineScratch::new();
-        let serial = net.run_with_options(
+        let serial = net.run(
             gossip_states(k),
             64,
-            &mut scratch,
             &RunOptions::serial().with_faults(plan.clone()),
+            &mut NoopSink,
         );
         for threads in [2usize, 8] {
             let opts = RunOptions::parallel(threads).with_faults(plan.clone());
-            let parallel = net.run_with_options(gossip_states(k), 64, &mut scratch, &opts);
+            let parallel = net.run(gossip_states(k), 64, &opts, &mut NoopSink);
             assert_outcomes_equal(
                 &format!("parallel-faulted/{i}/{threads}"),
                 &serial,
@@ -638,23 +689,30 @@ fn empty_network_is_a_typed_error() {
     let g = dut_netsim::topology::line(0);
     let mut net = Network::new(&g, BandwidthModel::Local);
     assert_eq!(
-        net.run(Vec::<Flood>::new(), 8).unwrap_err(),
+        net.run(Vec::<Flood>::new(), 8, &RunOptions::serial(), &mut NoopSink)
+            .unwrap_err(),
         EngineError::EmptyNetwork
     );
-    let mut scratch = EngineScratch::new();
     assert_eq!(
-        net.run_with_options(
+        net.run(
             Vec::<Flood>::new(),
             8,
-            &mut scratch,
-            &RunOptions::parallel(4)
+            &RunOptions::parallel(4),
+            &mut NoopSink,
         )
         .unwrap_err(),
         EngineError::EmptyNetwork
     );
     assert_eq!(
-        dut_netsim::reference::run_reference(&g, BandwidthModel::Local, Vec::<Flood>::new(), 8)
-            .unwrap_err(),
+        dut_netsim::reference::run_reference(
+            &g,
+            BandwidthModel::Local,
+            Vec::<Flood>::new(),
+            8,
+            &FaultPlan::none(),
+            &mut NoopSink
+        )
+        .unwrap_err(),
         EngineError::EmptyNetwork
     );
 }
@@ -668,7 +726,14 @@ fn singleton_networks_run() {
         Torus2d::new(1, 1).materialize(),
     ] {
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let report = net.run(vec![Flood { seen: false }; 1], 8).unwrap();
+        let report = net
+            .run(
+                vec![Flood { seen: false }; 1],
+                8,
+                &RunOptions::serial(),
+                &mut NoopSink,
+            )
+            .unwrap();
         // Node 0 marks itself seen in round 0 and has no one to tell.
         assert!(report.nodes[0].seen);
         assert_eq!(report.total_messages, 0);

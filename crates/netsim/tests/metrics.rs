@@ -5,8 +5,8 @@
 use dut_netsim::algorithms::{broadcast_value_observed, build_bfs_tree, convergecast_sum_observed};
 use dut_netsim::engine::{BandwidthModel, Network, NodeProtocol, Outbox};
 use dut_netsim::graph::{Graph, NodeId};
-use dut_netsim::reference::{run_reference, run_reference_observed};
-use dut_netsim::{topology, EngineScratch, RunOptions};
+use dut_netsim::reference::run_reference;
+use dut_netsim::{topology, FaultPlan, RunOptions};
 use dut_obs::{keys, MemorySink, NoopSink};
 
 /// Flood with a 32-bit payload so bit totals are non-trivial.
@@ -53,7 +53,9 @@ fn sink_bits_match_report_on_clique_line_tree() {
         let n = g.node_count();
         let mut net = Network::new(&g, BandwidthModel::Local);
         let mut sink = MemorySink::new();
-        let report = net.run_observed(flood_states(n), 64, &mut sink).unwrap();
+        let report = net
+            .run(flood_states(n), 64, &RunOptions::serial(), &mut sink)
+            .unwrap();
 
         assert_eq!(
             sink.counter(keys::NETSIM_BITS),
@@ -96,13 +98,16 @@ fn noop_sink_is_bit_identical_to_unobserved_runs() {
     for (name, g) in topologies() {
         let n = g.node_count();
         let mut net = Network::new(&g, BandwidthModel::Congest { bits_per_edge: 64 });
-        let plain = net.run(flood_states(n), 64).unwrap();
-        let mut scratch = EngineScratch::new();
+        let plain = net
+            .run(flood_states(n), 64, &RunOptions::serial(), &mut NoopSink)
+            .unwrap();
         let noop = net
-            .run_with_scratch_observed(flood_states(n), 64, &mut scratch, &mut NoopSink)
+            .run(flood_states(n), 64, &RunOptions::serial(), &mut NoopSink)
             .unwrap();
         let mut mem = MemorySink::new();
-        let observed = net.run_observed(flood_states(n), 64, &mut mem).unwrap();
+        let observed = net
+            .run(flood_states(n), 64, &RunOptions::serial(), &mut mem)
+            .unwrap();
 
         for (label, r) in [("noop", &noop), ("memory", &observed)] {
             assert_eq!(r.rounds, plain.rounds, "{name}/{label}");
@@ -115,10 +120,25 @@ fn noop_sink_is_bit_identical_to_unobserved_runs() {
         }
 
         // Differential check against the reference engine, both ways.
-        let reference = run_reference(&g, net.model(), flood_states(n), 64).unwrap();
+        let reference = run_reference(
+            &g,
+            net.model(),
+            flood_states(n),
+            64,
+            &FaultPlan::none(),
+            &mut NoopSink,
+        )
+        .unwrap();
         let mut ref_sink = MemorySink::new();
-        let reference_obs =
-            run_reference_observed(&g, net.model(), flood_states(n), 64, &mut ref_sink).unwrap();
+        let reference_obs = run_reference(
+            &g,
+            net.model(),
+            flood_states(n),
+            64,
+            &FaultPlan::none(),
+            &mut ref_sink,
+        )
+        .unwrap();
         assert_eq!(reference.rounds, plain.rounds, "{name}");
         assert_eq!(reference.total_bits, plain.total_bits, "{name}");
         assert_eq!(reference_obs.total_bits, plain.total_bits, "{name}");
@@ -136,15 +156,13 @@ fn parallel_observed_metrics_match_serial() {
     let n = g.node_count();
     let mut net = Network::new(&g, BandwidthModel::Local);
     let mut serial_sink = MemorySink::new();
-    net.run_observed(flood_states(n), 64, &mut serial_sink)
+    net.run(flood_states(n), 64, &RunOptions::serial(), &mut serial_sink)
         .unwrap();
     for threads in [2, 4] {
-        let mut scratch = EngineScratch::new();
         let mut par_sink = MemorySink::new();
-        net.run_with_options_observed(
+        net.run(
             flood_states(n),
             64,
-            &mut scratch,
             &RunOptions::parallel(threads),
             &mut par_sink,
         )

@@ -6,11 +6,10 @@
 //! release mode with `-- --ignored`.
 
 use dut_netsim::algorithms::{broadcast_value, build_bfs_tree, convergecast_sum};
-use dut_netsim::engine::{
-    BandwidthModel, EngineScratch, Network, NodeProtocol, Outbox, RunOptions, RunReport,
-};
+use dut_netsim::engine::{BandwidthModel, Network, NodeProtocol, Outbox, RunOptions, RunReport};
 use dut_netsim::graph::{ImplicitTopology, NodeId};
 use dut_netsim::topology::Torus2d;
+use dut_obs::NoopSink;
 
 /// 1000×1000 torus: one million nodes, two million edges, never
 /// materialized.
@@ -108,7 +107,12 @@ fn million_node_torus_bfs_completes() {
     let k = torus.node_count();
     let mut net = Network::new(&torus, BandwidthModel::Local);
     let report = net
-        .run(vec![Bfs { dist: None }; k], 1100)
+        .run(
+            vec![Bfs { dist: None }; k],
+            1100,
+            &RunOptions::serial(),
+            &mut NoopSink,
+        )
         .expect("BFS on the 1000x1000 torus must quiesce");
     // Torus eccentricity of node 0 is 500 + 500; one extra round drains
     // the frontier's last broadcasts, one more observes quiescence.
@@ -156,12 +160,11 @@ fn million_node_parallel_stepping_is_bit_identical() {
             .collect::<Vec<_>>()
     };
     let mut net = Network::new(&torus, BandwidthModel::Local);
-    let mut scratch = EngineScratch::new();
     let serial = net
-        .run_with_options(states(), 16, &mut scratch, &RunOptions::serial())
+        .run(states(), 16, &RunOptions::serial(), &mut NoopSink)
         .unwrap();
     let parallel = net
-        .run_with_options(states(), 16, &mut scratch, &RunOptions::parallel(2))
+        .run(states(), 16, &RunOptions::parallel(2), &mut NoopSink)
         .unwrap();
     assert_reports_equal("million-gossip", &serial, &parallel);
 }
@@ -187,21 +190,20 @@ fn million_node_parallel_stepping_is_bit_identical_under_faults() {
             .collect::<Vec<_>>()
     };
     let mut net = Network::new(&torus, BandwidthModel::Local);
-    let mut scratch = EngineScratch::new();
     let serial = net
-        .run_with_options(
+        .run(
             states(),
             16,
-            &mut scratch,
             &RunOptions::serial().with_faults(plan.clone()),
+            &mut NoopSink,
         )
         .unwrap();
     let parallel = net
-        .run_with_options(
+        .run(
             states(),
             16,
-            &mut scratch,
             &RunOptions::parallel(2).with_faults(plan),
+            &mut NoopSink,
         )
         .unwrap();
     assert_reports_equal("million-gossip-faulted", &serial, &parallel);

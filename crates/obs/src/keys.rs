@@ -27,7 +27,7 @@ macro_rules! registry {
 registry! {
     // -------------------------------------------------------------- netsim
 
-    /// Counter: engine runs completed (one per `run_observed` call).
+    /// Counter: engine runs completed (one per successful `Network::run`).
     NETSIM_RUNS = "netsim.runs";
     /// Counter: synchronous rounds executed, summed over runs.
     NETSIM_ROUNDS = "netsim.rounds";

@@ -11,7 +11,7 @@
 //!   logs, no binomials — and
 //!   [`all_distinct_probability_exhaustive`] literally enumerates
 //!   ordered sample tuples for tiny instances.
-//! * `dut_core::montecarlo::estimate_failure_rate` reports Wilson
+//! * `dut_core::montecarlo::MonteCarlo` reports Wilson
 //!   intervals around a Monte-Carlo rate; the oracles give the exact
 //!   rate those intervals must cover.
 //!

@@ -5,12 +5,12 @@
 //! law are triangulated: the exhaustive tuple enumeration (tiny cases),
 //! the elementary-symmetric DP on explicit pmfs, and the log-space
 //! binomial closed form in `dut_distributions::exact` (pair families
-//! only). On top, `estimate_failure_rate`'s Wilson intervals are
+//! only). On top, `MonteCarlo`'s Wilson intervals are
 //! checked against the exact rates they estimate.
 
 use dut_core::decision::Decision;
 use dut_core::gap::GapTester;
-use dut_core::montecarlo::{estimate_failure_rate, trial_rng};
+use dut_core::montecarlo::{trial_rng, MonteCarlo};
 use dut_distributions::collision::collision_probability;
 use dut_distributions::distance::l1_to_uniform;
 use dut_distributions::exact::paninski_all_distinct_probability;
@@ -74,7 +74,7 @@ proptest! {
 }
 
 /// The gap tester's Monte-Carlo failure rate, as reported by
-/// `estimate_failure_rate`, sits on the exact oracle rate — on both the
+/// `MonteCarlo`, sits on the exact oracle rate — on both the
 /// uniform (completeness) and far (soundness) side. A 5σ + 1e-2 window
 /// around a deterministic seeded estimate never flakes while still
 /// catching systematic estimator or oracle bias.
@@ -88,10 +88,9 @@ fn wilson_estimates_cover_exact_oracle_rates() {
 
     let uniform = DiscreteDistribution::uniform(n);
     let exact_reject = oracles::rejection_probability(uniform.pmf_slice(), s);
-    let est = estimate_failure_rate(trials, 11, |seed| {
-        tester.run(&uniform, &mut trial_rng(seed)) == Decision::Reject
-    })
-    .unwrap();
+    let est = MonteCarlo::new(trials, 11)
+        .run(|seed| tester.run(&uniform, &mut trial_rng(seed)) == Decision::Reject)
+        .unwrap();
     let sigma = (exact_reject * (1.0 - exact_reject) / trials as f64).sqrt();
     assert!(
         (est.rate - exact_reject).abs() < 5.0 * sigma + 1e-2,
@@ -101,10 +100,9 @@ fn wilson_estimates_cover_exact_oracle_rates() {
 
     let far = paninski_far(n, eps).unwrap();
     let exact_accept = oracles::all_distinct_probability(far.pmf_slice(), s);
-    let est = estimate_failure_rate(trials, 13, |seed| {
-        tester.run(&far, &mut trial_rng(seed)) == Decision::Accept
-    })
-    .unwrap();
+    let est = MonteCarlo::new(trials, 13)
+        .run(|seed| tester.run(&far, &mut trial_rng(seed)) == Decision::Accept)
+        .unwrap();
     let sigma = (exact_accept * (1.0 - exact_accept) / trials as f64).sqrt();
     assert!(
         (est.rate - exact_accept).abs() < 5.0 * sigma + 1e-2,

@@ -2,7 +2,7 @@
 //! in the sweep, written against public APIs so each fails (panics)
 //! against the seed code and passes against the typed-error fixes.
 
-use dut_core::montecarlo::{estimate_failure_rate, MonteCarloError};
+use dut_core::montecarlo::{MonteCarlo, MonteCarloError};
 use dut_distributions::exact::{paninski_all_distinct_probability, paninski_rejection_probability};
 use dut_distributions::{DiscreteDistribution, DistributionError};
 use dut_ecc::rs_decode::DecodeError;
@@ -82,12 +82,12 @@ fn from_weights_non_finite_entries_stay_typed() {
     }
 }
 
-/// Seed bug: `estimate_failure_rate` panicked (`assert!`) on
+/// Seed bug: the Monte-Carlo estimator panicked (`assert!`) on
 /// `trials == 0` instead of returning a typed error.
 #[test]
 fn zero_trials_is_typed() {
     assert_eq!(
-        estimate_failure_rate(0, 7, |_| false).unwrap_err(),
+        MonteCarlo::new(0, 7).run(|_| false).unwrap_err(),
         MonteCarloError::ZeroTrials
     );
 }
@@ -98,7 +98,7 @@ fn zero_trials_is_typed() {
 #[test]
 fn trial_panic_payload_survives() {
     let caught = std::panic::catch_unwind(|| {
-        let _ = estimate_failure_rate(64, 3, |_| panic!("testkit payload 0xCAFE"));
+        let _ = MonteCarlo::new(64, 3).run(|_| panic!("testkit payload 0xCAFE"));
     })
     .expect_err("trials panic");
     let msg = caught
