@@ -33,9 +33,9 @@ lane_test() {
 }
 
 lane_fault_differential() {
-    echo "==> fault differential suite (serial == parallel == reference, faulted)"
+    echo "==> fault differential suite (flat engine == reference, faulted)"
     cargo test --release -p dut-netsim --test differential -q
-    echo "==> silent-stable harness (leader, BFS, convergecast, broadcast, residue == reference, 3 threads, clean and faulted)"
+    echo "==> silent-stable harness (leader, BFS, convergecast, broadcast, residue == reference, clean and faulted)"
     cargo test --release -p dut-netsim -p dut-congest --lib matches_reference_engine -q
     echo "==> Justesen codec differential (syndrome decoder == Berlekamp-Welch reference, corrected-bit counts, row encode == Horner)"
     cargo test --release -p dut-ecc --lib justesen -q
@@ -78,8 +78,12 @@ lane_experiments_smoke() {
 }
 
 lane_conductance() {
-    echo "==> conductance lane (walk + pipeline differential: serial == parallel == reference)"
+    echo "==> conductance lane (sparse walk census == frozen dense-census oracle)"
+    cargo test --release -p dut-congest --lib conductance -q
+    echo "==> conductance lane (walk + pipeline differential: flat == reference, materialized == implicit)"
     cargo test --release -p dut-congest --test conductance_differential -q
+    echo "==> conductance lane (Margulis k = 4096 tester smoke: verdict, tokens, collisions == 274)"
+    cargo test --release -p dut-congest --test conductance_differential -q -- --ignored
     echo "==> conductance lane (walk proptests: engine invariance, clique stationarity)"
     cargo test --release -p dut-congest --test walk_differential -q
     echo "==> conductance lane (exact small-graph oracle cross-check)"
@@ -98,9 +102,9 @@ lane_stream() {
 }
 
 lane_netsim_scale() {
-    echo "==> netsim-scale lane (10^6-node implicit-torus smoke, serial == parallel(2), clean and faulted)"
+    echo "==> netsim-scale lane (10^6-node implicit-torus smokes, implicit == materialized, clean and faulted)"
     cargo test --release -p dut-netsim --test scale -q -- --ignored
-    echo "==> netsim-scale lane (implicit-vs-materialized + parallel/sparse differential)"
+    echo "==> netsim-scale lane (implicit-vs-materialized + sparse differential)"
     cargo test --release -p dut-netsim --test implicit -q
 }
 

@@ -2,8 +2,8 @@
 //!
 //! The `netsim_engine` and `netsim_montecarlo` groups compare the
 //! retained naive reference engine (`before`) against the flat-buffer
-//! engine (`after` on a fresh network, plus reused-network and parallel
-//! variants); their
+//! engine (`after` on a fresh network, plus a reused-network variant);
+//! their
 //! numbers are recorded in `BENCH_netsim.json` at the repo root.
 //!
 //! `--metrics out.jsonl` skips Criterion and instead runs each engine
@@ -25,7 +25,7 @@ use dut_netsim::algorithms::convergecast::convergecast_sum;
 use dut_netsim::algorithms::distributed_mis::distributed_luby_mis;
 use dut_netsim::algorithms::leader::elect_leader;
 use dut_netsim::algorithms::routing::route_to_centers;
-use dut_netsim::engine::{BandwidthModel, Network, NodeProtocol, Outbox, RunOptions};
+use dut_netsim::engine::{BandwidthModel, Network, NodeProtocol, Outbox};
 use dut_netsim::fault::FaultPlan;
 use dut_netsim::graph::{ImplicitTopology, NodeId};
 use dut_netsim::reference::run_reference;
@@ -114,7 +114,6 @@ fn bench_engine(c: &mut Criterion) {
             .collect()
     };
     let none = FaultPlan::none();
-    let serial = RunOptions::serial();
     group.bench_function("clique256_broadcast/before_reference", |b| {
         b.iter(|| {
             let states = gossip_states(256);
@@ -127,7 +126,7 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| {
             let mut net = Network::new(&clique, BandwidthModel::Local);
             black_box(
-                net.run(gossip_states(256), 32, &serial, &mut NoopSink)
+                net.run(gossip_states(256), 32, &none, &mut NoopSink)
                     .unwrap(),
             )
         })
@@ -136,17 +135,7 @@ fn bench_engine(c: &mut Criterion) {
         let mut net = Network::new(&clique, BandwidthModel::Local);
         b.iter(|| {
             black_box(
-                net.run(gossip_states(256), 32, &serial, &mut NoopSink)
-                    .unwrap(),
-            )
-        })
-    });
-    group.bench_function("clique256_broadcast/after_flat_parallel", |b| {
-        let mut net = Network::new(&clique, BandwidthModel::Local);
-        let options = RunOptions::parallel(0);
-        b.iter(|| {
-            black_box(
-                net.run(gossip_states(256), 32, &options, &mut NoopSink)
+                net.run(gossip_states(256), 32, &none, &mut NoopSink)
                     .unwrap(),
             )
         })
@@ -167,7 +156,7 @@ fn bench_engine(c: &mut Criterion) {
         let mut net = Network::new(&line, BandwidthModel::Local);
         b.iter(|| {
             black_box(
-                net.run(bfs_states(4096), 8192, &serial, &mut NoopSink)
+                net.run(bfs_states(4096), 8192, &none, &mut NoopSink)
                     .unwrap(),
             )
         })
@@ -331,7 +320,7 @@ fn run_metrics(path: &Path) -> std::io::Result<()> {
     sink.reset();
     let mut net = Network::new(&clique, BandwidthModel::Local);
     let r = net
-        .run(gossip_states(256), 32, &RunOptions::serial(), &mut sink)
+        .run(gossip_states(256), 32, &FaultPlan::none(), &mut sink)
         .unwrap();
     record(
         &mut w,
@@ -367,7 +356,7 @@ fn run_metrics(path: &Path) -> std::io::Result<()> {
     sink.reset();
     let mut net = Network::new(&line, BandwidthModel::Local);
     let r = net
-        .run(bfs_states(4096), 8192, &RunOptions::serial(), &mut sink)
+        .run(bfs_states(4096), 8192, &FaultPlan::none(), &mut sink)
         .unwrap();
     record(
         &mut w,

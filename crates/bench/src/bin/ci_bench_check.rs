@@ -40,7 +40,8 @@ use dut_core::MonteCarlo;
 use dut_distributions::batch::BatchRng;
 use dut_distributions::collision::{has_collision, CollisionScratch};
 use dut_distributions::DiscreteDistribution;
-use dut_netsim::engine::{BandwidthModel, Network, NodeProtocol, Outbox, RunOptions};
+use dut_netsim::engine::{BandwidthModel, Network, NodeProtocol, Outbox};
+use dut_netsim::fault::FaultPlan;
 use dut_netsim::graph::{ImplicitTopology, NodeId};
 use dut_netsim::topology::{self, Torus2d};
 use dut_obs::NoopSink;
@@ -143,7 +144,7 @@ fn time_netsim_workload(name: &str) -> f64 {
         "clique256_broadcast" => {
             let clique = topology::complete(256);
             let mut net = Network::new(&clique, BandwidthModel::Local);
-            let serial = RunOptions::serial();
+            let clean = FaultPlan::none();
             let states = || -> Vec<Gossip> {
                 (0..256)
                     .map(|v| Gossip {
@@ -153,16 +154,16 @@ fn time_netsim_workload(name: &str) -> f64 {
                     .collect()
             };
             median_ms(SAMPLES, || {
-                black_box(net.run(states(), 32, &serial, &mut NoopSink).unwrap());
+                black_box(net.run(states(), 32, &clean, &mut NoopSink).unwrap());
             })
         }
         "line4096_bfs" => {
             let line = topology::line(4096);
             let mut net = Network::new(&line, BandwidthModel::Local);
-            let serial = RunOptions::serial();
+            let clean = FaultPlan::none();
             median_ms(SAMPLES, || {
                 let states = vec![Bfs { dist: None }; 4096];
-                black_box(net.run(states, 8192, &serial, &mut NoopSink).unwrap());
+                black_box(net.run(states, 8192, &clean, &mut NoopSink).unwrap());
             })
         }
         "mc_gap_20k" => {
@@ -197,16 +198,16 @@ fn torus_1m_states(k: usize) -> Vec<Gossip> {
 
 /// Times the 10⁶-node implicit-torus gossip burst: 2 broadcast rounds
 /// over a 1000×1000 torus (≈8M deliveries/round), neighbors computed on
-/// the fly, on the serial engine. Heavier than the other workloads, so
+/// the fly. Heavier than the other workloads, so
 /// it takes 3 samples, not 5.
 fn time_torus_1m_gossip() -> f64 {
     let torus = Torus2d::new(1000, 1000);
     let k = torus.node_count();
     let mut net = Network::new(&torus, BandwidthModel::Local);
-    let opts = RunOptions::serial();
+    let clean = FaultPlan::none();
     median_ms(3, || {
         black_box(
-            net.run(torus_1m_states(k), 8, &opts, &mut NoopSink)
+            net.run(torus_1m_states(k), 8, &clean, &mut NoopSink)
                 .unwrap(),
         );
     })

@@ -13,8 +13,9 @@
 //! E13-style flip plan (which must also leave the statistic exactly
 //! equal to the fault-free run); (2) the realized round count stays
 //! within the O(D + log n/(εΦ²)) envelope; (3) the walk census is
-//! bit-identical across the serial, parallel, and naive
-//! reference engines, clean and faulted — the counter-keyed RNG
+//! bit-identical across the flat engine on the materialized graph, the
+//! flat engine on the implicit (never materialized) topology, and the
+//! naive reference engine, clean and faulted — the counter-keyed RNG
 //! discipline extended to walk coins.
 
 use crate::metrics::MetricsLog;
@@ -24,7 +25,6 @@ use dut_congest::conductance::walk::{
     run_walks, run_walks_reference, walk_bandwidth_model, WalkOutcome,
 };
 use dut_congest::ConductanceTester;
-use dut_netsim::engine::RunOptions;
 use dut_netsim::fault::FaultPlan;
 use dut_netsim::graph::{Graph, ImplicitTopology};
 use dut_netsim::topology::{bridged_cliques, MargulisExpander};
@@ -41,12 +41,14 @@ fn flip_plan() -> FaultPlan {
 }
 
 /// An order-independent census fingerprint (FNV-1a over the
-/// row-major counts), printed so bit-identity is visible in the table.
+/// row-major `k × k` counts, zeros included), printed so bit-identity is
+/// visible in the table.
 fn fingerprint(outcome: &WalkOutcome) -> u64 {
+    let k = outcome.census.len() as u64;
     let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for row in &outcome.counts {
-        for &c in row {
-            h ^= c;
+    for v in 0..outcome.census.len() {
+        for src in 0..k {
+            h ^= outcome.count(v, src);
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
     }
@@ -104,16 +106,11 @@ pub fn run(scale: Scale, log: &mut MetricsLog) -> Vec<Table> {
         sink.reset();
         let (result, pipeline) = if robust {
             // Plain twin first: the robust run must reproduce it.
-            let plain = tester.run(g, SEED).expect("plain twin");
+            let plain = tester
+                .run(g, SEED, &mut dut_obs::NoopSink)
+                .expect("plain twin");
             let (r, stats) = tester
-                .run_robust_observed(
-                    g,
-                    SEED,
-                    &flip_plan(),
-                    max_retries,
-                    &RunOptions::default(),
-                    &mut sink,
-                )
+                .run_robust(g, SEED, &flip_plan(), max_retries, &mut sink)
                 .expect("flips below the radius must be absorbed");
             assert_eq!(
                 r.collisions, plain.collisions,
@@ -123,9 +120,7 @@ pub fn run(scale: Scale, log: &mut MetricsLog) -> Vec<Table> {
             assert!(stats.corrected_bits > 0, "flip plan never fired");
             (r, "robust+flips")
         } else {
-            let r = tester
-                .run_observed(g, SEED, &RunOptions::default(), &mut sink)
-                .expect("plain run");
+            let r = tester.run(g, SEED, &mut sink).expect("plain run");
             (r, "plain")
         };
         let bound = tester.round_bound(result.tree_height);
@@ -168,14 +163,16 @@ pub fn run(scale: Scale, log: &mut MetricsLog) -> Vec<Table> {
     let ident_k = 36usize;
     let ident_walks = 8u64;
     let ident_len = 16usize;
-    let ident_g = MargulisExpander::new(6).materialize();
+    let ident_implicit = MargulisExpander::new(6);
+    let ident_g = ident_implicit.materialize();
     let model = walk_bandwidth_model(ident_k, ident_walks);
     let mut ident = Table::new(
         "E16: walk-census bit-identity across engines",
         format!(
             "Margulis side 6 (k = {ident_k}), ℓ = {ident_walks}, L = {ident_len}. The \
              same seed must produce the identical per-source endpoint census on the \
-             serial flat engine, the parallel engine, and the naive reference \
+             flat engine over the materialized graph (serial), the flat engine over \
+             the implicit, never materialized topology, and the naive reference \
              engine — clean and under the E13-style flip plan (faults are keyed by the \
              same counter discipline, so corruption is reproduced, not avoided).",
         ),
@@ -195,24 +192,24 @@ pub fn run(scale: Scale, log: &mut MetricsLog) -> Vec<Table> {
             ident_walks,
             ident_len,
             model,
-            &RunOptions::default().with_faults(plan.clone()),
+            &plan,
             &mut dut_obs::NoopSink,
         )
         .expect("serial walk");
         let engines: Vec<(&str, WalkOutcome)> = vec![
             ("serial", serial.clone()),
             (
-                "parallel-2",
+                "implicit",
                 run_walks(
-                    &ident_g,
+                    &ident_implicit,
                     SEED,
                     ident_walks,
                     ident_len,
                     model,
-                    &RunOptions::parallel(2).with_faults(plan.clone()),
+                    &plan,
                     &mut dut_obs::NoopSink,
                 )
-                .expect("parallel walk"),
+                .expect("implicit walk"),
             ),
             (
                 "reference",
@@ -221,7 +218,7 @@ pub fn run(scale: Scale, log: &mut MetricsLog) -> Vec<Table> {
             ),
         ];
         for (engine, outcome) in engines {
-            let matches = outcome.counts == serial.counts;
+            let matches = outcome.census == serial.census;
             ident.push_row(vec![
                 plan_name.to_string(),
                 engine.to_string(),

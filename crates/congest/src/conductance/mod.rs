@@ -38,9 +38,11 @@
 //! skewed statistic — the same honesty contract as robust packaging.
 //!
 //! Everything downstream of the seed is deterministic: the walk coins
-//! come from a counter-keyed splitmix64 stream, so serial, parallel
-//! (any thread count), and reference engines produce bit-identical
-//! walk statistics, clean or faulted — see [`walk`].
+//! come from a counter-keyed splitmix64 stream, so the flat and the
+//! reference engines produce bit-identical walk statistics, clean or
+//! faulted — see [`walk`]. Each node keeps a sparse census of the
+//! sources resting on it, so the statistic and the token-conservation
+//! check cost O(tokens), never O(k²).
 
 pub mod walk;
 
@@ -52,10 +54,10 @@ use dut_netsim::algorithms::{
     elect_leader, elect_leader_coded, reliable_broadcast_value_coded,
     reliable_convergecast_sums_coded, BfsTree, RelMsg, RetryPolicy,
 };
-use dut_netsim::engine::{BandwidthModel, EngineError, RunOptions};
+use dut_netsim::engine::{BandwidthModel, EngineError};
 use dut_netsim::fault::FaultPlan;
 use dut_netsim::graph::{ImplicitTopology, NodeId};
-use dut_obs::{keys, NoopSink, Sink};
+use dut_obs::{keys, Sink};
 use walk::{run_walks, run_walks_coded, walk_bandwidth_model, WalkMsg, WalkOutcome};
 
 /// Why a conductance plan could not be built.
@@ -299,38 +301,19 @@ impl ConductanceTester {
         tree_height as f64 + (self.k as f64).ln() / (self.epsilon * self.phi * self.phi)
     }
 
-    /// Runs the plain pipeline with [`RunOptions::default`]: no faults,
-    /// and the walk phase on worker threads detected from the host when
-    /// `g` has 512 nodes or more (inline below). Results are the same
-    /// at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ConductanceTester::run_observed`].
-    pub fn run<T: ImplicitTopology>(
-        &self,
-        g: &T,
-        seed: u64,
-    ) -> Result<ConductanceRunResult, ConductanceError> {
-        self.run_observed(g, seed, &RunOptions::default(), &mut NoopSink)
-    }
-
-    /// Runs the plain pipeline with explicit engine options for the
-    /// walk phase (thread count, fault plan) and
-    /// metric recording under the `congest.conductance.*` keys.
-    /// Successful runs are bit-identical for every option combination.
+    /// Runs the plain (unfaulted) pipeline, recording metrics under the
+    /// `congest.conductance.*` keys into `sink`. Observing a run never
+    /// changes its result.
     ///
     /// # Errors
     ///
     /// [`ConductanceError::Engine`] on engine failures, including
     /// [`EngineError::NodeCountMismatch`] when `g` does not have exactly
-    /// `k` nodes; [`ConductanceError::FaultOverwhelmed`] when a fault
-    /// plan in `options` cost the walk phase tokens.
-    pub fn run_observed<T: ImplicitTopology>(
+    /// `k` nodes.
+    pub fn run<T: ImplicitTopology>(
         &self,
         g: &T,
         seed: u64,
-        options: &RunOptions,
         sink: &mut dyn Sink,
     ) -> Result<ConductanceRunResult, ConductanceError> {
         check_node_count(g, self.k)?;
@@ -357,18 +340,14 @@ impl ConductanceTester {
             self.walks_per_node,
             self.walk_len,
             walk_model,
-            options,
+            &FaultPlan::none(),
             sink,
         )?;
         let pre_walk_rounds = rounds_leader + rounds_bfs + cost_deg.rounds + cost_deg_sq.rounds;
         self.check_conservation(&outcome, pre_walk_rounds)?;
 
         // Phase 4: collision convergecast.
-        let collision_values: Vec<u64> = outcome
-            .counts
-            .iter()
-            .map(|row| row.iter().map(|&c| c * c.saturating_sub(1) / 2).sum())
-            .collect();
+        let collision_values = outcome.node_collisions();
         let (collisions, cost_coll) =
             convergecast_sum_observed(g, &tree, &collision_values, tree_model, sink)?;
 
@@ -393,36 +372,14 @@ impl ConductanceTester {
         Ok(result)
     }
 
-    /// Runs the fault-hardened pipeline: coded leader/BFS phases,
-    /// reliable (ack/retry, outage-widened) aggregations, Justesen
-    /// codewords on every walk message, and a token-conservation check
-    /// that converts walk-phase losses into a typed error. Flips below
-    /// the codec radius leave the result identical to the fault-free
-    /// run; crash/rejoin outages during the aggregation phases are
-    /// absorbed by the widened retry deadlines.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ConductanceTester::run_robust_observed`].
-    pub fn run_robust<T: ImplicitTopology>(
-        &self,
-        g: &T,
-        seed: u64,
-        plan: &FaultPlan,
-        max_retries: usize,
-    ) -> Result<(ConductanceRunResult, RobustStats), ConductanceError> {
-        self.run_robust_observed(
-            g,
-            seed,
-            plan,
-            max_retries,
-            &RunOptions::default(),
-            &mut NoopSink,
-        )
-    }
-
-    /// [`ConductanceTester::run_robust`] with explicit engine options
-    /// for the walk phase and metric recording.
+    /// Runs the fault-hardened pipeline under `plan`: coded leader/BFS
+    /// phases, reliable (ack/retry, outage-widened) aggregations with
+    /// `max_retries` retransmits, Justesen codewords on every walk
+    /// message, and a token-conservation check that converts walk-phase
+    /// losses into a typed error. Flips below the codec radius leave the
+    /// result identical to the fault-free run; crash/rejoin outages
+    /// during the aggregation phases are absorbed by the widened retry
+    /// deadlines. Metrics go to `sink`.
     ///
     /// # Errors
     ///
@@ -432,13 +389,12 @@ impl ConductanceTester {
     /// flips beyond the codec radius, or an outage intersecting token
     /// traffic) cost the walk phase tokens, or when a reliable
     /// aggregation exhausted its retry budget.
-    pub fn run_robust_observed<T: ImplicitTopology>(
+    pub fn run_robust<T: ImplicitTopology>(
         &self,
         g: &T,
         seed: u64,
         plan: &FaultPlan,
         max_retries: usize,
-        options: &RunOptions,
         sink: &mut dyn Sink,
     ) -> Result<(ConductanceRunResult, RobustStats), ConductanceError> {
         check_node_count(g, self.k)?;
@@ -514,7 +470,6 @@ impl ConductanceTester {
             walk_model,
             plan,
             walk_codec,
-            options,
             sink,
         )?;
         stats.absorb_codec(walk_stats);
@@ -522,11 +477,7 @@ impl ConductanceTester {
         pipeline_round += outcome.rounds;
 
         // Phase 4: reliable collision convergecast.
-        let collision_values: Vec<u64> = outcome
-            .counts
-            .iter()
-            .map(|row| row.iter().map(|&c| c * c.saturating_sub(1) / 2).sum())
-            .collect();
+        let collision_values = outcome.node_collisions();
         let collisions;
         {
             let (sums, cost, cstats) = reliable_convergecast_sums_coded(
@@ -718,6 +669,7 @@ fn record(sink: &mut dyn Sink, result: &ConductanceRunResult, robust: bool) {
 mod tests {
     use super::*;
     use dut_netsim::topology::{bridged_cliques, complete, MargulisExpander};
+    use dut_obs::NoopSink;
 
     #[test]
     fn plan_rejects_bad_parameters() {
@@ -776,7 +728,7 @@ mod tests {
     fn accepts_margulis_expander() {
         let g = MargulisExpander::new(6).materialize();
         let t = ConductanceTester::plan(36, 0.1, 0.5).unwrap();
-        let r = t.run(&g, 0xE16).unwrap();
+        let r = t.run(&g, 0xE16, &mut NoopSink).unwrap();
         assert!(r.verdict.accepts(), "expander rejected: {r:?}");
         assert_eq!(r.tokens, 36 * t.walks_per_node);
         assert!((r.collisions as f64) < r.threshold);
@@ -787,7 +739,7 @@ mod tests {
     fn rejects_bridged_cliques() {
         let g = bridged_cliques(36);
         let t = ConductanceTester::plan(36, 0.1, 0.5).unwrap();
-        let r = t.run(&g, 0xE16).unwrap();
+        let r = t.run(&g, 0xE16, &mut NoopSink).unwrap();
         assert!(!r.verdict.accepts(), "far instance accepted: {r:?}");
         assert!((r.collisions as f64) > r.threshold);
     }
@@ -797,7 +749,7 @@ mod tests {
         // The best-conductance graph there is.
         let g = complete(24);
         let t = ConductanceTester::plan(24, 0.2, 0.5).unwrap();
-        let r = t.run(&g, 7).unwrap();
+        let r = t.run(&g, 7, &mut NoopSink).unwrap();
         assert!(r.verdict.accepts(), "clique rejected: {r:?}");
     }
 
@@ -807,8 +759,14 @@ mod tests {
         let far = bridged_cliques(36);
         let t = ConductanceTester::plan(36, 0.1, 0.5).unwrap();
         for seed in 0..8u64 {
-            assert!(t.run(&exp, seed).unwrap().verdict.accepts(), "seed {seed}");
-            assert!(!t.run(&far, seed).unwrap().verdict.accepts(), "seed {seed}");
+            assert!(
+                t.run(&exp, seed, &mut NoopSink).unwrap().verdict.accepts(),
+                "seed {seed}"
+            );
+            assert!(
+                !t.run(&far, seed, &mut NoopSink).unwrap().verdict.accepts(),
+                "seed {seed}"
+            );
         }
     }
 
@@ -816,8 +774,10 @@ mod tests {
     fn robust_fault_free_matches_plain() {
         let g = MargulisExpander::new(6).materialize();
         let t = ConductanceTester::plan(36, 0.1, 0.5).unwrap();
-        let plain = t.run(&g, 3).unwrap();
-        let (robust, stats) = t.run_robust(&g, 3, &FaultPlan::none(), 3).unwrap();
+        let plain = t.run(&g, 3, &mut NoopSink).unwrap();
+        let (robust, stats) = t
+            .run_robust(&g, 3, &FaultPlan::none(), 3, &mut NoopSink)
+            .unwrap();
         assert_eq!(robust.verdict, plain.verdict);
         assert_eq!(robust.collisions, plain.collisions);
         assert_eq!(robust.tokens, plain.tokens);
@@ -831,12 +791,22 @@ mod tests {
     fn walk_phase_drops_surface_as_typed_error() {
         let g = bridged_cliques(16);
         let t = ConductanceTester::plan(16, 0.1, 0.5).unwrap();
-        // A heavy drop plan on the plain pipeline: tokens vanish, and
+        // A heavy drop plan on the plain walk phase: tokens vanish, and
         // the conservation check must refuse to produce a verdict.
         let plan = FaultPlan::seeded(11).with_drops(0.05);
-        let opts = RunOptions::default().with_faults(plan);
+        let model = walk_bandwidth_model(16, t.walks_per_node);
+        let outcome = run_walks(
+            &g,
+            5,
+            t.walks_per_node,
+            t.walk_len,
+            model,
+            &plan,
+            &mut NoopSink,
+        )
+        .unwrap();
         let err = t
-            .run_observed(&g, 5, &opts, &mut NoopSink)
+            .check_conservation(&outcome, 0)
             .expect_err("token loss must not yield a verdict");
         match err {
             ConductanceError::FaultOverwhelmed {
@@ -871,9 +841,10 @@ mod tests {
             graph_nodes: 8,
             states: 9,
         });
-        assert_eq!(t.run(&g, 0).unwrap_err(), want);
+        assert_eq!(t.run(&g, 0, &mut NoopSink).unwrap_err(), want);
         assert_eq!(
-            t.run_robust(&g, 0, &FaultPlan::none(), 4).unwrap_err(),
+            t.run_robust(&g, 0, &FaultPlan::none(), 4, &mut NoopSink)
+                .unwrap_err(),
             want
         );
     }

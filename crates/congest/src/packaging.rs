@@ -13,9 +13,8 @@
 
 use dut_netsim::algorithms::bfs::{build_bfs_tree, BfsTree};
 use dut_netsim::algorithms::leader::elect_leader;
-use dut_netsim::engine::{
-    BandwidthModel, Compact, EngineError, Network, NodeProtocol, Outbox, RunOptions,
-};
+use dut_netsim::engine::{BandwidthModel, Compact, EngineError, Network, NodeProtocol, Outbox};
+use dut_netsim::fault::FaultPlan;
 use dut_netsim::graph::{ImplicitTopology, NodeId};
 use dut_obs::NoopSink;
 use std::collections::VecDeque;
@@ -353,12 +352,8 @@ pub fn solve_token_packaging<T: ImplicitTopology>(
             acc: 0,
         })
         .collect();
-    let residue_report = Network::new(g, model).run(
-        residue_states,
-        2 * k + 4,
-        &RunOptions::serial(),
-        &mut NoopSink,
-    )?;
+    let residue_report =
+        Network::new(g, model).run(residue_states, 2 * k + 4, &FaultPlan::none(), &mut NoopSink)?;
     // Unreachable expect: `ResidueNode::is_done` is `c.is_some()`, and the
     // engine only returns a successful report once every node is done.
     let quotas: Vec<u64> = residue_report
@@ -368,12 +363,10 @@ pub fn solve_token_packaging<T: ImplicitTopology>(
         .collect();
 
     // Phase 4: pipelined forwarding for ~τ + height rounds.
-    // Steps inline on one thread, unlike the robust tester's forwarding
-    // (`robust.rs`), which fans out on large graphs.
     let states = forward_states(&tree, tokens, &quotas);
     let max_rounds = forward_round_limit(tau, &tree);
     let forward_report =
-        Network::new(g, model).run(states, max_rounds, &RunOptions::serial(), &mut NoopSink)?;
+        Network::new(g, model).run(states, max_rounds, &FaultPlan::none(), &mut NoopSink)?;
 
     // Cut each node's kept tokens into packages of exactly τ.
     let (packages, discarded) = cut_packages(forward_report.nodes.iter(), tau);

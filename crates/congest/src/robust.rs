@@ -32,7 +32,7 @@ use dut_netsim::algorithms::coded::{codec_stats, CodedProtocol};
 use dut_netsim::algorithms::{
     build_bfs_tree_coded, elect_leader_coded, reliable_convergecast_sums_coded, RelMsg, RetryPolicy,
 };
-use dut_netsim::engine::{BandwidthModel, Compact, Network, RunOptions};
+use dut_netsim::engine::{BandwidthModel, Compact, Network};
 use dut_netsim::fault::FaultPlan;
 use dut_netsim::graph::ImplicitTopology;
 use dut_obs::{NoopSink, Sink};
@@ -160,11 +160,8 @@ pub fn solve_token_packaging_robust<T: ImplicitTopology>(
         .into_iter()
         .map(|s| CodedProtocol::new(s, compact_codec.clone()))
         .collect();
-    // Worker threads engage from 512 nodes (`RunOptions::default`),
-    // unlike the plain tester's serial forwarding (`packaging.rs`).
-    let options = RunOptions::default().with_faults(plan.clone());
     let max_rounds = forward_round_limit(tau, &tree);
-    let forward_report = Network::new(g, model).run(states, max_rounds, &options, &mut NoopSink)?;
+    let forward_report = Network::new(g, model).run(states, max_rounds, plan, &mut NoopSink)?;
     stats.absorb_codec(codec_stats(&forward_report.nodes));
 
     // Token conservation: a dropped forwarding message loses its token

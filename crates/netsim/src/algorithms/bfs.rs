@@ -7,9 +7,7 @@
 //! `O(log k)` bits).
 
 use crate::algorithms::coded::{codec_stats, CodecStats, CodedProtocol, MessageCodec};
-use crate::engine::{
-    BandwidthModel, Compact, EngineError, Network, NodeProtocol, Outbox, RunOptions,
-};
+use crate::engine::{BandwidthModel, Compact, EngineError, Network, NodeProtocol, Outbox};
 use crate::fault::FaultPlan;
 use crate::graph::{ImplicitTopology, NodeId};
 use dut_obs::NoopSink;
@@ -124,7 +122,7 @@ pub fn build_bfs_tree<T: ImplicitTopology>(
         })
         .collect();
     let report =
-        Network::new(g, model).run(states, 2 * k + 4, &RunOptions::serial(), &mut NoopSink)?;
+        Network::new(g, model).run(states, 2 * k + 4, &FaultPlan::none(), &mut NoopSink)?;
 
     let mut parent = vec![None; k];
     let mut depth = vec![0usize; k];
@@ -171,8 +169,7 @@ pub fn build_bfs_tree_coded<T, C>(
 ) -> Result<(BfsTree, usize, CodecStats), EngineError>
 where
     T: ImplicitTopology,
-    C: MessageCodec<Plain = Compact> + Clone + Send,
-    C::Wire: Send + Sync,
+    C: MessageCodec<Plain = Compact> + Clone,
 {
     let k = g.node_count();
     if k == 0 {
@@ -190,8 +187,7 @@ where
             )
         })
         .collect();
-    let options = RunOptions::default().with_faults(plan.clone());
-    let report = Network::new(g, model).run(states, 2 * k + 4, &options, &mut NoopSink)?;
+    let report = Network::new(g, model).run(states, 2 * k + 4, plan, &mut NoopSink)?;
     let stats = codec_stats(&report.nodes);
 
     let mut parent = vec![None; k];

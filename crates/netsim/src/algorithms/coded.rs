@@ -320,7 +320,7 @@ pub fn codec_stats<P, C: MessageCodec>(nodes: &[CodedProtocol<P, C>]) -> CodecSt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{BandwidthModel, Compact, Network, RunOptions};
+    use crate::engine::{BandwidthModel, Compact, Network};
     use crate::fault::FaultPlan;
     use crate::topology;
     use dut_obs::NoopSink;
@@ -415,14 +415,14 @@ mod tests {
         let g = topology::grid(4, 5);
         let n = g.node_count();
         let plain = Network::new(&g, BandwidthModel::Local)
-            .run(flood_states(n), 64, &RunOptions::serial(), &mut NoopSink)
+            .run(flood_states(n), 64, &FaultPlan::none(), &mut NoopSink)
             .unwrap();
         let coded_states: Vec<_> = flood_states(n)
             .into_iter()
             .map(|s| CodedProtocol::new(s, IdentityCodec::<Compact>::new()))
             .collect();
         let coded = Network::new(&g, BandwidthModel::Local)
-            .run(coded_states, 64, &RunOptions::serial(), &mut NoopSink)
+            .run(coded_states, 64, &FaultPlan::none(), &mut NoopSink)
             .unwrap();
         assert_eq!(plain.rounds, coded.rounds);
         assert_eq!(plain.total_messages, coded.total_messages);
@@ -444,15 +444,14 @@ mod tests {
                 .collect()
         };
         let clean = Network::new(&g, BandwidthModel::Local)
-            .run(mk(), 64, &RunOptions::serial(), &mut NoopSink)
+            .run(mk(), 64, &FaultPlan::none(), &mut NoopSink)
             .unwrap();
         // Flip rate low enough that (at this fixed seed) no bit
         // position of a word is hit in two copies: majority vote fixes
         // everything, so every flipped bit is a corrected bit.
         let plan = FaultPlan::seeded(0xC0DE).with_flips(0.0005);
-        let opts = RunOptions::serial().with_faults(plan);
         let faulted = Network::new(&g, BandwidthModel::Local)
-            .run(mk(), 64, &opts, &mut NoopSink)
+            .run(mk(), 64, &plan, &mut NoopSink)
             .unwrap();
         assert!(faulted.flipped_bits > 0, "fault plan must actually flip");
         let stats = codec_stats(&faulted.nodes);

@@ -6,9 +6,8 @@
 //! `O(log k)`-bit messages.
 
 use super::bfs::BfsTree;
-use crate::engine::{
-    BandwidthModel, Compact, EngineError, Network, NodeProtocol, Outbox, RunOptions,
-};
+use crate::engine::{BandwidthModel, Compact, EngineError, Network, NodeProtocol, Outbox};
+use crate::fault::FaultPlan;
 use crate::graph::{ImplicitTopology, NodeId};
 use dut_obs::{keys, NoopSink, Sink};
 
@@ -113,7 +112,7 @@ pub fn convergecast_sum_observed<T: ImplicitTopology>(
         })
         .collect();
     let report =
-        Network::new(g, model).run(states, 2 * g.node_count() + 4, &RunOptions::serial(), sink)?;
+        Network::new(g, model).run(states, 2 * g.node_count() + 4, &FaultPlan::none(), sink)?;
     let cost = TreeOpCost {
         rounds: report.rounds,
         messages: report.total_messages,
@@ -204,7 +203,7 @@ pub fn broadcast_value_observed<T: ImplicitTopology>(
         })
         .collect();
     let report =
-        Network::new(g, model).run(states, 2 * g.node_count() + 4, &RunOptions::serial(), sink)?;
+        Network::new(g, model).run(states, 2 * g.node_count() + 4, &FaultPlan::none(), sink)?;
     let cost = TreeOpCost {
         rounds: report.rounds,
         messages: report.total_messages,

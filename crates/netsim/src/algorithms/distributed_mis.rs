@@ -11,8 +11,8 @@
 //! (3) their neighbors retire and announce that. Messages are
 //! `O(log k)` bits, so the protocol runs in CONGEST.
 
-use crate::engine::{BandwidthModel, EngineError, Network, NodeProtocol, Outbox, RunOptions};
-use crate::fault::FaultInjectable;
+use crate::engine::{BandwidthModel, EngineError, Network, NodeProtocol, Outbox};
+use crate::fault::{FaultInjectable, FaultPlan};
 use crate::graph::{Graph, NodeId};
 use dut_obs::NoopSink;
 use rand::rngs::StdRng;
@@ -171,7 +171,7 @@ pub fn distributed_luby_mis(
         .collect();
     let max_rounds = 90 * (k.max(2).ilog2() as usize + 2);
     let report =
-        Network::new(g, model).run(states, max_rounds, &RunOptions::serial(), &mut NoopSink)?;
+        Network::new(g, model).run(states, max_rounds, &FaultPlan::none(), &mut NoopSink)?;
     let in_mis = report
         .nodes
         .iter()

@@ -6,9 +6,7 @@
 //! node holding the global maximum knows it is the leader.
 
 use crate::algorithms::coded::{codec_stats, CodecStats, CodedProtocol, MessageCodec};
-use crate::engine::{
-    BandwidthModel, Compact, EngineError, Network, NodeProtocol, Outbox, RunOptions,
-};
+use crate::engine::{BandwidthModel, Compact, EngineError, Network, NodeProtocol, Outbox};
 use crate::fault::FaultPlan;
 use crate::graph::{ImplicitTopology, NodeId};
 use dut_obs::NoopSink;
@@ -102,7 +100,7 @@ pub fn elect_leader<T: ImplicitTopology>(
     let report = Network::new(g, model).run(
         states,
         2 * g.node_count() + 4,
-        &RunOptions::serial(),
+        &FaultPlan::none(),
         &mut NoopSink,
     )?;
     // Unreachable expect: the unique maximum checked above never loses a
@@ -135,8 +133,7 @@ pub fn elect_leader_coded<T, C>(
 ) -> Result<(NodeId, usize, CodecStats), EngineError>
 where
     T: ImplicitTopology,
-    C: MessageCodec<Plain = Compact> + Clone + Send,
-    C::Wire: Send + Sync,
+    C: MessageCodec<Plain = Compact> + Clone,
 {
     let max = unique_max(g, ids)?;
     let states: Vec<CodedProtocol<LeaderNode, C>> = ids
@@ -152,9 +149,7 @@ where
             )
         })
         .collect();
-    let options = RunOptions::default().with_faults(plan.clone());
-    let report =
-        Network::new(g, model).run(states, 2 * g.node_count() + 4, &options, &mut NoopSink)?;
+    let report = Network::new(g, model).run(states, 2 * g.node_count() + 4, plan, &mut NoopSink)?;
     let stats = codec_stats(&report.nodes);
     // Unreachable expect: no id exceeds the unique maximum, so faults can
     // delay but never displace the max holder's self-election.

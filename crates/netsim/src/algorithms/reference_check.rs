@@ -12,9 +12,7 @@
 //! harness.
 
 use crate::algorithms::coded::{CodedProtocol, IdentityCodec};
-use crate::engine::{
-    BandwidthModel, Compact, EngineError, Network, NodeProtocol, RunOptions, RunReport,
-};
+use crate::engine::{BandwidthModel, Compact, EngineError, Network, NodeProtocol, RunReport};
 use crate::fault::{FaultInjectable, FaultPlan};
 use crate::graph::{Graph, ImplicitTopology};
 use crate::reference::run_reference;
@@ -70,7 +68,7 @@ fn outcome<P, V>(run: Result<RunReport<P>, EngineError>, view: impl Fn(&P) -> V)
     })
 }
 
-/// Runs `states` on `topo` with the flat engine at 3 threads and on its
+/// Runs `states` on `topo` with the flat engine and on its
 /// materialized graph with the reference engine, once per plan, and
 /// asserts equal rounds, messages, bits, fault counts and final states
 /// (through `view`). The round limit is the tree primitives' `2k + 4`.
@@ -82,8 +80,8 @@ fn assert_matches_reference<T, P, V>(
     view: impl Fn(&P) -> V + Copy,
 ) where
     T: ImplicitTopology,
-    P: NodeProtocol + Clone + Send,
-    P::Msg: Send + Sync + FaultInjectable,
+    P: NodeProtocol + Clone,
+    P::Msg: FaultInjectable,
     V: PartialEq + Debug,
 {
     let g = topo.materialize();
@@ -91,8 +89,7 @@ fn assert_matches_reference<T, P, V>(
     let mut net = Network::new(topo, model);
     for (i, plan) in plans().into_iter().enumerate() {
         let reference = run_reference(&g, model, states.clone(), max_rounds, &plan, &mut NoopSink);
-        let options = RunOptions::parallel(3).with_faults(plan);
-        let flat = net.run(states.clone(), max_rounds, &options, &mut NoopSink);
+        let flat = net.run(states.clone(), max_rounds, &plan, &mut NoopSink);
         assert_eq!(
             outcome(flat, view),
             outcome(reference, view),
@@ -113,7 +110,7 @@ fn assert_matches_reference<T, P, V>(
 /// [`NodeProtocol::SILENT_STABLE`].
 pub fn assert_silent_stable_matches_reference<P>(label: &str, build: impl Fn(&Graph) -> Vec<P>)
 where
-    P: NodeProtocol<Msg = Compact> + Clone + PartialEq + Debug + Send,
+    P: NodeProtocol<Msg = Compact> + Clone + PartialEq + Debug,
 {
     assert!(P::SILENT_STABLE, "{label} must declare SILENT_STABLE");
     assert!(CodedProtocol::<P, IdentityCodec<Compact>>::SILENT_STABLE);
@@ -131,7 +128,7 @@ where
 fn check_plain_and_coded<T, P>(label: &str, topo: &T, states: Vec<P>)
 where
     T: ImplicitTopology,
-    P: NodeProtocol<Msg = Compact> + Clone + PartialEq + Debug + Send,
+    P: NodeProtocol<Msg = Compact> + Clone + PartialEq + Debug,
 {
     let model = BandwidthModel::Congest { bits_per_edge: 64 };
     let coded = states

@@ -28,9 +28,7 @@
 
 use super::bfs::BfsTree;
 use super::coded::{codec_stats, CodecMessage, CodecStats, CodedProtocol, MessageCodec};
-use crate::engine::{
-    BandwidthModel, EngineError, MessageSize, Network, NodeProtocol, Outbox, RunOptions,
-};
+use crate::engine::{BandwidthModel, EngineError, MessageSize, Network, NodeProtocol, Outbox};
 use crate::fault::{FaultInjectable, FaultPlan};
 use crate::graph::{ImplicitTopology, NodeId};
 use crate::recover::{opt_word, RecoverError, Recoverable, WordReader};
@@ -566,8 +564,7 @@ pub fn reliable_convergecast_sums_coded<T, C>(
 ) -> Result<(Vec<u64>, ReliableCost, CodecStats), EngineError>
 where
     T: ImplicitTopology,
-    C: MessageCodec<Plain = RelMsg> + Clone + Send,
-    C::Wire: Send + Sync,
+    C: MessageCodec<Plain = RelMsg> + Clone,
 {
     assert_eq!(values.len(), g.node_count(), "one value per node");
     let states: Vec<CodedProtocol<RConvNode, C>> = (0..g.node_count())
@@ -589,8 +586,7 @@ where
             )
         })
         .collect();
-    let options = RunOptions::default().with_faults(plan.clone());
-    let report = Network::new(g, model).run(states, policy.max_rounds(tree), &options, sink)?;
+    let report = Network::new(g, model).run(states, policy.max_rounds(tree), plan, sink)?;
     let stats = codec_stats(&report.nodes);
     let (mut retransmits, mut failures) = (0u64, 0u64);
     let sums: Vec<u64> = report
@@ -634,8 +630,7 @@ pub fn reliable_broadcast_value_coded<T, C>(
 ) -> Result<(Vec<Option<u64>>, ReliableCost, CodecStats), EngineError>
 where
     T: ImplicitTopology,
-    C: MessageCodec<Plain = RelMsg> + Clone + Send,
-    C::Wire: Send + Sync,
+    C: MessageCodec<Plain = RelMsg> + Clone,
 {
     let states: Vec<CodedProtocol<RBcastNode, C>> = (0..g.node_count())
         .map(|v| {
@@ -655,8 +650,7 @@ where
             )
         })
         .collect();
-    let options = RunOptions::default().with_faults(plan.clone());
-    let report = Network::new(g, model).run(states, policy.max_rounds(tree), &options, sink)?;
+    let report = Network::new(g, model).run(states, policy.max_rounds(tree), plan, sink)?;
     let stats = codec_stats(&report.nodes);
     let (mut retransmits, mut failures) = (0u64, 0u64);
     let received: Vec<Option<u64>> = report
@@ -910,10 +904,10 @@ mod tests {
 
     #[test]
     fn rejoin_recovery_is_engine_invariant() {
-        // The crash/rejoin path must behave bit-identically across the
-        // serial and parallel engines (the differential suite covers
-        // the same property for the reference engine via
-        // protocol-level runs; here we pin the reliable primitives).
+        // The crash/rejoin path must behave bit-identically on the flat
+        // engine and the reference engine (the differential suite covers
+        // the same property via protocol-level runs; here we pin the
+        // reliable primitives).
         let g = topology::grid(4, 4);
         let tree = tree_of(&g, 0);
         let values: Vec<u64> = (0..16u64).collect();
@@ -922,31 +916,26 @@ mod tests {
             .with_crash(5, 2)
             .with_rejoin(5, 9);
         let policy = RetryPolicy::for_tree(&tree, 4).allowing_outage(plan.max_outage_rounds());
-        let run = |threads: usize| {
-            let mut net = Network::new(&g, BandwidthModel::Local);
-            let states: Vec<CodedProtocol<RConvNode, IdentityCodec<RelMsg>>> = (0..g.node_count())
-                .map(|v| {
-                    CodedProtocol::new(
-                        RConvNode {
-                            parent: tree.parent[v],
-                            children: tree.children[v].clone(),
-                            reported: vec![false; tree.children[v].len()],
-                            acc: values[v],
-                            ready: false,
-                            up: ArqSend::new(),
-                            max_retries: policy.max_retries,
-                            deadline: policy.up_deadline(tree.depth[v], tree.height),
-                            retransmits: 0,
-                            failures: 0,
-                        },
-                        IdentityCodec::<RelMsg>::new(),
-                    )
-                })
-                .collect();
-            let options = RunOptions::parallel(threads).with_faults(plan.clone());
-            let report = net
-                .run(states, policy.max_rounds(&tree), &options, &mut NoopSink)
-                .unwrap();
+        let states: Vec<CodedProtocol<RConvNode, IdentityCodec<RelMsg>>> = (0..g.node_count())
+            .map(|v| {
+                CodedProtocol::new(
+                    RConvNode {
+                        parent: tree.parent[v],
+                        children: tree.children[v].clone(),
+                        reported: vec![false; tree.children[v].len()],
+                        acc: values[v],
+                        ready: false,
+                        up: ArqSend::new(),
+                        max_retries: policy.max_retries,
+                        deadline: policy.up_deadline(tree.depth[v], tree.height),
+                        retransmits: 0,
+                        failures: 0,
+                    },
+                    IdentityCodec::<RelMsg>::new(),
+                )
+            })
+            .collect();
+        let summary = |report: crate::engine::RunReport<CodedProtocol<RConvNode, _>>| {
             (
                 report.rounds,
                 report.total_messages,
@@ -957,9 +946,20 @@ mod tests {
                     .collect::<Vec<_>>(),
             )
         };
-        let serial = run(1);
-        assert_eq!(serial, run(2));
-        assert_eq!(serial, run(8));
+        let max_rounds = policy.max_rounds(&tree);
+        let flat = Network::new(&g, BandwidthModel::Local)
+            .run(states.clone(), max_rounds, &plan, &mut NoopSink)
+            .unwrap();
+        let reference = crate::reference::run_reference(
+            &g,
+            BandwidthModel::Local,
+            states,
+            max_rounds,
+            &plan,
+            &mut NoopSink,
+        )
+        .unwrap();
+        assert_eq!(summary(flat), summary(reference));
     }
 
     #[test]

@@ -13,10 +13,8 @@
 //! Total rounds = the maximum assignment distance (≤ r for MIS
 //! assignments within `N^r`), plus quiescence detection.
 
-use crate::engine::{
-    BandwidthModel, EngineError, MessageSize, Network, NodeProtocol, Outbox, RunOptions,
-};
-use crate::fault::FaultInjectable;
+use crate::engine::{BandwidthModel, EngineError, MessageSize, Network, NodeProtocol, Outbox};
+use crate::fault::{FaultInjectable, FaultPlan};
 use crate::graph::{Graph, NodeId};
 use dut_obs::NoopSink;
 use std::collections::VecDeque;
@@ -210,7 +208,7 @@ pub fn route_to_centers(
     let max_payloads: usize = payloads.iter().map(Vec::len).sum::<usize>().max(1);
     let max_rounds = 2 * (k + max_payloads) + 8;
     let report =
-        Network::new(g, model).run(states, max_rounds, &RunOptions::serial(), &mut NoopSink)?;
+        Network::new(g, model).run(states, max_rounds, &FaultPlan::none(), &mut NoopSink)?;
     let delivered = report.nodes.into_iter().map(|n| n.delivered).collect();
     Ok((delivered, report.rounds))
 }

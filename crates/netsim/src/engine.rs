@@ -34,11 +34,11 @@
 //!   scans it in order, so the list comes out sorted by node id with no
 //!   sort.
 //!
-//! [`Network::run`] is the one entry point. Its [`RunOptions`] pick the
-//! thread count (large graphs can step independent nodes on several
-//! threads, with bit-identical results) and the fault plan. The
-//! pre-existing nested-`Vec` engine is retained as [`crate::reference`]
-//! for differential testing and benchmarking.
+//! [`Network::run`] is the one entry point; it steps every node inline
+//! on the calling thread, under the [`FaultPlan`] it is given
+//! ([`FaultPlan::none`] for a clean run). The pre-existing nested-`Vec`
+//! engine is retained as [`crate::reference`] for differential testing
+//! and benchmarking.
 //!
 //! # Invariants
 //!
@@ -58,8 +58,7 @@
 //!    `arena` filled by the *previous* round while staging new sends
 //!    into `staged`; `deliver` then turns `staged` into the next
 //!    round's `arena` in place. Messages sent in round `r` are
-//!    therefore visible exactly in round `r+1`, never earlier, and the
-//!    parallel path can share the arena immutably across workers.
+//!    therefore visible exactly in round `r+1`, never earlier.
 //!
 //! 3. **Counting-sort stability.** Delivery groups `staged` (global
 //!    send order: node order, then send order within a node) by
@@ -71,8 +70,7 @@
 //!    reaches its slot, never the slot. The active list of a
 //!    silent-stable run is emitted in node-id order, the order dense
 //!    stepping visits nodes in. Differential tests against
-//!    [`crate::reference`] and the serial/parallel bit-identity
-//!    guarantee both depend on this.
+//!    [`crate::reference`] depend on this.
 //!
 //! 4. **Scratch reuse contract.** Between runs a [`Network`]'s scratch
 //!    holds only capacity, never state: every run begins by re-sizing
@@ -82,7 +80,7 @@
 //!    outside the windows in which a single node is stepped or metered
 //!    — restored even on early error returns by `prepare_for` of the
 //!    *next* run.
-//!    Hence a network may be reused across protocols, options and
+//!    Hence a network may be reused across protocols, fault plans and
 //!    failed runs, and a run's results never depend on what the network
 //!    ran before.
 
@@ -463,30 +461,6 @@ pub struct RunReport<P> {
     pub nodes: Vec<P>,
 }
 
-/// Per-thread buffers for stepping a dense round on worker threads.
-/// Aligned to 128 bytes so neighbouring workers' `Vec` headers, which
-/// every send and neighbor lookup writes, never share a cache line
-/// (or an adjacent-line prefetch pair).
-#[derive(Debug)]
-#[repr(align(128))]
-struct WorkerScratch<M> {
-    staged: Vec<(NodeId, NodeId, M)>,
-    neighbor_pos: Vec<u32>,
-    /// Neighbor scratch for implicit topologies (one per worker so
-    /// workers never contend).
-    nbr_buf: Vec<NodeId>,
-}
-
-impl<M> Default for WorkerScratch<M> {
-    fn default() -> Self {
-        WorkerScratch {
-            staged: Vec::new(),
-            neighbor_pos: Vec::new(),
-            nbr_buf: Vec::new(),
-        }
-    }
-}
-
 /// The reusable buffers a [`Network`] keeps across its runs.
 ///
 /// Holds every allocation the round engine needs: the CSR graph view,
@@ -523,8 +497,8 @@ struct EngineScratch<M> {
     /// stream's message index). Zeroed outside each window, like
     /// `edge_bits`.
     edge_msgs: Vec<usize>,
-    /// Neighbor scratch for implicit topologies on the calling thread
-    /// (unused — empty — when the topology primes the CSR).
+    /// Neighbor scratch for implicit topologies (unused — empty — when
+    /// the topology primes the CSR).
     nbr_buf: Vec<NodeId>,
     /// Active list of silent-stable runs: `(node, inbox_lo, inbox_hi)`
     /// for every node that received at least one message last round,
@@ -534,7 +508,6 @@ struct EngineScratch<M> {
     /// while [`deliver_sparse`] counts a round's sends, scanned in order
     /// to emit `active` sorted. All-zero between rounds, like `counts`.
     active_mask: Vec<u64>,
-    workers: Vec<WorkerScratch<M>>,
 }
 
 impl<M> Default for EngineScratch<M> {
@@ -552,7 +525,6 @@ impl<M> Default for EngineScratch<M> {
             nbr_buf: Vec::new(),
             active: Vec::new(),
             active_mask: Vec::new(),
-            workers: Vec::new(),
         }
     }
 }
@@ -594,96 +566,9 @@ impl<M> EngineScratch<M> {
         self.active_mask.resize(k.div_ceil(64), 0);
         use_csr
     }
-
-    /// Sizes one [`WorkerScratch`] per worker thread for `nodes` nodes.
-    fn prepare_workers(&mut self, threads: usize, nodes: usize) {
-        self.workers.resize_with(threads, WorkerScratch::default);
-        for w in &mut self.workers {
-            w.staged.clear();
-            w.neighbor_pos.clear();
-            w.neighbor_pos.resize(nodes, 0);
-            w.nbr_buf.clear();
-        }
-    }
 }
 
-/// Execution options for [`Network::run`].
-///
-/// With more than one thread, each dense round steps its nodes on
-/// scoped worker threads, one contiguous node chunk each, and merges
-/// their staged sends in node order before metering and delivery. The
-/// run is therefore **bit-identical** at any thread count: decisions,
-/// metrics and error values do not depend on it. The default detects
-/// the thread count and engages worker threads from 512 nodes
-/// (`parallel_threshold`); smaller graphs step inline, where thread
-/// start-up would dominate.
-#[derive(Debug, Clone)]
-pub struct RunOptions {
-    /// Worker threads to use. `0` means auto-detect from
-    /// `std::thread::available_parallelism`. Ignored for
-    /// [`NodeProtocol::SILENT_STABLE`] protocols, which always step
-    /// inline through their active list.
-    pub threads: usize,
-    /// Minimum node count before worker threads engage; below it the
-    /// run steps inline regardless of `threads`.
-    pub parallel_threshold: usize,
-    /// The fault model applied to the run. [`FaultPlan::none`] (the
-    /// default) routes to the plain, unfaulted code paths. Any active
-    /// plan is applied identically at every thread count (and by
-    /// [`crate::reference::run_reference`]); see [`crate::fault`].
-    pub faults: FaultPlan,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            threads: 0,
-            parallel_threshold: 512,
-            faults: FaultPlan::none(),
-        }
-    }
-}
-
-impl RunOptions {
-    /// Forces inline (single-threaded) execution.
-    pub fn serial() -> Self {
-        RunOptions {
-            threads: 1,
-            ..RunOptions::default()
-        }
-    }
-
-    /// Requests `threads` workers with no size gate (mainly for tests).
-    pub fn parallel(threads: usize) -> Self {
-        RunOptions {
-            threads,
-            parallel_threshold: 0,
-            ..RunOptions::default()
-        }
-    }
-
-    /// Attaches a fault plan; see [`crate::fault::FaultPlan`].
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    fn effective_threads(&self, nodes: usize) -> usize {
-        if nodes < self.parallel_threshold.max(2) {
-            return 1;
-        }
-        let t = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        };
-        t.clamp(1, nodes)
-    }
-}
-
-/// Running message/bit totals, shared by the serial and parallel paths.
+/// Running message/bit totals of a run.
 struct Metrics {
     total_messages: usize,
     total_bits: usize,
@@ -722,9 +607,8 @@ impl Metrics {
     }
 
     /// Meters one sender's contiguous run `staged[run]` and passes it
-    /// through `channel`: the one metering path of inline and worker
-    /// stepping. Every message is metered at its original size (the
-    /// sender paid for it) before the channel drops or corrupts it;
+    /// through `channel`. Every message is metered at its original size
+    /// (the sender paid for it) before the channel drops or corrupts it;
     /// survivors are compacted to `staged[w..]` in send order and the
     /// advanced cursor is returned. A clean channel keeps every message
     /// in place, so its cursor just skips the run.
@@ -734,7 +618,7 @@ impl Metrics {
     /// cleared again. An error leaves them dirty for the next run's
     /// `prepare_for`.
     ///
-    /// Always inlined: inline stepping calls it once per sending node,
+    /// Always inlined: the round loop calls it once per sending node,
     /// and as an out-of-line call it made dense inline stepping on a
     /// 110×110 torus about 10% slower (2-core host).
     #[allow(clippy::too_many_arguments)]
@@ -880,7 +764,7 @@ fn record_faults(sink: &mut dyn Sink, rounds: usize, metrics: &Metrics, plan: &F
     }
 }
 
-/// The channel a serial run sends through. [`Clean`] delivers every
+/// The channel a run sends through. [`Clean`] delivers every
 /// message untouched; a [`FaultPlan`] crashes nodes and drops or
 /// corrupts messages. The round loop is generic over it, so clean runs
 /// compile with every fault branch folded away.
@@ -1039,113 +923,6 @@ fn place<M: Clone>(
     arena.extend(staged.drain(..).map(|(_, from, msg)| (from, msg)));
 }
 
-/// Where a run reads neighbor lists: the CSR when the topology primed
-/// it, the topology itself otherwise (see `EngineScratch::prepare_for`).
-struct Adjacency<'a, T> {
-    csr: &'a Csr,
-    topo: &'a T,
-    use_csr: bool,
-}
-
-impl<'a, T: ImplicitTopology> Adjacency<'a, T> {
-    /// `v`'s neighbors, in [`ImplicitTopology::neighbors`] order.
-    #[inline]
-    fn of<'b>(&self, v: NodeId, buf: &'b mut Vec<NodeId>) -> &'b [NodeId]
-    where
-        'a: 'b,
-    {
-        if self.use_csr {
-            self.csr.neighbors(v)
-        } else {
-            self.topo.neighbors(v, buf)
-        }
-    }
-}
-
-/// [`step_on_workers`] as a fn pointer: instantiated only where node
-/// states and messages may cross threads, so the round loop itself
-/// carries no `Send` bounds.
-type FanOut<P, T> = fn(
-    &Adjacency<'_, T>,
-    &[(NodeId, <P as NodeProtocol>::Msg)],
-    &[usize],
-    usize,
-    Option<&FaultPlan>,
-    &mut [P],
-    &mut [WorkerScratch<<P as NodeProtocol>::Msg>],
-) -> Option<(NodeId, NodeId)>;
-
-/// Steps every live node of one dense round on scoped worker threads,
-/// one contiguous node chunk per worker, each staging its sends into
-/// its own [`WorkerScratch`]. Workers only read the arena. A worker's
-/// panic is re-raised with its original payload.
-///
-/// Returns the first node, in node order, that sent to a non-neighbor,
-/// with that send's target; a worker stops stepping at its first one.
-fn step_on_workers<P, T>(
-    adj: &Adjacency<'_, T>,
-    arena: &[(NodeId, P::Msg)],
-    inbox_offsets: &[usize],
-    round: usize,
-    plan: Option<&FaultPlan>,
-    states: &mut [P],
-    workers: &mut [WorkerScratch<P::Msg>],
-) -> Option<(NodeId, NodeId)>
-where
-    P: NodeProtocol + Send,
-    P::Msg: Send + Sync,
-    T: ImplicitTopology,
-{
-    let chunk_len = states.len().div_ceil(workers.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = states
-            .chunks_mut(chunk_len)
-            .zip(workers.iter_mut())
-            .enumerate()
-            .map(|(c, (chunk, worker))| {
-                s.spawn(move || {
-                    let WorkerScratch {
-                        staged,
-                        neighbor_pos,
-                        nbr_buf,
-                    } = worker;
-                    for (off, state) in chunk.iter_mut().enumerate() {
-                        let node = c * chunk_len + off;
-                        if plan.is_some_and(|p| p.crashed(node, round)) {
-                            continue;
-                        }
-                        if plan.is_some_and(|p| p.rejoins_at(node, round)) {
-                            state.on_rejoin(node, round);
-                        }
-                        let nbrs = adj.of(node, nbr_buf);
-                        let inbox = &arena[inbox_offsets[node]..inbox_offsets[node + 1]];
-                        let mut out = Outbox::new(node, nbrs, neighbor_pos, staged);
-                        state.on_round(node, round, inbox, &mut out);
-                        if out.index_filled() {
-                            let bad = out.bad_send();
-                            for &nb in nbrs {
-                                neighbor_pos[nb] = 0;
-                            }
-                            if let Some(to) = bad {
-                                return Some((node, to));
-                            }
-                        }
-                    }
-                    None
-                })
-            })
-            .collect();
-        let mut first_bad = None;
-        for h in handles {
-            match h.join() {
-                Ok(bad) => first_bad = first_bad.or(bad),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        first_bad
-    })
-}
-
 /// A synchronous network: a topology plus a bandwidth model, and the
 /// buffers its runs reuse.
 ///
@@ -1187,22 +964,19 @@ impl<'g, M, T: ImplicitTopology> Network<'g, M, T> {
     }
 
     /// Runs the protocol to quiescence (all nodes done, no messages in
-    /// flight) or up to `max_rounds`, recording metrics into `sink`.
+    /// flight) or up to `max_rounds` under `faults`, recording metrics
+    /// into `sink`.
     ///
-    /// `options` picks the thread count and the fault plan (see
-    /// [`RunOptions`]). Results — reports, final states and error
-    /// values — are bit-identical at any thread count, and a
-    /// [`FaultPlan::none`] plan runs the unfaulted code path.
-    /// Silent-stable protocols always step inline through their active
-    /// list: the active list, not node stepping, is the bottleneck
-    /// their wavefronts leave.
+    /// [`FaultPlan::none`] runs the unfaulted code path; any other plan
+    /// is applied exactly as [`crate::reference::run_reference`] applies
+    /// it (see [`crate::fault`]). Nodes step inline on the calling
+    /// thread, in node order.
     ///
     /// The sink sees run-total counters plus per-round histograms of
     /// messages, bits, max single-edge bits and wall-clock nanoseconds
     /// (`netsim.*` in [`dut_obs::keys`]), and fault totals
-    /// (`netsim.fault.*`) only when a plan is active. Metering and
-    /// observation run on the calling thread in node order, and sinks
-    /// never influence execution.
+    /// (`netsim.fault.*`) only when a plan is active. Sinks never
+    /// influence execution.
     ///
     /// # Errors
     ///
@@ -1218,25 +992,19 @@ impl<'g, M, T: ImplicitTopology> Network<'g, M, T> {
         &mut self,
         states: Vec<P>,
         max_rounds: usize,
-        options: &RunOptions,
+        faults: &FaultPlan,
         sink: &mut dyn Sink,
     ) -> Result<RunReport<P>, EngineError>
     where
-        P: NodeProtocol<Msg = M> + Send,
-        M: Clone + MessageSize + FaultInjectable + Send + Sync,
+        P: NodeProtocol<Msg = M>,
+        M: Clone + MessageSize + FaultInjectable,
     {
-        let threads = if P::SILENT_STABLE {
-            1
-        } else {
-            options.effective_threads(self.graph.node_count())
-        };
-        let fan_out = (threads > 1).then_some((threads, step_on_workers::<P, T> as FanOut<P, T>));
-        if options.faults.is_none() {
+        if faults.is_none() {
             // The fault-free plan routes to the clean channel, whose
             // fault branches compile away.
-            self.run_rounds(states, max_rounds, &Clean, fan_out, sink)
+            self.run_rounds(states, max_rounds, &Clean, sink)
         } else {
-            self.run_rounds(states, max_rounds, &options.faults, fan_out, sink)
+            self.run_rounds(states, max_rounds, faults, sink)
         }
     }
 
@@ -1249,21 +1017,14 @@ impl<'g, M, T: ImplicitTopology> Network<'g, M, T> {
     /// protocol visit only the nodes recorded by [`deliver_sparse`]
     /// (plus nodes rejoining that round) — bit-identical to stepping
     /// every node, by the silent-stable contract. Every other round is
-    /// dense. With `fan_out` (worker count and stepping function, never
-    /// set for silent-stable protocols) a dense round steps its nodes on
-    /// worker threads and then meters their merged sends in node order;
-    /// without it, nodes step inline and each node's sends are metered
-    /// right after it steps, so a
+    /// dense. Each node's sends are metered right after it steps, so a
     /// violation surfaces before any later node steps, exactly as the
-    /// naive engine did. Both orders meter the same sends through
-    /// [`Metrics::meter_sender`], so they reach the same totals and the
-    /// same first error.
+    /// naive engine did.
     fn run_rounds<P, C>(
         &mut self,
         states: Vec<P>,
         max_rounds: usize,
         channel: &C,
-        fan_out: Option<(usize, FanOut<P, T>)>,
         sink: &mut dyn Sink,
     ) -> Result<RunReport<P>, EngineError>
     where
@@ -1275,11 +1036,11 @@ impl<'g, M, T: ImplicitTopology> Network<'g, M, T> {
         let plan = channel.plan();
         let model = self.model;
         let mut states = self.check_states(states)?;
+        let topo = self.graph;
         let scratch = &mut self.scratch;
-        let use_csr = scratch.prepare_for(self.graph);
-        if let Some((threads, _)) = fan_out {
-            scratch.prepare_workers(threads, states.len());
-        }
+        // Neighbor lists come from the CSR when the topology primed it,
+        // from the topology itself otherwise.
+        let use_csr = scratch.prepare_for(topo);
         let EngineScratch {
             csr,
             arena,
@@ -1293,13 +1054,7 @@ impl<'g, M, T: ImplicitTopology> Network<'g, M, T> {
             nbr_buf,
             active,
             active_mask,
-            workers,
         } = scratch;
-        let adj = Adjacency {
-            csr,
-            topo: self.graph,
-            use_csr,
-        };
         let mut metrics = Metrics::new();
         let mut obs = RoundObs::new();
 
@@ -1371,100 +1126,56 @@ impl<'g, M, T: ImplicitTopology> Network<'g, M, T> {
                 }
             }
 
-            if let Some((_, step)) = fan_out {
-                let bad = step(
-                    &adj,
-                    arena,
-                    inbox_offsets,
-                    round,
-                    plan,
-                    &mut states,
-                    workers,
-                );
-                // Merged in worker (= node) order, the buffer holds the
-                // exact global send order of inline stepping; one
-                // sender's sends are contiguous.
-                for w in workers.iter_mut() {
-                    staged.append(&mut w.staged);
+            let visits = if sparse_round {
+                active.len()
+            } else {
+                states.len()
+            };
+            for i in 0..visits {
+                let (node, lo, hi) = if sparse_round {
+                    active[i]
+                } else {
+                    (i, inbox_offsets[i], inbox_offsets[i + 1])
+                };
+                if plan.is_some_and(|p| p.crashed(node, round)) {
+                    continue;
                 }
-                // Inline stepping fails at the bad node before metering
-                // it, so only the senders before it are metered here.
-                let stop = bad.map_or(NodeId::MAX, |(node, _)| node);
-                let mut i = 0;
-                let mut w = 0;
-                while i < staged.len() && staged[i].1 < stop {
-                    let from = staged[i].1;
-                    let j = i + staged[i..].iter().take_while(|s| s.1 == from).count();
-                    let nbrs = adj.of(from, nbr_buf);
-                    for (p, &nb) in nbrs.iter().enumerate() {
-                        neighbor_pos[nb] = p as u32 + 1;
+                if plan.is_some_and(|p| p.rejoins_at(node, round)) {
+                    states[node].on_rejoin(node, round);
+                }
+                let nbrs = if use_csr {
+                    csr.neighbors(node)
+                } else {
+                    topo.neighbors(node, nbr_buf)
+                };
+                let start = staged.len();
+                let inbox = &arena[lo..hi];
+                let mut out = Outbox::new(node, nbrs, neighbor_pos, staged);
+                states[node].on_round(node, round, inbox, &mut out);
+                // A silent node never filled the position index —
+                // there is nothing to meter, clear or reject.
+                if out.index_filled() {
+                    if let Some(to) = out.bad_send() {
+                        return Err(EngineError::NotANeighbor {
+                            from: node,
+                            to,
+                            round,
+                        });
                     }
-                    w = metrics.meter_sender(
+                    let end = staged.len();
+                    let w = metrics.meter_sender(
                         model,
                         round,
                         channel,
                         staged,
-                        i..j,
-                        w,
+                        start..end,
+                        start,
                         nbrs,
                         neighbor_pos,
                         edge_bits,
                         edge_msgs,
                     )?;
-                    i = j;
-                }
-                if let Some((from, to)) = bad {
-                    return Err(EngineError::NotANeighbor { from, to, round });
-                }
-                staged.truncate(w);
-            } else {
-                let visits = if sparse_round {
-                    active.len()
-                } else {
-                    states.len()
-                };
-                for i in 0..visits {
-                    let (node, lo, hi) = if sparse_round {
-                        active[i]
-                    } else {
-                        (i, inbox_offsets[i], inbox_offsets[i + 1])
-                    };
-                    if plan.is_some_and(|p| p.crashed(node, round)) {
-                        continue;
-                    }
-                    if plan.is_some_and(|p| p.rejoins_at(node, round)) {
-                        states[node].on_rejoin(node, round);
-                    }
-                    let nbrs = adj.of(node, nbr_buf);
-                    let start = staged.len();
-                    let inbox = &arena[lo..hi];
-                    let mut out = Outbox::new(node, nbrs, neighbor_pos, staged);
-                    states[node].on_round(node, round, inbox, &mut out);
-                    // A silent node never filled the position index —
-                    // there is nothing to meter, clear or reject.
-                    if out.index_filled() {
-                        if let Some(to) = out.bad_send() {
-                            return Err(EngineError::NotANeighbor {
-                                from: node,
-                                to,
-                                round,
-                            });
-                        }
-                        let end = staged.len();
-                        let w = metrics.meter_sender(
-                            model,
-                            round,
-                            channel,
-                            staged,
-                            start..end,
-                            start,
-                            nbrs,
-                            neighbor_pos,
-                            edge_bits,
-                            edge_msgs,
-                        )?;
-                        staged.truncate(w);
-                    }
+                    staged.truncate(w);
                 }
             }
 
@@ -1523,18 +1234,18 @@ mod tests {
     use crate::topology;
     use dut_obs::NoopSink;
 
-    /// A serial, fault-free run with no sink.
-    fn run_serial<M, P, T>(
+    /// A fault-free run with no sink.
+    fn run_clean<M, P, T>(
         net: &mut Network<'_, M, T>,
         states: Vec<P>,
         max_rounds: usize,
     ) -> Result<RunReport<P>, EngineError>
     where
-        P: NodeProtocol<Msg = M> + Send,
-        M: Clone + MessageSize + FaultInjectable + Send + Sync,
+        P: NodeProtocol<Msg = M>,
+        M: Clone + MessageSize + FaultInjectable,
         T: ImplicitTopology,
     {
-        net.run(states, max_rounds, &RunOptions::serial(), &mut NoopSink)
+        net.run(states, max_rounds, &FaultPlan::none(), &mut NoopSink)
     }
 
     /// Flood protocol used across the tests.
@@ -1690,7 +1401,7 @@ mod tests {
     fn flood_reaches_everyone_on_a_line() {
         let g = topology::line(8);
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let report = run_serial(&mut net, vec![Flood { seen: false }; 8], 32).unwrap();
+        let report = run_clean(&mut net, vec![Flood { seen: false }; 8], 32).unwrap();
         assert!(report.nodes.iter().all(|n| n.seen));
         // 0 announces in round 0; node 7 hears in round 7 and re-broadcasts;
         // round 8 drains node 7's broadcast; round 9 detects quiescence.
@@ -1701,7 +1412,7 @@ mod tests {
     fn flood_rounds_scale_with_diameter() {
         let g_star = topology::star(16);
         let mut net = Network::new(&g_star, BandwidthModel::Local);
-        let report = run_serial(&mut net, vec![Flood { seen: false }; 16], 32).unwrap();
+        let report = run_clean(&mut net, vec![Flood { seen: false }; 16], 32).unwrap();
         assert!(
             report.rounds <= 4,
             "star flood took {} rounds",
@@ -1713,7 +1424,7 @@ mod tests {
     fn message_metrics_are_counted() {
         let g = topology::line(3);
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let report = run_serial(&mut net, vec![Flood { seen: false }; 3], 32).unwrap();
+        let report = run_clean(&mut net, vec![Flood { seen: false }; 3], 32).unwrap();
         // round 0: 0->1. round 1: 1->0, 1->2. round 2: 2->1.
         assert_eq!(report.total_messages, 4);
         assert_eq!(report.total_bits, 4); // unit messages cost 1 bit each
@@ -1778,24 +1489,25 @@ mod tests {
         let g = topology::grid(4, 5);
         let model = BandwidthModel::Congest { bits_per_edge: 64 };
         let states = |armed| vec![Relay { armed, hops: None }; 20];
+        let clean = FaultPlan::none();
         let flips = FaultPlan::seeded(0xF11B).with_flips(0.05);
         let runs = [
-            (false, RunOptions::serial()),
-            (false, RunOptions::serial()),
-            (true, RunOptions::serial()),
-            (false, RunOptions::serial()),
-            (false, RunOptions::serial().with_faults(flips.clone())),
-            (true, RunOptions::parallel(3).with_faults(flips.clone())),
-            (false, RunOptions::parallel(3).with_faults(flips)),
-            (false, RunOptions::parallel(3)),
-            (true, RunOptions::parallel(3)),
-            (false, RunOptions::serial()),
+            (false, &clean),
+            (false, &clean),
+            (true, &clean),
+            (false, &clean),
+            (false, &flips),
+            (true, &flips),
+            (false, &flips),
+            (false, &clean),
+            (true, &clean),
+            (false, &clean),
         ];
         let mut net = Network::new(&g, model);
-        for (i, (armed, options)) in runs.iter().enumerate() {
-            let reused = outcome(net.run(states(*armed), 64, options, &mut NoopSink));
+        for (i, (armed, plan)) in runs.iter().enumerate() {
+            let reused = outcome(net.run(states(*armed), 64, plan, &mut NoopSink));
             let fresh =
-                outcome(Network::new(&g, model).run(states(*armed), 64, options, &mut NoopSink));
+                outcome(Network::new(&g, model).run(states(*armed), 64, plan, &mut NoopSink));
             assert_eq!(
                 reused.as_ref().err().is_some(),
                 *armed,
@@ -1803,36 +1515,6 @@ mod tests {
             );
             assert_eq!(reused, fresh, "run {i}");
         }
-    }
-
-    #[test]
-    fn parallel_run_matches_serial() {
-        let g = topology::complete(24);
-        let mut net = Network::new(&g, BandwidthModel::Local);
-        let serial = run_serial(&mut net, vec![Flood { seen: false }; 24], 32).unwrap();
-        for threads in [2, 3, 8] {
-            let par = net
-                .run(
-                    vec![Flood { seen: false }; 24],
-                    32,
-                    &RunOptions::parallel(threads),
-                    &mut NoopSink,
-                )
-                .unwrap();
-            assert_eq!(par.rounds, serial.rounds);
-            assert_eq!(par.total_messages, serial.total_messages);
-            assert_eq!(par.total_bits, serial.total_bits);
-            assert_eq!(par.max_edge_bits_per_round, serial.max_edge_bits_per_round);
-            assert!(par.nodes.iter().all(|n| n.seen));
-        }
-    }
-
-    #[test]
-    fn parallel_threshold_keeps_small_graphs_serial() {
-        let opts = RunOptions::default();
-        assert_eq!(opts.effective_threads(8), 1);
-        assert_eq!(RunOptions::serial().effective_threads(100_000), 1);
-        assert_eq!(RunOptions::parallel(4).effective_threads(8), 4);
     }
 
     #[test]
@@ -1859,7 +1541,7 @@ mod tests {
         }
         let g = topology::line(2);
         let mut net = Network::new(&g, BandwidthModel::Congest { bits_per_edge: 64 });
-        let err = run_serial(&mut net, vec![Fat, Fat], 8).unwrap_err();
+        let err = run_clean(&mut net, vec![Fat, Fat], 8).unwrap_err();
         assert!(matches!(err, EngineError::BandwidthExceeded { .. }));
     }
 
@@ -1888,7 +1570,7 @@ mod tests {
         }
         let g = topology::line(2);
         let mut net = Network::new(&g, BandwidthModel::Congest { bits_per_edge: 100 });
-        let err = run_serial(&mut net, vec![TwoMsgs, TwoMsgs], 8).unwrap_err();
+        let err = run_clean(&mut net, vec![TwoMsgs, TwoMsgs], 8).unwrap_err();
         assert!(matches!(
             err,
             EngineError::BandwidthExceeded { bits: 128, .. }
@@ -1899,7 +1581,7 @@ mod tests {
     fn congest_within_budget_succeeds() {
         let g = topology::line(4);
         let mut net = Network::new(&g, BandwidthModel::Congest { bits_per_edge: 8 });
-        let report = run_serial(&mut net, vec![Flood { seen: false }; 4], 32).unwrap();
+        let report = run_clean(&mut net, vec![Flood { seen: false }; 4], 32).unwrap();
         assert!(report.nodes.iter().all(|n| n.seen));
     }
 
@@ -1929,10 +1611,10 @@ mod tests {
         }
         let g = topology::line(2);
         let mut net = Network::new(&g, BandwidthModel::Congest { bits_per_edge: 8 });
-        let err = run_serial(&mut net, vec![MaybeFat { armed: true }; 2], 8).unwrap_err();
+        let err = run_clean(&mut net, vec![MaybeFat { armed: true }; 2], 8).unwrap_err();
         assert!(matches!(err, EngineError::BandwidthExceeded { .. }));
         // The network's own scratch must run clean afterwards.
-        let ok = run_serial(&mut net, vec![MaybeFat { armed: false }; 2], 8).unwrap();
+        let ok = run_clean(&mut net, vec![MaybeFat { armed: false }; 2], 8).unwrap();
         assert_eq!(ok.total_messages, 0);
         assert_eq!(ok.rounds, 1);
     }
@@ -1959,7 +1641,7 @@ mod tests {
         }
         let g = topology::line(2);
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let err = run_serial(&mut net, vec![Chatter, Chatter], 10).unwrap_err();
+        let err = run_clean(&mut net, vec![Chatter, Chatter], 10).unwrap_err();
         assert_eq!(err, EngineError::RoundLimit { max_rounds: 10 });
     }
 
@@ -1967,7 +1649,7 @@ mod tests {
     fn node_count_mismatch_detected() {
         let g = topology::line(3);
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let err = run_serial(&mut net, vec![Flood { seen: false }; 2], 8).unwrap_err();
+        let err = run_clean(&mut net, vec![Flood { seen: false }; 2], 8).unwrap_err();
         assert!(matches!(err, EngineError::NodeCountMismatch { .. }));
     }
 
@@ -2033,15 +1715,12 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        for threads in [1, 3] {
-            let options = RunOptions::parallel(threads);
-            let mut net = Network::new(&g, model);
-            let flat = net.run(vec![Bad; 5], 8, &options, &mut NoopSink);
-            assert_eq!(flat.map(|r| r.rounds), want, "{threads} threads");
-            let mut net = Network::new(&g, model);
-            let flat = net.run(coded(), 8, &options, &mut NoopSink);
-            assert_eq!(flat.map(|r| r.rounds), want, "coded, {threads} threads");
-        }
+        let mut net = Network::new(&g, model);
+        let flat = run_clean(&mut net, vec![Bad; 5], 8);
+        assert_eq!(flat.map(|r| r.rounds), want);
+        let mut net = Network::new(&g, model);
+        let flat = run_clean(&mut net, coded(), 8);
+        assert_eq!(flat.map(|r| r.rounds), want, "coded");
     }
 
     #[test]

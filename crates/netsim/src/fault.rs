@@ -3,9 +3,10 @@
 //! A [`FaultPlan`] describes a stochastic channel/process fault model —
 //! per-message drop probability, per-bit flip probability (a binary
 //! symmetric channel), and an optional node-crash schedule — that the
-//! engine applies while delivering messages. The plan travels in
-//! [`crate::engine::RunOptions`], so the same protocol code runs
-//! faulted or fault-free without modification.
+//! engine applies while delivering messages. Every run takes one
+//! ([`crate::engine::Network::run`], [`crate::reference::run_reference`]),
+//! so the same protocol code runs faulted or fault-free without
+//! modification.
 //!
 //! # Determinism
 //!
@@ -16,10 +17,10 @@
 //! edge within one round, in send order. The stream is *stateless* —
 //! no generator advances — so the decision for a given message depends
 //! only on its coordinates, never on evaluation order. That is what
-//! lets the flat serial engine, the parallel path (which meters a
-//! merged buffer), and the naive reference engine agree bit-for-bit on
-//! the same plan, and what makes faulted runs resumable: re-running any
-//! prefix of rounds reproduces the same faults.
+//! lets the flat engine (dense or active-list stepping, materialized or
+//! implicit topology) and the naive reference engine agree bit-for-bit
+//! on the same plan, and what makes faulted runs resumable: re-running
+//! any prefix of rounds reproduces the same faults.
 //!
 //! Protocol RNGs are untouched: fault randomness is keyed by
 //! [`FaultPlan::seed`] alone, so a faulted run with `drop_prob = 0`,

@@ -466,7 +466,7 @@ impl Csr {
 /// generic over `ImplicitTopology` accept both materialized and
 /// implicit networks; [`crate::engine::Network`] keeps its CSR fast
 /// path for `Graph` through [`ImplicitTopology::prime_csr`].
-pub trait ImplicitTopology: Sync {
+pub trait ImplicitTopology {
     /// Number of nodes; ids are dense `0..node_count()`.
     fn node_count(&self) -> usize;
 

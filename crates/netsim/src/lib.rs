@@ -35,7 +35,8 @@
 //! # Example: flooding a token
 //!
 //! ```rust
-//! use dut_netsim::engine::{BandwidthModel, Network, NodeProtocol, Outbox, RunOptions};
+//! use dut_netsim::engine::{BandwidthModel, Network, NodeProtocol, Outbox};
+//! use dut_netsim::fault::FaultPlan;
 //! use dut_netsim::graph::NodeId;
 //! use dut_netsim::topology;
 //!
@@ -63,7 +64,7 @@
 //! let g = topology::line(8);
 //! let mut net = Network::new(&g, BandwidthModel::Local);
 //! let states = vec![Flood { seen: false }; 8];
-//! let report = net.run(states, 32, &RunOptions::serial(), &mut dut_obs::NoopSink).unwrap();
+//! let report = net.run(states, 32, &FaultPlan::none(), &mut dut_obs::NoopSink).unwrap();
 //! // 7 hops, one round draining the last broadcast, one quiescent round.
 //! assert_eq!(report.rounds, 9);
 //! ```
@@ -80,7 +81,7 @@ pub mod recover;
 pub mod reference;
 pub mod topology;
 
-pub use engine::{BandwidthModel, Network, RunOptions, RunReport};
+pub use engine::{BandwidthModel, Network, RunReport};
 pub use fault::{FaultInjectable, FaultPlan};
 pub use graph::{Csr, DegreeStats, Graph, GraphError, ImplicitTopology, NodeId};
 pub use topology::{

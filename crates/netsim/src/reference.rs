@@ -177,8 +177,8 @@ fn run_clean<P: NodeProtocol>(
 /// The faulted executable specification, for a non-empty graph with
 /// one state per node, in the naive style:
 /// per-send linear scans for CONGEST accounting *and* for the per-edge
-/// message index that keys the fault stream. The flat engine's serial
-/// and parallel fault paths are differentially tested against it.
+/// message index that keys the fault stream. The flat engine's fault
+/// paths are differentially tested against it.
 ///
 /// Semantics mirror the flat engine exactly: crashed nodes are skipped
 /// and count as done for quiescence; every send is metered at its

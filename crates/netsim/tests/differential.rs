@@ -1,5 +1,5 @@
-//! Differential tests: the flat-buffer round engine (serial and
-//! parallel) against the retained naive reference engine
+//! Differential tests: the flat-buffer round engine against the
+//! retained naive reference engine
 //! ([`dut_netsim::reference::run_reference`]).
 //!
 //! For every protocol × topology pair we assert the engines produce
@@ -8,9 +8,7 @@
 //! (CONGEST budget violations, round-limit exhaustion) must also agree
 //! exactly, including the offending edge and bit counts.
 
-use dut_netsim::engine::{
-    BandwidthModel, EngineError, Network, NodeProtocol, Outbox, RunOptions, RunReport,
-};
+use dut_netsim::engine::{BandwidthModel, EngineError, Network, NodeProtocol, Outbox, RunReport};
 use dut_netsim::fault::{FaultInjectable, FaultPlan};
 use dut_netsim::graph::{Graph, NodeId};
 use dut_netsim::reference::run_reference;
@@ -202,13 +200,13 @@ fn assert_reports_equal<P: PartialEq + std::fmt::Debug>(
     assert_eq!(reference.nodes, candidate.nodes, "{label}: final states");
 }
 
-/// Runs `states` on `g` three ways — reference, flat serial, flat
-/// parallel (3 threads, threshold forced off) — and asserts all three
-/// reports and final states are identical.
+/// Runs `states` on `g` three ways — reference, flat engine on a fresh
+/// network, flat engine again on the same (reused) network — and
+/// asserts all three reports and final states are identical.
 fn differential<P>(label: &str, g: &Graph, model: BandwidthModel, states: Vec<P>, max_rounds: usize)
 where
-    P: NodeProtocol + Clone + PartialEq + std::fmt::Debug + Send,
-    P::Msg: Send + Sync + FaultInjectable,
+    P: NodeProtocol + Clone + PartialEq + std::fmt::Debug,
+    P::Msg: FaultInjectable,
 {
     let reference = run_reference(
         g,
@@ -221,20 +219,20 @@ where
     .unwrap_or_else(|e| panic!("{label}: reference failed: {e}"));
 
     let mut net = Network::new(g, model);
-    let serial = net
+    let fresh = net
         .run(
             states.clone(),
             max_rounds,
-            &RunOptions::serial(),
+            &FaultPlan::none(),
             &mut NoopSink,
         )
-        .unwrap_or_else(|e| panic!("{label}: serial flat engine failed: {e}"));
-    assert_reports_equal(&format!("{label} (serial)"), &reference, &serial);
+        .unwrap_or_else(|e| panic!("{label}: flat engine failed: {e}"));
+    assert_reports_equal(&format!("{label} (fresh)"), &reference, &fresh);
 
-    let parallel = net
-        .run(states, max_rounds, &RunOptions::parallel(3), &mut NoopSink)
-        .unwrap_or_else(|e| panic!("{label}: parallel flat engine failed: {e}"));
-    assert_reports_equal(&format!("{label} (parallel)"), &reference, &parallel);
+    let reused = net
+        .run(states, max_rounds, &FaultPlan::none(), &mut NoopSink)
+        .unwrap_or_else(|e| panic!("{label}: reused flat engine failed: {e}"));
+    assert_reports_equal(&format!("{label} (reused)"), &reference, &reused);
 }
 
 // ---------------------------------------------------------------------
@@ -337,15 +335,15 @@ fn bandwidth_errors_match_reference() {
         );
 
         let mut net = Network::new(&g, model);
-        let serial_err = net
-            .run(states.clone(), 16, &RunOptions::serial(), &mut NoopSink)
+        let fresh_err = net
+            .run(states.clone(), 16, &FaultPlan::none(), &mut NoopSink)
             .unwrap_err();
-        assert_eq!(ref_err, serial_err, "{name}: serial error");
+        assert_eq!(ref_err, fresh_err, "{name}: fresh error");
 
-        let parallel_err = net
-            .run(states, 16, &RunOptions::parallel(3), &mut NoopSink)
+        let reused_err = net
+            .run(states, 16, &FaultPlan::none(), &mut NoopSink)
             .unwrap_err();
-        assert_eq!(ref_err, parallel_err, "{name}: parallel error");
+        assert_eq!(ref_err, reused_err, "{name}: reused error");
     }
 }
 
@@ -367,15 +365,15 @@ fn round_limit_errors_match_reference() {
         assert_eq!(ref_err, EngineError::RoundLimit { max_rounds: 7 });
 
         let mut net = Network::new(&g, BandwidthModel::Local);
-        let serial_err = net
-            .run(states.clone(), 7, &RunOptions::serial(), &mut NoopSink)
+        let fresh_err = net
+            .run(states.clone(), 7, &FaultPlan::none(), &mut NoopSink)
             .unwrap_err();
-        assert_eq!(ref_err, serial_err, "{name}: serial error");
+        assert_eq!(ref_err, fresh_err, "{name}: fresh error");
 
-        let parallel_err = net
-            .run(states, 7, &RunOptions::parallel(3), &mut NoopSink)
+        let reused_err = net
+            .run(states, 7, &FaultPlan::none(), &mut NoopSink)
             .unwrap_err();
-        assert_eq!(ref_err, parallel_err, "{name}: parallel error");
+        assert_eq!(ref_err, reused_err, "{name}: reused error");
     }
 }
 
@@ -431,7 +429,8 @@ fn assert_outcomes_equal<P: PartialEq + std::fmt::Debug>(
 }
 
 /// Runs `states` under `plan` three ways — faulted reference, flat
-/// serial, flat parallel (3 threads) — and asserts the three outcomes
+/// engine on a fresh network, flat engine again on the same network —
+/// and asserts the three outcomes
 /// are bit-identical: same reports and final states on success, same
 /// error values on failure. Faults can legitimately push a protocol
 /// into an error (an unreached flood hits the round limit), so both
@@ -444,19 +443,17 @@ fn fault_differential<P>(
     max_rounds: usize,
     plan: &FaultPlan,
 ) where
-    P: NodeProtocol + Clone + PartialEq + std::fmt::Debug + Send,
-    P::Msg: Send + Sync + FaultInjectable,
+    P: NodeProtocol + Clone + PartialEq + std::fmt::Debug,
+    P::Msg: FaultInjectable,
 {
     let reference = run_reference(g, model, states.clone(), max_rounds, plan, &mut NoopSink);
 
     let mut net = Network::new(g, model);
-    let serial_options = RunOptions::default().with_faults(plan.clone());
-    let serial = net.run(states.clone(), max_rounds, &serial_options, &mut NoopSink);
-    assert_outcomes_equal(&format!("{label} (serial)"), &reference, &serial);
+    let fresh = net.run(states.clone(), max_rounds, plan, &mut NoopSink);
+    assert_outcomes_equal(&format!("{label} (fresh)"), &reference, &fresh);
 
-    let parallel_options = RunOptions::parallel(3).with_faults(plan.clone());
-    let parallel = net.run(states, max_rounds, &parallel_options, &mut NoopSink);
-    assert_outcomes_equal(&format!("{label} (parallel)"), &reference, &parallel);
+    let reused = net.run(states, max_rounds, plan, &mut NoopSink);
+    assert_outcomes_equal(&format!("{label} (reused)"), &reference, &reused);
 }
 
 #[test]
@@ -568,15 +565,14 @@ fn zero_fault_plan_matches_unfaulted_run() {
                 net.run(
                     vec![Bfs { dist: None }; k],
                     4 * k,
-                    &RunOptions::serial(),
+                    &FaultPlan::none(),
                     &mut NoopSink,
                 )
                 .unwrap()
             };
             let mut net = Network::new(&g, BandwidthModel::Local);
-            let options = RunOptions::default().with_faults(plan.clone());
             let faulted = net
-                .run(vec![Bfs { dist: None }; k], 4 * k, &options, &mut NoopSink)
+                .run(vec![Bfs { dist: None }; k], 4 * k, &plan, &mut NoopSink)
                 .unwrap();
             assert_reports_equal(&format!("bfs-zero-fault/{name}"), &plain, &faulted);
         }
@@ -590,29 +586,29 @@ fn zero_fault_plan_matches_unfaulted_run() {
 #[test]
 fn one_network_reused_across_runs_matches_reference() {
     // One network serving a sequence of runs (the Monte-Carlo usage
-    // pattern), serial, on workers and faulted, must not leak its
-    // buffers' state between runs.
+    // pattern), clean and faulted, must not leak its buffers' state
+    // between runs.
     let plan = FaultPlan::seeded(0x5C7A).with_drops(0.1);
     let runs = [
-        RunOptions::serial(),
-        RunOptions::parallel(3),
-        RunOptions::serial().with_faults(plan.clone()),
-        RunOptions::parallel(3).with_faults(plan),
-        RunOptions::serial(),
+        FaultPlan::none(),
+        FaultPlan::none(),
+        plan.clone(),
+        plan,
+        FaultPlan::none(),
     ];
     for (name, g) in topologies() {
         let k = g.node_count();
         let mut net = Network::new(&g, BandwidthModel::Local);
-        for (i, options) in runs.iter().enumerate() {
+        for (i, plan) in runs.iter().enumerate() {
             let reference = run_reference(
                 &g,
                 BandwidthModel::Local,
                 vec![Bfs { dist: None }; k],
                 4 * k,
-                &options.faults,
+                plan,
                 &mut NoopSink,
             );
-            let report = net.run(vec![Bfs { dist: None }; k], 4 * k, options, &mut NoopSink);
+            let report = net.run(vec![Bfs { dist: None }; k], 4 * k, plan, &mut NoopSink);
             match (reference, report) {
                 (Ok(reference), Ok(report)) => assert_reports_equal(
                     &format!("bfs-reused-network/{name}/run {i}"),

@@ -5,12 +5,10 @@
 //!   families) and bit-identical engine runs;
 //! * active-list stepping of silent-stable protocols vs dense stepping
 //!   and the reference engine;
-//! * worker-thread stepping on an implicit topology vs inline stepping
-//!   at 1/2/8 threads, with and without fault plans.
+//! * dense stepping on an implicit topology vs the reference engine on
+//!   its materialized graph, with and without fault plans.
 
-use dut_netsim::engine::{
-    BandwidthModel, EngineError, Network, NodeProtocol, Outbox, RunOptions, RunReport,
-};
+use dut_netsim::engine::{BandwidthModel, EngineError, Network, NodeProtocol, Outbox, RunReport};
 use dut_netsim::fault::FaultPlan;
 use dut_netsim::graph::{Graph, ImplicitTopology, NodeId};
 use dut_netsim::reference::run_reference;
@@ -223,7 +221,8 @@ fn assert_neighbors_match<T: ImplicitTopology>(label: &str, topo: &T) {
 }
 
 /// Runs BFS + Flood on the implicit topology and on its materialized
-/// graph, serial and parallel, asserting bit-identical reports.
+/// graph (BFS twice on the implicit network, so the second run reuses
+/// its buffers), asserting bit-identical reports.
 fn assert_runs_match<T: ImplicitTopology>(label: &str, topo: &T) {
     let g = topo.materialize();
     let k = g.node_count();
@@ -240,7 +239,7 @@ fn assert_runs_match<T: ImplicitTopology>(label: &str, topo: &T) {
         .run(
             vec![Bfs { dist: None }; k],
             max_rounds,
-            &RunOptions::serial(),
+            &FaultPlan::none(),
             &mut NoopSink,
         )
         .unwrap();
@@ -248,21 +247,21 @@ fn assert_runs_match<T: ImplicitTopology>(label: &str, topo: &T) {
         .run(
             vec![Bfs { dist: None }; k],
             max_rounds,
-            &RunOptions::serial(),
+            &FaultPlan::none(),
             &mut NoopSink,
         )
         .unwrap();
     assert_reports_equal(&format!("{label}/bfs"), &mat, &imp);
 
-    let imp_par = imp_net
+    let imp_reused = imp_net
         .run(
             vec![Bfs { dist: None }; k],
             max_rounds,
-            &RunOptions::parallel(3),
+            &FaultPlan::none(),
             &mut NoopSink,
         )
         .unwrap();
-    assert_reports_equal(&format!("{label}/bfs-parallel"), &mat, &imp_par);
+    assert_reports_equal(&format!("{label}/bfs-reused"), &mat, &imp_reused);
 
     // A network is typed by its message type: Flood gets its own pair.
     let mut mat_net = Network::new(&g, model);
@@ -271,7 +270,7 @@ fn assert_runs_match<T: ImplicitTopology>(label: &str, topo: &T) {
         .run(
             vec![Flood { seen: false }; k],
             max_rounds,
-            &RunOptions::serial(),
+            &FaultPlan::none(),
             &mut NoopSink,
         )
         .unwrap();
@@ -279,7 +278,7 @@ fn assert_runs_match<T: ImplicitTopology>(label: &str, topo: &T) {
         .run(
             vec![Flood { seen: false }; k],
             max_rounds,
-            &RunOptions::serial(),
+            &FaultPlan::none(),
             &mut NoopSink,
         )
         .unwrap();
@@ -407,11 +406,11 @@ fn sparse_matches_dense_on_wavefront_protocols() {
         let k = g.node_count();
         let mut net = Network::new(g, BandwidthModel::Local);
         let bfs = vec![Bfs { dist: None }; k];
-        let dense = net.run(bfs.clone(), 4 * k, &RunOptions::serial(), &mut NoopSink);
+        let dense = net.run(bfs.clone(), 4 * k, &FaultPlan::none(), &mut NoopSink);
         let sparse = unwrap_report(net.run(
             silent_stable(bfs.clone()),
             4 * k,
-            &RunOptions::serial(),
+            &FaultPlan::none(),
             &mut NoopSink,
         ));
         assert_outcomes_equal(&format!("sparse-bfs/{name}"), &dense, &sparse);
@@ -427,11 +426,11 @@ fn sparse_matches_dense_on_wavefront_protocols() {
 
         let flood = vec![Flood { seen: false }; k];
         let mut net = Network::new(g, BandwidthModel::Local);
-        let dense = net.run(flood.clone(), 4 * k, &RunOptions::serial(), &mut NoopSink);
+        let dense = net.run(flood.clone(), 4 * k, &FaultPlan::none(), &mut NoopSink);
         let sparse = unwrap_report(net.run(
             silent_stable(flood.clone()),
             4 * k,
-            &RunOptions::serial(),
+            &FaultPlan::none(),
             &mut NoopSink,
         ));
         assert_outcomes_equal(&format!("sparse-flood/{name}"), &dense, &sparse);
@@ -467,10 +466,8 @@ fn sparse_matches_dense_under_faults() {
     let bfs = vec![Bfs { dist: None }; k];
     for (i, plan) in plans.iter().enumerate() {
         let mut net = Network::new(&g, model);
-        let options = RunOptions::serial().with_faults(plan.clone());
-        let dense = net.run(bfs.clone(), 4 * k, &options, &mut NoopSink);
-        let sparse =
-            unwrap_report(net.run(silent_stable(bfs.clone()), 4 * k, &options, &mut NoopSink));
+        let dense = net.run(bfs.clone(), 4 * k, plan, &mut NoopSink);
+        let sparse = unwrap_report(net.run(silent_stable(bfs.clone()), 4 * k, plan, &mut NoopSink));
         assert_outcomes_equal(&format!("sparse-faulted/{i}"), &dense, &sparse);
         let reference = run_reference(&g, model, bfs.clone(), 4 * k, plan, &mut NoopSink);
         assert_outcomes_equal(&format!("sparse-faulted-ref/{i}"), &reference, &sparse);
@@ -501,13 +498,13 @@ fn sparse_round_limit_error_matches_dense() {
     let g = dut_netsim::topology::line(6);
     let mut net = Network::new(&g, BandwidthModel::Local);
     let dense = net
-        .run(vec![NeverDone; 6], 12, &RunOptions::serial(), &mut NoopSink)
+        .run(vec![NeverDone; 6], 12, &FaultPlan::none(), &mut NoopSink)
         .unwrap_err();
     let sparse = net
         .run(
             silent_stable(vec![NeverDone; 6]),
             12,
-            &RunOptions::serial(),
+            &FaultPlan::none(),
             &mut NoopSink,
         )
         .unwrap_err();
@@ -580,10 +577,8 @@ fn sparse_fast_forwards_over_quiet_outages() {
         .with_crash(3, 1)
         .with_rejoin(3, 40);
     let mut net = Network::new(&g, BandwidthModel::Local);
-    let options = RunOptions::serial().with_faults(plan.clone());
-    let dense = net.run(fresh(), 128, &options, &mut NoopSink).unwrap();
-    let sparse =
-        unwrap_report(net.run(silent_stable(fresh()), 128, &options, &mut NoopSink)).unwrap();
+    let dense = net.run(fresh(), 128, &plan, &mut NoopSink).unwrap();
+    let sparse = unwrap_report(net.run(silent_stable(fresh()), 128, &plan, &mut NoopSink)).unwrap();
     assert_reports_equal("sparse-rejoin-wakeup", &dense, &sparse);
     let reference = run_reference(
         &g,
@@ -608,7 +603,7 @@ fn sparse_fast_forwards_over_quiet_outages() {
 
     // Same shape, but the node never rejoins: both modes must report
     // the identical RoundLimit (the active list fast-forwards to it).
-    let stuck = RunOptions::serial().with_faults(FaultPlan::seeded(0xFF02).with_crash(3, 1));
+    let stuck = FaultPlan::seeded(0xFF02).with_crash(3, 1);
     let dense = net.run(fresh(), 64, &stuck, &mut NoopSink).map(|_| ());
     let sparse = net
         .run(silent_stable(fresh()), 64, &stuck, &mut NoopSink)
@@ -617,7 +612,7 @@ fn sparse_fast_forwards_over_quiet_outages() {
 }
 
 // ---------------------------------------------------------------------
-// Worker-thread stepping bit-identity
+// Dense stepping on an implicit topology
 // ---------------------------------------------------------------------
 
 fn gossip_states(k: usize) -> Vec<Gossip> {
@@ -629,24 +624,38 @@ fn gossip_states(k: usize) -> Vec<Gossip> {
         .collect()
 }
 
+/// Gossip steps every node every round and folds its inbox in order,
+/// so any divergence in stepping or inbox order on the implicit torus
+/// shows up in the final states. The network runs twice, so the second
+/// run reuses its buffers.
 #[test]
-fn parallel_stepping_matches_serial_at_all_thread_counts() {
+fn gossip_on_implicit_torus_matches_reference() {
     let torus = Torus2d::new(16, 16);
+    let g = torus.materialize();
     let k = torus.node_count();
+    let reference = run_reference(
+        &g,
+        BandwidthModel::Local,
+        gossip_states(k),
+        64,
+        &FaultPlan::none(),
+        &mut NoopSink,
+    )
+    .unwrap();
     let mut net = Network::new(&torus, BandwidthModel::Local);
-    let serial = net
-        .run(gossip_states(k), 64, &RunOptions::serial(), &mut NoopSink)
-        .unwrap();
-    for threads in [1usize, 2, 8] {
-        let opts = RunOptions::parallel(threads);
-        let parallel = net.run(gossip_states(k), 64, &opts, &mut NoopSink).unwrap();
-        assert_reports_equal(&format!("parallel/{threads}"), &serial, &parallel);
+    for pass in 0..2 {
+        let flat = net
+            .run(gossip_states(k), 64, &FaultPlan::none(), &mut NoopSink)
+            .unwrap();
+        assert_reports_equal(&format!("gossip-implicit/pass-{pass}"), &reference, &flat);
     }
 }
 
+/// The same gossip load under drop, flip, crash and rejoin plans.
 #[test]
-fn parallel_stepping_matches_serial_under_fault_plans() {
+fn gossip_on_implicit_torus_matches_reference_under_fault_plans() {
     let torus = Torus2d::new(12, 12);
+    let g = torus.materialize();
     let k = torus.node_count();
     let plans = [
         FaultPlan::seeded(0xC001).with_drops(0.1),
@@ -660,23 +669,18 @@ fn parallel_stepping_matches_serial_under_fault_plans() {
             .with_crash(3, 2)
             .with_rejoin(3, 6),
     ];
+    let mut net = Network::new(&torus, BandwidthModel::Local);
     for (i, plan) in plans.iter().enumerate() {
-        let mut net = Network::new(&torus, BandwidthModel::Local);
-        let serial = net.run(
+        let flat = net.run(gossip_states(k), 64, plan, &mut NoopSink);
+        let reference = run_reference(
+            &g,
+            BandwidthModel::Local,
             gossip_states(k),
             64,
-            &RunOptions::serial().with_faults(plan.clone()),
+            plan,
             &mut NoopSink,
         );
-        for threads in [2usize, 8] {
-            let opts = RunOptions::parallel(threads).with_faults(plan.clone());
-            let parallel = net.run(gossip_states(k), 64, &opts, &mut NoopSink);
-            assert_outcomes_equal(
-                &format!("parallel-faulted/{i}/{threads}"),
-                &serial,
-                &parallel,
-            );
-        }
+        assert_outcomes_equal(&format!("gossip-implicit-faulted/{i}"), &reference, &flat);
     }
 }
 
@@ -689,18 +693,8 @@ fn empty_network_is_a_typed_error() {
     let g = dut_netsim::topology::line(0);
     let mut net = Network::new(&g, BandwidthModel::Local);
     assert_eq!(
-        net.run(Vec::<Flood>::new(), 8, &RunOptions::serial(), &mut NoopSink)
+        net.run(Vec::<Flood>::new(), 8, &FaultPlan::none(), &mut NoopSink)
             .unwrap_err(),
-        EngineError::EmptyNetwork
-    );
-    assert_eq!(
-        net.run(
-            Vec::<Flood>::new(),
-            8,
-            &RunOptions::parallel(4),
-            &mut NoopSink,
-        )
-        .unwrap_err(),
         EngineError::EmptyNetwork
     );
     assert_eq!(
@@ -730,7 +724,7 @@ fn singleton_networks_run() {
             .run(
                 vec![Flood { seen: false }; 1],
                 8,
-                &RunOptions::serial(),
+                &FaultPlan::none(),
                 &mut NoopSink,
             )
             .unwrap();

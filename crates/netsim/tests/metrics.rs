@@ -6,7 +6,7 @@ use dut_netsim::algorithms::{broadcast_value_observed, build_bfs_tree, convergec
 use dut_netsim::engine::{BandwidthModel, Network, NodeProtocol, Outbox};
 use dut_netsim::graph::{Graph, NodeId};
 use dut_netsim::reference::run_reference;
-use dut_netsim::{topology, FaultPlan, RunOptions};
+use dut_netsim::{topology, FaultPlan};
 use dut_obs::{keys, MemorySink, NoopSink};
 
 /// Flood with a 32-bit payload so bit totals are non-trivial.
@@ -54,7 +54,7 @@ fn sink_bits_match_report_on_clique_line_tree() {
         let mut net = Network::new(&g, BandwidthModel::Local);
         let mut sink = MemorySink::new();
         let report = net
-            .run(flood_states(n), 64, &RunOptions::serial(), &mut sink)
+            .run(flood_states(n), 64, &FaultPlan::none(), &mut sink)
             .unwrap();
 
         assert_eq!(
@@ -99,14 +99,14 @@ fn noop_sink_is_bit_identical_to_unobserved_runs() {
         let n = g.node_count();
         let mut net = Network::new(&g, BandwidthModel::Congest { bits_per_edge: 64 });
         let plain = net
-            .run(flood_states(n), 64, &RunOptions::serial(), &mut NoopSink)
+            .run(flood_states(n), 64, &FaultPlan::none(), &mut NoopSink)
             .unwrap();
         let noop = net
-            .run(flood_states(n), 64, &RunOptions::serial(), &mut NoopSink)
+            .run(flood_states(n), 64, &FaultPlan::none(), &mut NoopSink)
             .unwrap();
         let mut mem = MemorySink::new();
         let observed = net
-            .run(flood_states(n), 64, &RunOptions::serial(), &mut mem)
+            .run(flood_states(n), 64, &FaultPlan::none(), &mut mem)
             .unwrap();
 
         for (label, r) in [("noop", &noop), ("memory", &observed)] {
@@ -146,48 +146,6 @@ fn noop_sink_is_bit_identical_to_unobserved_runs() {
             ref_sink.counter(keys::REFERENCE_BITS),
             mem.counter(keys::NETSIM_BITS),
             "{name}: the two engines' sinks disagree"
-        );
-    }
-}
-
-#[test]
-fn parallel_observed_metrics_match_serial() {
-    let g = topology::complete(24);
-    let n = g.node_count();
-    let mut net = Network::new(&g, BandwidthModel::Local);
-    let mut serial_sink = MemorySink::new();
-    net.run(flood_states(n), 64, &RunOptions::serial(), &mut serial_sink)
-        .unwrap();
-    for threads in [2, 4] {
-        let mut par_sink = MemorySink::new();
-        net.run(
-            flood_states(n),
-            64,
-            &RunOptions::parallel(threads),
-            &mut par_sink,
-        )
-        .unwrap();
-        for key in [
-            keys::NETSIM_RUNS,
-            keys::NETSIM_ROUNDS,
-            keys::NETSIM_MESSAGES,
-            keys::NETSIM_BITS,
-        ] {
-            assert_eq!(
-                par_sink.counter(key),
-                serial_sink.counter(key),
-                "{threads} threads: {key}"
-            );
-        }
-        assert_eq!(
-            par_sink
-                .histogram(keys::NETSIM_ROUND_BITS)
-                .unwrap()
-                .buckets(),
-            serial_sink
-                .histogram(keys::NETSIM_ROUND_BITS)
-                .unwrap()
-                .buckets(),
         );
     }
 }

@@ -1,12 +1,13 @@
-//! Million-node smoke tests for implicit topologies, worker-thread
-//! stepping and active-list stepping of silent-stable protocols.
+//! Million-node smoke tests for implicit topologies, dense stepping on
+//! them, and active-list stepping of silent-stable protocols.
 //!
 //! These run on 10⁶-node graphs and are `#[ignore]`d so the ordinary
 //! debug test lane stays fast; the `netsim-scale` CI lane runs them in
 //! release mode with `-- --ignored`.
 
 use dut_netsim::algorithms::{broadcast_value, build_bfs_tree, convergecast_sum};
-use dut_netsim::engine::{BandwidthModel, Network, NodeProtocol, Outbox, RunOptions, RunReport};
+use dut_netsim::engine::{BandwidthModel, Network, NodeProtocol, Outbox, RunReport};
+use dut_netsim::fault::FaultPlan;
 use dut_netsim::graph::{ImplicitTopology, NodeId};
 use dut_netsim::topology::Torus2d;
 use dut_obs::NoopSink;
@@ -110,7 +111,7 @@ fn million_node_torus_bfs_completes() {
         .run(
             vec![Bfs { dist: None }; k],
             1100,
-            &RunOptions::serial(),
+            &FaultPlan::none(),
             &mut NoopSink,
         )
         .expect("BFS on the 1000x1000 torus must quiesce");
@@ -144,12 +145,14 @@ fn million_node_tree_phases_complete() {
     assert!(values.iter().all(|&v| v == k as u64));
 }
 
-/// Inline vs 2-thread stepping on a million-node gossip burst: reports
-/// and all 10⁶ final states must be bit-identical.
+/// A million-node gossip burst on the implicit torus and on its
+/// materialized graph: reports and all 10⁶ final states must be
+/// bit-identical.
 #[test]
 #[ignore = "million-node smoke; run via the netsim-scale lane (release, --ignored)"]
-fn million_node_parallel_stepping_is_bit_identical() {
+fn million_node_gossip_matches_materialized() {
     let torus = million_node_torus();
+    let g = torus.materialize();
     let k = torus.node_count();
     let states = || {
         (0..k)
@@ -159,23 +162,22 @@ fn million_node_parallel_stepping_is_bit_identical() {
             })
             .collect::<Vec<_>>()
     };
-    let mut net = Network::new(&torus, BandwidthModel::Local);
-    let serial = net
-        .run(states(), 16, &RunOptions::serial(), &mut NoopSink)
+    let implicit = Network::new(&torus, BandwidthModel::Local)
+        .run(states(), 16, &FaultPlan::none(), &mut NoopSink)
         .unwrap();
-    let parallel = net
-        .run(states(), 16, &RunOptions::parallel(2), &mut NoopSink)
+    let materialized = Network::new(&g, BandwidthModel::Local)
+        .run(states(), 16, &FaultPlan::none(), &mut NoopSink)
         .unwrap();
-    assert_reports_equal("million-gossip", &serial, &parallel);
+    assert_reports_equal("million-gossip", &materialized, &implicit);
 }
 
 /// Same bit-identity demand with a nonzero fault plan: drops, flips,
-/// and a crash schedule all run through worker-thread stepping.
+/// and a crash schedule on both forms of the torus.
 #[test]
 #[ignore = "million-node smoke; run via the netsim-scale lane (release, --ignored)"]
-fn million_node_parallel_stepping_is_bit_identical_under_faults() {
-    use dut_netsim::fault::FaultPlan;
+fn million_node_gossip_matches_materialized_under_faults() {
     let torus = million_node_torus();
+    let g = torus.materialize();
     let k = torus.node_count();
     let plan = FaultPlan::seeded(0x5CA1E)
         .with_drops(0.02)
@@ -189,22 +191,11 @@ fn million_node_parallel_stepping_is_bit_identical_under_faults() {
             })
             .collect::<Vec<_>>()
     };
-    let mut net = Network::new(&torus, BandwidthModel::Local);
-    let serial = net
-        .run(
-            states(),
-            16,
-            &RunOptions::serial().with_faults(plan.clone()),
-            &mut NoopSink,
-        )
+    let implicit = Network::new(&torus, BandwidthModel::Local)
+        .run(states(), 16, &plan, &mut NoopSink)
         .unwrap();
-    let parallel = net
-        .run(
-            states(),
-            16,
-            &RunOptions::parallel(2).with_faults(plan),
-            &mut NoopSink,
-        )
+    let materialized = Network::new(&g, BandwidthModel::Local)
+        .run(states(), 16, &plan, &mut NoopSink)
         .unwrap();
-    assert_reports_equal("million-gossip-faulted", &serial, &parallel);
+    assert_reports_equal("million-gossip-faulted", &materialized, &implicit);
 }
