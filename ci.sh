@@ -37,6 +37,8 @@ lane_fault_differential() {
     cargo test --release -p dut-netsim --test differential -q
     echo "==> silent-stable harness (leader, BFS, convergecast, broadcast, residue == reference, clean and faulted)"
     cargo test --release -p dut-netsim -p dut-congest --lib matches_reference_engine -q
+    echo "==> flip-kernel oracle (vectorised flip masks == per-bit u01 < p definition; AVX-512 copy == portable copy)"
+    cargo test --release -p dut-netsim --lib fault::tests -q
     echo "==> Justesen codec differential (syndrome decoder == Berlekamp-Welch reference, corrected-bit counts, row encode == Horner)"
     cargo test --release -p dut-ecc --lib justesen -q
     cargo test --release -p dut-congest --lib codec -q
@@ -68,7 +70,7 @@ lane_feature_matrix() {
 lane_overflow() {
     echo "==> overflow-checks lane (arithmetic panics surface in release codecs)"
     RUSTFLAGS="-C overflow-checks=on" \
-        cargo test --release -p dut-ecc -p dut-distributions -q \
+        cargo test --release -p dut-ecc -p dut-distributions -p dut-netsim -q \
         --target-dir target/overflow-checks
 }
 

@@ -61,14 +61,14 @@ impl<M: CodecMessage> JustesenCodec<M> {
     ///
     /// # Panics
     ///
-    /// Panics if no supported instance (`m ≤ 16`) can hold the message —
-    /// unreachable for the crate's message types, which pack into at
-    /// most 128 bits.
+    /// Panics if `M::PACKED_BITS` exceeds 128, the [`CodecMessage`]
+    /// limit: the `m = 6` instance holds 252 message bits, which the
+    /// four-word message buffer of [`MessageCodec::encode`] covers.
     pub fn new() -> Self {
-        let code = (2..=16u32)
+        let code = (2..=6u32)
             .map(JustesenCode::rate_one_third)
             .find(|c| c.input_bits() >= M::PACKED_BITS)
-            .expect("some rate-1/3 instance holds a 128-bit message");
+            .expect("the m = 6 instance holds a 128-bit message");
         JustesenCodec {
             code,
             _marker: PhantomData,
@@ -92,19 +92,18 @@ impl<M: CodecMessage> Default for JustesenCodec<M> {
     }
 }
 
-impl<M: CodecMessage + MessageSize> MessageCodec for JustesenCodec<M> {
+impl<M: CodecMessage + PartialEq + MessageSize> MessageCodec for JustesenCodec<M> {
     type Plain = M;
     type Wire = CodedWord;
 
     fn encode(&self, msg: &M) -> CodedWord {
         let bits = msg.to_bits();
-        let packed = [bits as u64, (bits >> 64) as u64];
-        let needed = self.code.input_bits().div_ceil(64);
         // PACKED_BITS ≤ input_bits by construction, and `to_bits`
         // zeroes everything above PACKED_BITS, so padding words with
-        // zeros keeps the message exact.
-        let mut message = vec![0u64; needed];
-        message[..needed.min(2)].copy_from_slice(&packed[..needed.min(2)]);
+        // zeros keeps the message exact. Four words hold the m = 6
+        // instance's 252 message bits.
+        let mut message = [0u64; 4];
+        message[..2].copy_from_slice(&[bits as u64, (bits >> 64) as u64]);
         CodedWord {
             bits: self.code.output_bits(),
             words: self.code.encode(&message),

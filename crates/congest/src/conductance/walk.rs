@@ -35,9 +35,9 @@
 
 use dut_netsim::algorithms::coded::{codec_stats, CodecStats, CodedProtocol, MessageCodec};
 use dut_netsim::engine::{
-    BandwidthModel, Compact, EngineError, MessageSize, Network, NodeProtocol, Outbox, RunReport,
+    BandwidthModel, EngineError, MessageSize, Network, NodeProtocol, Outbox, RunReport,
 };
-use dut_netsim::fault::{FaultInjectable, FaultPlan};
+use dut_netsim::fault::{bit_len, flip_in_field, FaultInjectable, FaultPlan};
 use dut_netsim::graph::{Graph, ImplicitTopology, NodeId};
 use dut_netsim::reference::run_reference;
 use dut_obs::{NoopSink, Sink};
@@ -82,19 +82,22 @@ pub struct WalkMsg {
 
 impl MessageSize for WalkMsg {
     fn size_bits(&self) -> usize {
-        Compact(self.src).size_bits() + Compact(self.cnt).size_bits()
+        bit_len(self.src) + bit_len(self.cnt)
     }
 }
 
+/// Flips act on the metered encoding, as for
+/// [`Parcel`](dut_netsim::algorithms::routing::Parcel): the first
+/// `bit_len(src)` wire bits are `src`'s, the rest `cnt`'s. A flip that
+/// would change a field's bit length (its leading one) is a no-op, so a
+/// flipped source stays below the next power of two.
 impl FaultInjectable for WalkMsg {
     fn flip_bit(&mut self, bit: usize) {
-        // Flip within the 128-bit packed representation, mirroring
-        // `CodecMessage`: low word = src, high word = cnt.
-        let bit = bit % 128;
-        if bit < 64 {
-            self.src ^= 1u64 << bit;
+        let src_bits = bit_len(self.src);
+        if bit < src_bits {
+            self.src = flip_in_field(self.src, bit);
         } else {
-            self.cnt ^= 1u64 << (bit - 64);
+            self.cnt = flip_in_field(self.cnt, bit - src_bits);
         }
     }
 }
@@ -685,6 +688,41 @@ mod tests {
                     assert!(total < launched, "{label}: no source left 0..k");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn walk_flips_land_in_the_metered_fields() {
+        // src = 0b1101 (4 wire bits), cnt = 0b110 (3): 7 wire bits.
+        let msg = WalkMsg { src: 13, cnt: 6 };
+        assert_eq!(msg.size_bits(), 7);
+        let flipped = |bit| {
+            let mut m = msg;
+            m.flip_bit(bit);
+            m
+        };
+        // Bits 0..3 are src's low bits; bit 3 is its leading one.
+        assert_eq!(flipped(0), WalkMsg { src: 12, cnt: 6 });
+        assert_eq!(flipped(2), WalkMsg { src: 9, cnt: 6 });
+        assert_eq!(flipped(3), msg);
+        // Bits 4..7 are cnt's; bit 6 is its leading one.
+        assert_eq!(flipped(4), WalkMsg { src: 13, cnt: 7 });
+        assert_eq!(flipped(5), WalkMsg { src: 13, cnt: 4 });
+        assert_eq!(flipped(6), msg);
+        // A one-token batch is one wire bit, which a flip empties.
+        let one = WalkMsg { src: 0, cnt: 1 };
+        assert_eq!(one.size_bits(), 2);
+        let mut m = one;
+        m.flip_bit(0);
+        assert_eq!(m, WalkMsg { src: 1, cnt: 1 });
+        let mut m = one;
+        m.flip_bit(1);
+        assert_eq!(m, WalkMsg { src: 0, cnt: 0 });
+        // Every flip is its own inverse.
+        for bit in 0..msg.size_bits() {
+            let mut m = flipped(bit);
+            m.flip_bit(bit);
+            assert_eq!(m, msg, "bit {bit}");
         }
     }
 

@@ -27,6 +27,11 @@ use std::sync::OnceLock;
 /// the table-free paths and their construction cost.
 const KERNEL_MAX_M: u32 = 6;
 
+/// Words of the longest codeword with a kernel: `2·(2^m − 1)·m` bits at
+/// `m = KERNEL_MAX_M`.
+const KERNEL_CODEWORD_WORDS: usize =
+    (2 * ((1 << KERNEL_MAX_M) - 1) * KERNEL_MAX_M as usize).div_ceil(64);
+
 /// Index of the first kernel slot of symbol size `m`: each smaller
 /// `j ≥ 2` holds one slot per outer dimension `K ∈ 1..=2^j − 1`.
 const fn kernel_offset(m: u32) -> usize {
@@ -78,14 +83,40 @@ impl Kernel {
         }
     }
 
-    /// Encodes the `K` symbols in the low `K·m` bits of `message`.
-    fn encode(&self, message: &[u64], k: usize, m: usize) -> Vec<u64> {
-        let mut out = vec![0u64; self.codeword_words];
+    /// Encodes the `K` symbols in the low `K·m` bits of `message` into
+    /// `out`, [`Kernel::codeword_words`] words long and zeroed.
+    fn encode_into(&self, message: &[u64], k: usize, m: usize, out: &mut [u64]) {
         for l in 0..k {
             let row = (l << m) | get_bits(message, l * m, m) as usize;
-            xor_row(&mut out, &self.codeword_table, row);
+            xor_row(out, &self.codeword_table, row);
         }
-        out
+    }
+
+    /// Whether `received` is exactly a codeword of `code`; if so its
+    /// message is left in `message` (`⌈input_bits/64⌉` words, zeroed on
+    /// entry).
+    ///
+    /// The `x`-halves of a codeword's inner blocks are its outer RS
+    /// symbols, whose inverse DFT (the message part of the decode rows)
+    /// is the message. So the word is a codeword iff re-encoding that
+    /// candidate message reproduces its first `output_bits` bits.
+    fn clean_message(&self, code: &JustesenCode, received: &[u64], message: &mut [u64]) -> bool {
+        let m = code.symbol_bits();
+        let width = code.decode_words();
+        for i in 0..code.n_outer {
+            let row = ((i << m) | get_bits(received, 2 * i * m, m) as usize) * width;
+            let row = &self.decode_table[row..row + message.len()];
+            for (a, &r) in message.iter_mut().zip(row) {
+                *a ^= r;
+            }
+        }
+        let mut codeword = [0u64; KERNEL_CODEWORD_WORDS];
+        let codeword = &mut codeword[..self.codeword_words];
+        self.encode_into(message, code.k_outer, m, codeword);
+        let bits = code.output_bits();
+        let (full, tail) = (bits / 64, bits % 64);
+        codeword[..full] == received[..full]
+            && (tail == 0 || (codeword[full] ^ received[full]) & ((1 << tail) - 1) == 0)
     }
 }
 
@@ -264,6 +295,12 @@ impl JustesenCode {
     /// than `output_bits` bits, and [`DecodeError::BeyondCapacity`]
     /// when the inner-decoded symbols are not within the outer code's
     /// error capacity of any codeword.
+    ///
+    /// For `m ≤ 6` the decoder first tries the clean-word path: the
+    /// inverse DFT of the blocks' `x`-halves is the message if the word
+    /// is a codeword, which re-encoding checks. A clean word returns with
+    /// 0 corrected bits, which is what the syndrome decoder returns for
+    /// it.
     pub fn decode(&self, received: &[u64]) -> Result<(Vec<u64>, usize), DecodeError> {
         if received.len() * 64 < self.output_bits() {
             return Err(DecodeError::WrongLength {
@@ -274,6 +311,11 @@ impl JustesenCode {
         let kernel = self.kernel();
         let message_words = self.message_words();
         let mut acc = vec![0u64; self.decode_words()];
+        if kernel.is_some_and(|k| k.clean_message(self, received, &mut acc[..message_words])) {
+            acc.truncate(message_words);
+            return Ok((acc, 0));
+        }
+        acc[..message_words].fill(0);
         let mut corrected = 0;
         for i in 0..self.n_outer {
             let (symbol, cost) = self.inner_decode(self.block(received, i), i);
@@ -488,7 +530,11 @@ impl BinaryCode for JustesenCode {
             self.input_bits()
         );
         match self.kernel() {
-            Some(kernel) => kernel.encode(message, self.k_outer, self.symbol_bits()),
+            Some(kernel) => {
+                let mut out = vec![0u64; kernel.codeword_words];
+                kernel.encode_into(message, self.k_outer, self.symbol_bits(), &mut out);
+                out
+            }
             None => self.encode_horner(message),
         }
     }

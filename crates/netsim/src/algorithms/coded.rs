@@ -76,8 +76,9 @@ impl CodecMessage for crate::engine::Compact {
 /// Encodes plain protocol messages into a wire representation and
 /// decodes (possibly corrupted) wire words back.
 pub trait MessageCodec {
-    /// The plain message type the wrapped protocol exchanges.
-    type Plain: Clone + MessageSize;
+    /// The plain message type the wrapped protocol exchanges. Equality
+    /// lets [`CodedProtocol`] encode a run of equal messages once.
+    type Plain: Clone + PartialEq + MessageSize;
     /// The on-wire message type — what the engine meters and fault
     /// injection corrupts.
     type Wire: Clone + MessageSize + FaultInjectable;
@@ -111,7 +112,7 @@ impl<M> IdentityCodec<M> {
     }
 }
 
-impl<M: Clone + MessageSize + FaultInjectable> MessageCodec for IdentityCodec<M> {
+impl<M: Clone + PartialEq + MessageSize + FaultInjectable> MessageCodec for IdentityCodec<M> {
     type Plain = M;
     type Wire = M;
 
@@ -150,8 +151,6 @@ pub struct CodedProtocol<P, C: MessageCodec> {
     plain_inbox: Vec<(NodeId, C::Plain)>,
     /// Reused staging buffer backing the inner protocol's outbox.
     stage: Vec<(NodeId, NodeId, C::Plain)>,
-    /// Reused dense neighbor-position index for the inner outbox.
-    pos: Vec<u32>,
 }
 
 impl<P, C: MessageCodec> CodedProtocol<P, C> {
@@ -164,7 +163,6 @@ impl<P, C: MessageCodec> CodedProtocol<P, C> {
             decode_failures: 0,
             plain_inbox: Vec::new(),
             stage: Vec::new(),
-            pos: Vec::new(),
         }
     }
 
@@ -200,7 +198,6 @@ impl<P: Clone, C: MessageCodec + Clone> Clone for CodedProtocol<P, C> {
             decode_failures: self.decode_failures,
             plain_inbox: Vec::new(),
             stage: Vec::new(),
-            pos: Vec::new(),
         }
     }
 }
@@ -218,6 +215,7 @@ impl<P: fmt::Debug, C: MessageCodec> fmt::Debug for CodedProtocol<P, C> {
 impl<P, C> NodeProtocol for CodedProtocol<P, C>
 where
     P: NodeProtocol,
+    P::Msg: PartialEq,
     C: MessageCodec<Plain = P::Msg>,
 {
     type Msg = C::Wire;
@@ -244,32 +242,26 @@ where
                 Err(CodecError) => self.decode_failures += 1,
             }
         }
-        // The engine's outbox borrows its neighbor slice from the
-        // engine itself, so it stays available while we hand the inner
-        // protocol a private outbox over our reusable buffers.
-        let neighbors = out.neighbors();
-        let needed = neighbors.iter().map(|&nb| nb + 1).max().unwrap_or(0);
-        if self.pos.len() < needed {
-            self.pos.resize(needed, 0);
-        }
+        // The inner protocol stages plain messages through an outbox
+        // that shares the engine's neighbor index.
         debug_assert!(self.stage.is_empty());
-        let (filled, bad_send) = {
-            let mut inner_out = Outbox::new(node, neighbors, &mut self.pos, &mut self.stage);
-            self.inner
-                .on_round(node, round, &self.plain_inbox, &mut inner_out);
-            (inner_out.index_filled(), inner_out.bad_send())
-        };
-        if let Some(to) = bad_send {
-            out.reject(to);
-        }
-        if filled {
-            // Restore the all-zero invariant of the private index.
-            for &nb in neighbors {
-                self.pos[nb] = 0;
-            }
-        }
+        let (inner, plain_inbox) = (&mut self.inner, &self.plain_inbox);
+        out.restaged(&mut self.stage, |inner_out| {
+            inner.on_round(node, round, plain_inbox, inner_out)
+        });
+        // A run of equal messages (a broadcast) is encoded once and its
+        // wire word cloned.
+        let mut last: Option<(C::Plain, C::Wire)> = None;
         for (to, _, msg) in self.stage.drain(..) {
-            out.send(to, self.codec.encode(&msg));
+            let wire = match &last {
+                Some((plain, wire)) if *plain == msg => wire.clone(),
+                _ => {
+                    let wire = self.codec.encode(&msg);
+                    last = Some((msg, wire.clone()));
+                    wire
+                }
+            };
+            out.send(to, wire);
         }
     }
 
@@ -320,7 +312,7 @@ pub fn codec_stats<P, C: MessageCodec>(nodes: &[CodedProtocol<P, C>]) -> CodecSt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{BandwidthModel, Compact, Network};
+    use crate::engine::{BandwidthModel, Compact, EngineError, Network};
     use crate::fault::FaultPlan;
     use crate::topology;
     use dut_obs::NoopSink;
@@ -460,6 +452,124 @@ mod tests {
         for (a, b) in clean.nodes.iter().zip(&faulted.nodes) {
             assert_eq!(a.inner(), b.inner(), "correction must be transparent");
         }
+    }
+
+    #[test]
+    fn coded_send_to_non_neighbor_is_an_error_and_leaves_the_index_clean() {
+        /// Node 2's only send is to the non-neighbor 4, in round 0.
+        #[derive(Debug, Clone, PartialEq)]
+        struct Stray;
+        impl NodeProtocol for Stray {
+            type Msg = Compact;
+            fn on_round(
+                &mut self,
+                node: NodeId,
+                _round: usize,
+                _inbox: &[(NodeId, Compact)],
+                out: &mut Outbox<'_, Compact>,
+            ) {
+                if node == 2 {
+                    out.send(4, Compact(1));
+                }
+            }
+            fn is_done(&self) -> bool {
+                true
+            }
+        }
+        let g = topology::line(6);
+        let stray = || -> Vec<_> { (0..6).map(|_| CodedProtocol::new(Stray, Rep3)).collect() };
+        let want = EngineError::NotANeighbor {
+            from: 2,
+            to: 4,
+            round: 0,
+        };
+        let reference = crate::reference::run_reference(
+            &g,
+            BandwidthModel::Local,
+            stray(),
+            8,
+            &FaultPlan::none(),
+            &mut NoopSink,
+        );
+        assert_eq!(reference.err(), Some(want.clone()));
+        let mut net = Network::new(&g, BandwidthModel::Local);
+        let run = net.run(stray(), 8, &FaultPlan::none(), &mut NoopSink);
+        assert_eq!(run.err(), Some(want));
+        // The failed run's network still runs a coded flood exactly
+        // like a fresh one.
+        let flood = || -> Vec<_> {
+            flood_states(6)
+                .into_iter()
+                .map(|s| CodedProtocol::new(s, Rep3))
+                .collect()
+        };
+        let reused = net.run(flood(), 64, &FaultPlan::none(), &mut NoopSink);
+        let fresh = Network::new(&g, BandwidthModel::Local).run(
+            flood(),
+            64,
+            &FaultPlan::none(),
+            &mut NoopSink,
+        );
+        let (reused, fresh) = (reused.unwrap(), fresh.unwrap());
+        assert_eq!(
+            (reused.rounds, reused.total_messages, reused.total_bits),
+            (fresh.rounds, fresh.total_messages, fresh.total_bits)
+        );
+        for (a, b) in reused.nodes.iter().zip(&fresh.nodes) {
+            assert_eq!(a.inner(), b.inner());
+        }
+    }
+
+    #[test]
+    fn broadcast_is_encoded_once_per_run_of_equal_messages() {
+        /// Counts encodes; the wire word is the plain message.
+        #[derive(Debug, Clone, Default)]
+        struct Counting(std::rc::Rc<std::cell::Cell<usize>>);
+        impl MessageCodec for Counting {
+            type Plain = Compact;
+            type Wire = Compact;
+            fn encode(&self, msg: &Compact) -> Compact {
+                self.0.set(self.0.get() + 1);
+                *msg
+            }
+            fn decode(&self, wire: &Compact) -> Result<(Compact, usize), CodecError> {
+                Ok((*wire, 0))
+            }
+        }
+        /// Round 0: broadcast, then two equal sends, then a different one.
+        #[derive(Debug, Clone)]
+        struct Sender;
+        impl NodeProtocol for Sender {
+            type Msg = Compact;
+            fn on_round(
+                &mut self,
+                node: NodeId,
+                round: usize,
+                _inbox: &[(NodeId, Compact)],
+                out: &mut Outbox<'_, Compact>,
+            ) {
+                if round == 0 && node == 0 {
+                    out.broadcast(Compact(7));
+                    out.send(1, Compact(7));
+                    out.send(2, Compact(9));
+                }
+            }
+            fn is_done(&self) -> bool {
+                true
+            }
+        }
+        let g = topology::complete(4);
+        let codec = Counting::default();
+        let states = (0..4)
+            .map(|_| CodedProtocol::new(Sender, codec.clone()))
+            .collect();
+        let report = Network::new(&g, BandwidthModel::Local)
+            .run(states, 8, &FaultPlan::none(), &mut NoopSink)
+            .unwrap();
+        assert_eq!(report.total_messages, 5);
+        // One encode for the broadcast and the equal send after it, one
+        // for the different message.
+        assert_eq!(codec.0.get(), 2);
     }
 
     #[test]

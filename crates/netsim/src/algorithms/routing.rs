@@ -14,7 +14,7 @@
 //! assignments within `N^r`), plus quiescence detection.
 
 use crate::engine::{BandwidthModel, EngineError, MessageSize, Network, NodeProtocol, Outbox};
-use crate::fault::{FaultInjectable, FaultPlan};
+use crate::fault::{bit_len, flip_in_field, FaultInjectable, FaultPlan};
 use crate::graph::{Graph, NodeId};
 use dut_obs::NoopSink;
 use std::collections::VecDeque;
@@ -26,23 +26,6 @@ pub struct Parcel {
     pub dest: NodeId,
     /// Payload value (e.g. a sample).
     pub value: u64,
-}
-
-/// The natural bit length of `x` (at least 1).
-fn bit_len(x: u64) -> usize {
-    (64 - x.leading_zeros() as usize).max(1)
-}
-
-/// Flips bit `b` of a field metered at its bit length, unless that would
-/// change the length: the leading one of a multi-bit field (and any bit
-/// past the field) stays put, so every flip is its own inverse.
-fn flip_in_field(x: u64, b: usize) -> u64 {
-    let len = bit_len(x);
-    if b + 1 < len || (len == 1 && b == 0) {
-        x ^ (1 << b)
-    } else {
-        x
-    }
 }
 
 impl MessageSize for Parcel {

@@ -84,7 +84,7 @@
 //!    failed runs, and a run's results never depend on what the network
 //!    ran before.
 
-use crate::fault::{FaultInjectable, FaultPlan};
+use crate::fault::{bit_len, FaultInjectable, FaultPlan};
 use crate::graph::{Csr, Graph, ImplicitTopology, NodeId};
 use dut_obs::{keys, Sink, Span};
 use std::error::Error;
@@ -150,7 +150,7 @@ pub struct Compact(pub u64);
 
 impl MessageSize for Compact {
     fn size_bits(&self) -> usize {
-        (64 - self.0.leading_zeros() as usize).max(1)
+        bit_len(self.0)
     }
 }
 
@@ -391,7 +391,7 @@ impl<'a, M> Outbox<'a, M> {
     /// line, so [`Outbox::send`] stays one branch around its push.
     #[cold]
     #[inline(never)]
-    pub(crate) fn reject(&mut self, to: NodeId) {
+    fn reject(&mut self, to: NodeId) {
         if !self.filled {
             self.fill_index();
         }
@@ -427,6 +427,32 @@ impl<'a, M> Outbox<'a, M> {
         for &to in self.neighbors {
             self.staged.push((to, self.node, msg.clone()));
         }
+    }
+
+    /// Runs `f` with an outbox for the same node that stages into
+    /// `staged` instead, sharing this outbox's neighbor-position index.
+    /// A wrapper protocol hands the inner outbox to the protocol it
+    /// wraps, then re-sends what was staged in its own message type.
+    ///
+    /// The inner outbox's index fill and first rejected send carry over
+    /// to this one, so the engine clears the shared index and reports
+    /// [`EngineError::NotANeighbor`] exactly as for a direct send.
+    pub(crate) fn restaged<N, R>(
+        &mut self,
+        staged: &mut Vec<(NodeId, NodeId, N)>,
+        f: impl FnOnce(&mut Outbox<'_, N>) -> R,
+    ) -> R {
+        let mut inner = Outbox {
+            node: self.node,
+            neighbors: self.neighbors,
+            neighbor_pos: &mut *self.neighbor_pos,
+            staged,
+            filled: self.filled,
+            bad_send: self.bad_send,
+        };
+        let result = f(&mut inner);
+        (self.filled, self.bad_send) = (inner.filled, inner.bad_send);
+        result
     }
 
     /// Neighbors of the sending node (so protocols need not carry the

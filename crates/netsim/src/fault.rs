@@ -22,6 +22,28 @@
 //! on the same plan, and what makes faulted runs resumable: re-running
 //! any prefix of rounds reproduces the same faults.
 //!
+//! # The flip kernel
+//!
+//! Wire bit `b` of a message flips iff `u01(word(…, b)) < flip_prob`,
+//! where `word` is the stream block at the message's coordinates with
+//! bit index `b`. [`FaultPlan::apply`] evaluates exactly that predicate
+//! for every bit, but cheaply:
+//!
+//! * the `(seed, lane, round, from, to, idx)` part of the block is
+//!   absorbed once per message, so bit `b`'s block is one more mix of
+//!   `prefix ^ b`;
+//! * the float comparison is replaced by an exact integer one:
+//!   `u01(x) = (x >> 11)·2⁻⁵³` exactly, so for `p < 1` the test holds iff
+//!   `x < ⌈p·2⁵³⌉·2¹¹`, and `p = 1` flips every bit;
+//! * bits are decided 64 at a time into a `u64` mask, and the set bits
+//!   are flipped in ascending order, the order a per-bit loop uses.
+//!
+//! The mask loop is compiled twice: a portable copy, and an
+//! `avx512f`+`avx512dq` copy whose 64-bit multiplies vectorise
+//! (`vpmullq`). [`FaultPlan::apply`] picks the second when the CPU
+//! reports both features. Both copies compute the same function, which
+//! the module's tests check against the per-bit definition.
+//!
 //! Protocol RNGs are untouched: fault randomness is keyed by
 //! [`FaultPlan::seed`] alone, so a faulted run with `drop_prob = 0`,
 //! `flip_prob = 0` and no crashes is bit-identical to an unfaulted run
@@ -79,6 +101,64 @@ fn mix(mut x: u64) -> u64 {
 #[inline]
 fn u01(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The integer form of the flip test `u01(x) < p`: `Some(t)` such that
+/// the test holds exactly when `x < t`, or `None` when it holds for
+/// every `x` (`p ≥ 1`).
+///
+/// `u01(x)` is exactly `(x >> 11)·2⁻⁵³`, and `p·2⁵³` is exact (a power
+/// of two scales without rounding), so the test is the integer
+/// comparison `x >> 11 < ⌈p·2⁵³⌉`, that is `x < ⌈p·2⁵³⌉·2¹¹`. For
+/// `p < 1` the ceiling is at most `2⁵³ − 1`, so `t` fits in a `u64`.
+fn flip_threshold(p: f64) -> Option<u64> {
+    (p < 1.0).then(|| ((p * (1u64 << 53) as f64).ceil() as u64) << 11)
+}
+
+/// Bit `j` of the result is set iff wire bit `base + j` flips: its
+/// block `mix(prefix ^ (base + j))` is below `threshold` (`None`: every
+/// bit flips). `base` is a multiple of 64.
+///
+/// Runs the AVX-512 copy of the loop when the CPU has `avx512f` and
+/// `avx512dq` (std caches the detection), the portable copy otherwise;
+/// both compute the same function.
+#[inline]
+fn flip_mask(prefix: u64, base: u64, threshold: Option<u64>) -> u64 {
+    let Some(threshold) = threshold else {
+        return u64::MAX;
+    };
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512dq")
+    {
+        // SAFETY: the CPU supports both enabled target features.
+        return unsafe { flip_mask_avx512(prefix, base, threshold) };
+    }
+    flip_mask_portable(prefix, base, threshold)
+}
+
+/// The 64-draw mask loop; inlined into each compiled copy.
+#[inline(always)]
+fn flip_mask_body(prefix: u64, base: u64, threshold: u64) -> u64 {
+    // `base ^ j == base | j`: `base` is a multiple of 64.
+    let start = prefix ^ base;
+    let mut mask = 0u64;
+    for j in 0..64 {
+        mask |= u64::from(mix(start ^ j) < threshold) << j;
+    }
+    mask
+}
+
+/// The mask loop for any CPU.
+fn flip_mask_portable(prefix: u64, base: u64, threshold: u64) -> u64 {
+    flip_mask_body(prefix, base, threshold)
+}
+
+/// The mask loop compiled with 64-bit vector multiplies (`vpmullq`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn flip_mask_avx512(prefix: u64, base: u64, threshold: u64) -> u64 {
+    flip_mask_body(prefix, base, threshold)
 }
 
 /// A deterministic fault model for one run. See the [module
@@ -310,12 +390,19 @@ impl FaultPlan {
         idx: usize,
         extra: u64,
     ) -> u64 {
+        mix(self.prefix(lane, round, from, to, idx) ^ extra)
+    }
+
+    /// The absorbed `(seed, lane, round, from, to, idx)` state of
+    /// [`FaultPlan::word`], before its last coordinate: a message's
+    /// per-bit blocks all share it.
+    #[inline]
+    fn prefix(&self, lane: u64, round: usize, from: NodeId, to: NodeId, idx: usize) -> u64 {
         let mut h = mix(self.seed ^ lane);
         h = mix(h.wrapping_add(round as u64));
         h = mix(h ^ (from as u64));
         h = mix(h ^ (to as u64));
-        h = mix(h ^ (idx as u64));
-        mix(h ^ extra)
+        mix(h ^ (idx as u64))
     }
 
     /// Applies channel faults to the `idx`-th message node `from` sends
@@ -349,10 +436,18 @@ impl FaultPlan {
             // draws this message consumes (variable-width encodings can
             // shrink under flips).
             let bits = msg.size_bits();
-            for b in 0..bits {
-                if u01(self.word(LANE_FLIP, round, from, to, idx, b as u64)) < self.flip_prob {
-                    msg.flip_bit(b);
-                    flips += 1;
+            let prefix = self.prefix(LANE_FLIP, round, from, to, idx);
+            let threshold = flip_threshold(self.flip_prob);
+            for base in (0..bits).step_by(64) {
+                let mut mask = flip_mask(prefix, base as u64, threshold);
+                if bits - base < 64 {
+                    mask &= (1u64 << (bits - base)) - 1;
+                }
+                flips += mask.count_ones();
+                // Ascending bit order, as a per-bit loop would flip.
+                while mask != 0 {
+                    msg.flip_bit(base + mask.trailing_zeros() as usize);
+                    mask &= mask - 1;
                 }
             }
         }
@@ -382,6 +477,26 @@ impl Default for FaultPlan {
 pub trait FaultInjectable {
     /// Flips wire bit `bit` of this message in place.
     fn flip_bit(&mut self, bit: usize);
+}
+
+/// The natural bit length of `x` (at least 1): the wire width of a
+/// field metered like [`Compact`].
+pub fn bit_len(x: u64) -> usize {
+    (64 - x.leading_zeros() as usize).max(1)
+}
+
+/// Flips bit `b` of a field metered at its bit length, unless that would
+/// change the length: the leading one of a multi-bit field (and any bit
+/// past the field) stays put, so every flip is its own inverse. Messages
+/// made of such fields route wire bit `b` to the field it falls in and
+/// flip it with this.
+pub fn flip_in_field(x: u64, b: usize) -> u64 {
+    let len = bit_len(x);
+    if b + 1 < len || (len == 1 && b == 0) {
+        x ^ (1 << b)
+    } else {
+        x
+    }
 }
 
 impl FaultInjectable for () {
@@ -627,6 +742,112 @@ mod tests {
         assert_eq!(pair, (Compact(5), 1));
         pair.flip_bit(1);
         assert_eq!(pair, (Compact(7), 1));
+    }
+
+    /// A message of exactly `len` wire bits, one per stored bit.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Bits {
+        len: usize,
+        words: Vec<u64>,
+    }
+
+    impl Bits {
+        fn zeros(len: usize) -> Self {
+            Bits {
+                len,
+                words: vec![0; len.div_ceil(64)],
+            }
+        }
+    }
+
+    impl MessageSize for Bits {
+        fn size_bits(&self) -> usize {
+            self.len
+        }
+    }
+
+    impl FaultInjectable for Bits {
+        fn flip_bit(&mut self, bit: usize) {
+            self.words[bit / 64] ^= 1 << (bit % 64);
+        }
+    }
+
+    /// The flip probabilities of the kernel oracle: zero, tiny, the E13
+    /// rate, one half, one, and `1234567·2⁻⁵³`, where `p·2⁵³` is an
+    /// integer and the threshold needs no rounding.
+    const ORACLE_PROBS: [f64; 6] = [0.0, 1e-9, 3e-4, 0.5, 1.0, 1_234_567.0 / (1u64 << 53) as f64];
+
+    /// Wire widths around the 64-bit chunking, the Compact Justesen
+    /// word (310) and the widest message codeword (756).
+    const ORACLE_BITS: [usize; 6] = [1, 63, 64, 65, 310, 756];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `apply` flips exactly the bits the per-bit definition
+        /// `u01(word(LANE_FLIP, …, b)) < p` selects, in any message width.
+        #[test]
+        fn flip_kernel_matches_per_bit_definition(
+            seed in proptest::prelude::any::<u64>(),
+            round in 0usize..1 << 20,
+            from in 0usize..1 << 20,
+            to in 0usize..1 << 20,
+            idx in 0usize..64,
+            p_at in 0usize..ORACLE_PROBS.len(),
+            bits_at in 0usize..ORACLE_BITS.len(),
+        ) {
+            let (p, len) = (ORACLE_PROBS[p_at], ORACLE_BITS[bits_at]);
+            let plan = FaultPlan::seeded(seed).with_flips(p);
+            let mut expected = Bits::zeros(len);
+            let mut expected_flips = 0;
+            for b in 0..len {
+                if u01(plan.word(LANE_FLIP, round, from, to, idx, b as u64)) < p {
+                    expected.flip_bit(b);
+                    expected_flips += 1;
+                }
+            }
+            let mut msg = Bits::zeros(len);
+            proptest::prop_assert_eq!(plan.apply(round, from, to, idx, &mut msg), Some(expected_flips));
+            proptest::prop_assert_eq!(msg, expected);
+        }
+
+        /// On a CPU with AVX-512 the vectorised copy of the mask loop
+        /// computes the portable copy's masks.
+        #[test]
+        fn flip_mask_copies_agree(
+            prefix in proptest::prelude::any::<u64>(),
+            chunk in 0u64..16,
+            threshold in proptest::prelude::any::<u64>(),
+        ) {
+            let portable = flip_mask_portable(prefix, chunk * 64, threshold);
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512dq")
+            {
+                // SAFETY: the CPU supports both enabled target features.
+                let vector = unsafe { flip_mask_avx512(prefix, chunk * 64, threshold) };
+                proptest::prop_assert_eq!(vector, portable);
+            }
+            proptest::prop_assert_eq!(flip_mask(prefix, chunk * 64, Some(threshold)), portable);
+        }
+    }
+
+    #[test]
+    fn flip_threshold_is_the_exact_boundary_of_u01() {
+        let tiny = f64::from_bits(1); // the smallest subnormal
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        for p in ORACLE_PROBS.into_iter().chain([tiny, 0.1, below_one]) {
+            match flip_threshold(p) {
+                None => assert_eq!(p, 1.0),
+                Some(0) => assert_eq!(p, 0.0),
+                Some(t) => {
+                    assert!(u01(t - 1) < p, "p = {p}: last flipping draw");
+                    assert!(u01(t) >= p, "p = {p}: first kept draw");
+                }
+            }
+        }
+        assert_eq!(flip_threshold(below_one), Some(u64::MAX - 2047));
+        assert_eq!(flip_threshold(1.0), None);
     }
 
     #[test]
