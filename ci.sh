@@ -52,6 +52,8 @@ lane_testkit() {
     cargo test --release -p dut-congest --test parallel_differential -q
     echo "==> fixed-seed codec-corruption smoke (RS + Justesen, seeded)"
     cargo test --release -p dut-testkit --test fuzz_drivers -q
+    echo "==> stream service differential (label-indexed service == BTreeMap model, shard-count invariant on adversarial labels)"
+    cargo test --release -p dut-stream --test merge_differential -q service_
 }
 
 lane_feature_matrix() {
@@ -70,7 +72,7 @@ lane_feature_matrix() {
 lane_overflow() {
     echo "==> overflow-checks lane (arithmetic panics surface in release codecs)"
     RUSTFLAGS="-C overflow-checks=on" \
-        cargo test --release -p dut-ecc -p dut-distributions -p dut-netsim -q \
+        cargo test --release -p dut-ecc -p dut-distributions -p dut-netsim -p dut-stream -q \
         --target-dir target/overflow-checks
 }
 

@@ -4,8 +4,9 @@
 //! The `dut-stream` service turns the batch collision tester into an
 //! anytime streaming one: per-stream sliding windows over mergeable
 //! sketches, shard-local state, coordinator verdicts. Two claims are
-//! measured. First, throughput: ingest is O(1) per sample (a stateless
-//! shard hash, a window rotation, and an integer pair-count update), so
+//! measured. First, throughput: ingest is O(1) per sample (one
+//! label-index probe, a window rotation, and an integer pair-count
+//! update), so
 //! samples/sec/core should be flat in the shard count — sharding is a
 //! concurrency knob, not a work knob. Second, exactness: because the
 //! sketch merge law is exact integer arithmetic and shard placement is

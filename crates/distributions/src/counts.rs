@@ -30,10 +30,13 @@
 #[derive(Debug, Clone)]
 pub struct SymbolCounts {
     counts: Vec<u32>,
-    /// Symbols that may have nonzero count, in first-touch order.
-    /// May contain symbols whose count has since dropped to zero;
-    /// `iter_nonzero` filters and `compact` trims them.
+    /// Symbols that may have nonzero count, in first-touch order:
+    /// `touched[..listed_len]`. May contain symbols whose count has
+    /// since dropped to zero; `iter_nonzero` filters and `compact` trims
+    /// them. Always at least one entry longer than the list, so `add`
+    /// can write the next symbol without testing whether it is new.
     touched: Vec<usize>,
+    listed_len: usize,
     /// Whether a symbol is already listed in `touched`.
     listed: Vec<bool>,
     total: u64,
@@ -44,7 +47,8 @@ impl SymbolCounts {
     pub fn new(domain_size: usize) -> Self {
         SymbolCounts {
             counts: vec![0; domain_size],
-            touched: Vec::new(),
+            touched: vec![0],
+            listed_len: 0,
             listed: vec![false; domain_size],
             total: 0,
         }
@@ -77,6 +81,7 @@ impl SymbolCounts {
     ///
     /// Panics if `symbol` is outside the domain or its count would
     /// overflow `u32`.
+    #[inline]
     pub fn increment(&mut self, symbol: usize) -> u32 {
         self.add(symbol, 1)
     }
@@ -88,13 +93,20 @@ impl SymbolCounts {
     ///
     /// Panics if `symbol` is outside the domain or its count would
     /// overflow `u32`.
+    #[inline]
     pub fn add(&mut self, symbol: usize, k: u32) -> u32 {
         let prior = self.counts[symbol];
         self.counts[symbol] = prior.checked_add(k).expect("symbol count overflowed u32");
         self.total += u64::from(k);
-        if k > 0 && !self.listed[symbol] {
-            self.listed[symbol] = true;
-            self.touched.push(symbol);
+        // Branch-free on whether the symbol is new: on sliding-window
+        // traffic that is close to a coin flip, and each mispredict
+        // discards the caller's work in flight.
+        let new = (k > 0) & !self.listed[symbol];
+        self.listed[symbol] |= k > 0;
+        self.touched[self.listed_len] = symbol;
+        self.listed_len += usize::from(new);
+        if self.listed_len == self.touched.len() {
+            self.touched.push(0);
         }
         prior
     }
@@ -108,6 +120,7 @@ impl SymbolCounts {
     ///
     /// Panics if `symbol` is outside the domain or its count is zero —
     /// retiring a sample that was never pushed is always a caller bug.
+    #[inline]
     pub fn decrement(&mut self, symbol: usize) -> u32 {
         let prior = self.counts[symbol];
         assert!(prior > 0, "decrement of zero-count symbol {symbol}");
@@ -123,7 +136,7 @@ impl SymbolCounts {
     /// O(touched symbols), which [`SymbolCounts::compact`] keeps close to
     /// the live support.
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
-        self.touched
+        self.touched[..self.listed_len]
             .iter()
             .filter(|&&x| self.counts[x] > 0)
             .map(|&x| (x, self.counts[x]))
@@ -134,11 +147,11 @@ impl SymbolCounts {
     /// per-virtual-node blocks of the streaming threshold tester) pays
     /// per block only for the symbols that block actually touched.
     pub fn clear(&mut self) {
-        for &x in &self.touched {
+        for &x in &self.touched[..self.listed_len] {
             self.counts[x] = 0;
             self.listed[x] = false;
         }
-        self.touched.clear();
+        self.listed_len = 0;
         self.total = 0;
     }
 
@@ -147,16 +160,20 @@ impl SymbolCounts {
     /// support. Windowed sketches call this periodically after eviction
     /// churn; it never changes observable counts.
     pub fn compact(&mut self) {
-        let counts = &self.counts;
-        let listed = &mut self.listed;
-        self.touched.retain(|&x| {
-            if counts[x] > 0 {
-                true
+        // In place, keeping the buffer's length: `add` grows it only
+        // past its longest list so far, so its growth test stays
+        // predictable.
+        let mut kept = 0;
+        for i in 0..self.listed_len {
+            let x = self.touched[i];
+            if self.counts[x] > 0 {
+                self.touched[kept] = x;
+                kept += 1;
             } else {
-                listed[x] = false;
-                false
+                self.listed[x] = false;
             }
-        });
+        }
+        self.listed_len = kept;
     }
 }
 

@@ -1,8 +1,6 @@
 //! The sharded streaming service: many concurrent labeled streams,
 //! per-stream sliding windows, shard-local state, coordinator verdicts.
 
-use std::collections::BTreeMap;
-
 use dut_core::executor::{derive_trial_seed, sequence_z};
 use dut_core::montecarlo::ErrorEstimate;
 use dut_obs::keys;
@@ -36,11 +34,71 @@ pub struct StreamConfig {
 /// Per-stream state: a windowed collision sketch.
 type StreamState = SlidingWindow<CollisionSketch>;
 
-/// One shard's slice of the stream table, keyed by stream label.
-/// `BTreeMap` so coordinator iteration is deterministic.
-#[derive(Debug, Default)]
-struct Shard {
-    streams: BTreeMap<u64, StreamState>,
+/// Where a stream's window lives: `shards[shard][slot]`.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    label: u64,
+    shard: u32,
+    slot: u32,
+}
+
+/// Buckets of a fresh [`LabelIndex`]; a power of two.
+const INDEX_START: usize = 16;
+
+/// An open-addressed label → (shard, slot) index: a power-of-two
+/// bucket table, linear probing, load kept at most ½.
+///
+/// A bucket is the low bits of [`derive_trial_seed`] of the label, a
+/// splitmix64 mix in which every output bit depends on every input
+/// bit. A bare multiply would not do: labels that differ only in their
+/// top bits would share their low product bits and pile into one probe
+/// chain. The seed is fixed because only the spread matters here.
+#[derive(Debug)]
+struct LabelIndex {
+    buckets: Vec<Option<Entry>>,
+    len: usize,
+}
+
+impl LabelIndex {
+    fn new() -> Self {
+        LabelIndex {
+            buckets: vec![None; INDEX_START],
+            len: 0,
+        }
+    }
+
+    /// The bucket an entry for `label` either occupies or would take.
+    fn probe(&self, label: u64) -> usize {
+        let mask = self.buckets.len() - 1;
+        let mut i = derive_trial_seed(0, label) as usize & mask;
+        while let Some(entry) = &self.buckets[i] {
+            if entry.label == label {
+                break;
+            }
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    fn get(&self, label: u64) -> Option<Entry> {
+        self.buckets[self.probe(label)]
+    }
+
+    /// Adds an entry whose label is not yet indexed, doubling the table
+    /// first if the load would pass ½.
+    fn insert(&mut self, entry: Entry) {
+        if 2 * (self.len + 1) > self.buckets.len() {
+            let grown = vec![None; 2 * self.buckets.len()];
+            let old = std::mem::replace(&mut self.buckets, grown);
+            for moved in old.into_iter().flatten() {
+                let i = self.probe(moved.label);
+                self.buckets[i] = Some(moved);
+            }
+        }
+        let i = self.probe(entry.label);
+        self.buckets[i] = Some(entry);
+        self.len += 1;
+    }
 }
 
 /// A sharded streaming uniformity-testing service.
@@ -49,11 +107,14 @@ struct Shard {
 /// sliding-window [`CollisionSketch`] living on the shard selected by
 /// the stateless placement function
 /// `derive_trial_seed(base_seed, label) % shards` — a pure function of
-/// the label, never of arrival order or shard load. Per-stream state
-/// depends only on that stream's own sample order, and every
-/// coordinator aggregate is a sum over streams in deterministic
-/// (shard, label) order, so **all verdicts are bit-identical at any
-/// shard count** (enforced by the merge-differential suite).
+/// the label, never of arrival order or shard load. A shard keeps its
+/// streams in first-arrival order, and one open-addressed label index
+/// maps each label to its (shard, slot), so an ingest costs one index
+/// probe. Per-stream state depends only on that stream's own sample
+/// order, and every coordinator aggregate is an integer sum over
+/// streams, free of the order they are visited in, so **all verdicts
+/// are bit-identical at any shard count** (enforced by the
+/// merge-differential suite).
 ///
 /// Two verdict surfaces:
 ///
@@ -70,9 +131,14 @@ struct Shard {
 #[derive(Debug)]
 pub struct StreamService {
     cfg: StreamConfig,
-    shards: Vec<Shard>,
+    /// Each shard's streams, in first-arrival order.
+    shards: Vec<Vec<StreamState>>,
+    index: LabelIndex,
     looks: usize,
     pushes: u64,
+    /// Window evictions over every stream, kept by `ingest`.
+    evictions: u64,
+    /// The part of `evictions` already recorded to a sink.
     evictions_recorded: u64,
 }
 
@@ -108,12 +174,14 @@ impl StreamService {
             return Err(invalid("reject_threshold", 0.0, "reject_threshold >= 1"));
         }
         let mut shards = Vec::with_capacity(cfg.shards);
-        shards.resize_with(cfg.shards, Shard::default);
+        shards.resize_with(cfg.shards, Vec::new);
         Ok(StreamService {
             cfg,
             shards,
+            index: LabelIndex::new(),
             looks: 0,
             pushes: 0,
+            evictions: 0,
             evictions_recorded: 0,
         })
     }
@@ -137,7 +205,13 @@ impl StreamService {
 
     /// Number of distinct streams seen so far.
     pub fn stream_count(&self) -> usize {
-        self.shards.iter().map(|s| s.streams.len()).sum()
+        self.index.len
+    }
+
+    /// Every stream's window, shard by shard, each in first-arrival
+    /// order.
+    fn windows(&self) -> impl Iterator<Item = &StreamState> {
+        self.shards.iter().flatten()
     }
 
     /// Ingests one sample on stream `label`.
@@ -146,6 +220,11 @@ impl StreamService {
     ///
     /// Returns [`StreamError::OutOfDomain`] if `sample` is outside the
     /// configured domain; the service state is unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a new stream would put more than 2³² streams on its
+    /// shard, or its shard index does not fit in `u32`.
     pub fn ingest(&mut self, label: u64, sample: usize) -> Result<(), StreamError> {
         if sample >= self.cfg.domain {
             return Err(StreamError::OutOfDomain {
@@ -153,14 +232,34 @@ impl StreamService {
                 domain: self.cfg.domain,
             });
         }
-        let shard = self.shard_of(label);
-        let cfg = self.cfg;
-        let window = self.shards[shard].streams.entry(label).or_insert_with(|| {
-            SlidingWindow::new(cfg.window, CollisionSketch::new(cfg.domain, cfg.epsilon))
-        });
+        let Entry { shard, slot, .. } = match self.index.get(label) {
+            Some(entry) => entry,
+            None => self.open_stream(label),
+        };
+        let window = &mut self.shards[shard as usize][slot as usize];
+        let before = window.evictions();
         window.push(sample);
+        self.evictions += window.evictions() - before;
         self.pushes += 1;
         Ok(())
+    }
+
+    /// Places a new stream's empty window at the end of its shard and
+    /// indexes it.
+    fn open_stream(&mut self, label: u64) -> Entry {
+        let shard = self.shard_of(label);
+        let streams = &mut self.shards[shard];
+        let entry = Entry {
+            label,
+            shard: u32::try_from(shard).expect("shard index fits in u32"),
+            slot: u32::try_from(streams.len()).expect("fewer than 2^32 streams per shard"),
+        };
+        streams.push(SlidingWindow::new(
+            self.cfg.window,
+            CollisionSketch::new(self.cfg.domain, self.cfg.epsilon),
+        ));
+        self.index.insert(entry);
+        entry
     }
 
     /// [`ingest`](Self::ingest) with `stream.*` metrics recorded to
@@ -175,31 +274,20 @@ impl StreamService {
         if !sink.enabled() {
             return self.ingest(label, sample);
         }
-        let known = self.shards[self.shard_of(label)]
-            .streams
-            .contains_key(&label);
+        let streams = self.stream_count();
         self.ingest(label, sample)?;
         sink.add(keys::STREAM_PUSHES, 1);
-        if !known {
+        if self.stream_count() > streams {
             sink.add(keys::STREAM_STREAMS, 1);
         }
-        let evictions = self.total_evictions();
-        if evictions > self.evictions_recorded {
+        if self.evictions > self.evictions_recorded {
             sink.add(
                 keys::STREAM_WINDOW_EVICTIONS,
-                evictions - self.evictions_recorded,
+                self.evictions - self.evictions_recorded,
             );
-            self.evictions_recorded = evictions;
+            self.evictions_recorded = self.evictions;
         }
         Ok(())
-    }
-
-    fn total_evictions(&self) -> u64 {
-        self.shards
-            .iter()
-            .flat_map(|s| s.streams.values())
-            .map(|w| w.evictions())
-            .sum()
     }
 
     /// The coordinator's anytime threshold-rule verdict.
@@ -212,6 +300,11 @@ impl StreamService {
     /// interval at this look clears `reject_threshold / votes`.
     pub fn verdict(&mut self) -> Anytime<Verdict> {
         let (votes, rejecting) = self.tally();
+        self.decide(votes, rejecting)
+    }
+
+    /// Applies the threshold rule to one tally, spending one look.
+    fn decide(&mut self, votes: usize, rejecting: usize) -> Anytime<Verdict> {
         let look = self.looks;
         self.looks += 1;
         if votes == 0 {
@@ -235,8 +328,8 @@ impl StreamService {
     /// [`verdict`](Self::verdict) with `stream.*` metrics recorded to
     /// `sink`.
     pub fn verdict_observed(&mut self, sink: &mut dyn Sink) -> Anytime<Verdict> {
-        let (_, rejecting) = self.tally();
-        let result = self.verdict();
+        let (votes, rejecting) = self.tally();
+        let result = self.decide(votes, rejecting);
         if sink.enabled() {
             sink.add(keys::STREAM_COORDINATOR_LOOKS, 1);
             sink.add(keys::STREAM_COORDINATOR_REJECTING_VOTES, rejecting as u64);
@@ -244,37 +337,33 @@ impl StreamService {
         result
     }
 
-    /// Counts (decided votes, rejecting votes) over every stream in
-    /// deterministic (shard, label) order. Integer sums, so the result
-    /// is independent of the iteration order — and of the shard count.
+    /// Counts (decided votes, rejecting votes) over every stream.
+    /// Integer sums, so the result is independent of the iteration
+    /// order — and of the shard count.
     fn tally(&self) -> (usize, usize) {
         let mut votes = 0usize;
         let mut rejecting = 0usize;
-        for shard in &self.shards {
-            for window in shard.streams.values() {
-                match window.verdict().value {
-                    Verdict::Far => {
-                        votes += 1;
-                        rejecting += 1;
-                    }
-                    Verdict::Uniform => votes += 1,
-                    Verdict::Pending => {}
+        for window in self.windows() {
+            match window.verdict().value {
+                Verdict::Far => {
+                    votes += 1;
+                    rejecting += 1;
                 }
+                Verdict::Uniform => votes += 1,
+                Verdict::Pending => {}
             }
         }
         (votes, rejecting)
     }
 
     /// Merges every stream's window sketch into one pooled
-    /// [`CollisionSketch`], folding shards in index order and streams
-    /// in label order. Sketch merging is exact integer arithmetic, so
-    /// the result is identical at any shard count.
+    /// [`CollisionSketch`]. Sketch merging is exact integer arithmetic,
+    /// so the result is identical in any fold order and at any shard
+    /// count.
     pub fn merged_sketch(&self) -> CollisionSketch {
         let mut pooled = CollisionSketch::new(self.cfg.domain, self.cfg.epsilon);
-        for shard in &self.shards {
-            for window in shard.streams.values() {
-                pooled.merge(window.sketch());
-            }
+        for window in self.windows() {
+            pooled.merge(window.sketch());
         }
         pooled
     }

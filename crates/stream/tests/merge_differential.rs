@@ -2,13 +2,17 @@
 //! be bit-identical to the batch testers for every (split, merge-order,
 //! shard-count) case generated by the testkit `merge_split` strategy.
 
+use std::collections::BTreeMap;
+
 use dut_core::baselines::{CollisionCountTester, SingletonCountTester};
 use dut_core::decision::DecisionRule;
+use dut_core::executor::sequence_z;
+use dut_core::montecarlo::ErrorEstimate;
 use dut_core::zero_round::ThresholdNetworkTester;
 use dut_core::Decision;
 use dut_distributions::collision::{collision_pair_count, has_collision};
 use dut_stream::{
-    CollisionSketch, GapSketch, SingletonSketch, Sketch, SlidingWindow, StreamConfig,
+    Anytime, CollisionSketch, GapSketch, SingletonSketch, Sketch, SlidingWindow, StreamConfig,
     StreamService, ThresholdSketch, Verdict,
 };
 use dut_testkit::strategies::{fault_plan, merge_split, MergeSplit};
@@ -64,6 +68,91 @@ fn sharded<S: Sketch + Clone>(ms: &MergeSplit, fresh: impl Fn() -> S) -> S {
         merged.merge(&per_shard[shard]);
     }
     merged
+}
+
+/// Stream labels aimed at the service's label index, added to the plain
+/// `0..streams` labels: nothing, the extremes `0` and `u64::MAX`,
+/// labels that differ only in bits 48–63, or more than 1000 distinct
+/// labels (enough to grow the index at least three times).
+fn adversarial_labels() -> impl Strategy<Value = Vec<u64>> {
+    (0u8..4, any::<u64>(), 2u64..64).prop_map(|(shape, seed, k)| match shape {
+        0 => Vec::new(),
+        1 => vec![0, u64::MAX],
+        // t ↦ 0x9E37·t is a bijection mod 2^16, so the top 16 bits are
+        // distinct and reach bit 63.
+        2 => (0..k)
+            .map(|t| (seed & 0xFFFF_FFFF_FFFF) | (t.wrapping_mul(0x9E37) & 0xFFFF) << 48)
+            .collect(),
+        // i ↦ seed + i·odd is injective, so all 1000 + k are distinct.
+        _ => (0..1000 + k)
+            .map(|i| seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+            .collect(),
+    })
+}
+
+/// The service restated naively: one window per label in a `BTreeMap`,
+/// the threshold rule and its look schedule written out from their
+/// definitions.
+struct ModelService {
+    cfg: StreamConfig,
+    windows: BTreeMap<u64, SlidingWindow<CollisionSketch>>,
+    looks: usize,
+    pushes: u64,
+}
+
+impl ModelService {
+    fn new(cfg: StreamConfig) -> Self {
+        ModelService {
+            cfg,
+            windows: BTreeMap::new(),
+            looks: 0,
+            pushes: 0,
+        }
+    }
+
+    fn ingest(&mut self, label: u64, sample: usize) {
+        let cfg = self.cfg;
+        self.windows
+            .entry(label)
+            .or_insert_with(|| {
+                SlidingWindow::new(cfg.window, CollisionSketch::new(cfg.domain, cfg.epsilon))
+            })
+            .push(sample);
+        self.pushes += 1;
+    }
+
+    fn merged_sketch(&self) -> CollisionSketch {
+        let mut pooled = CollisionSketch::new(self.cfg.domain, self.cfg.epsilon);
+        for window in self.windows.values() {
+            pooled.merge(window.sketch());
+        }
+        pooled
+    }
+
+    fn verdict(&mut self) -> Anytime<Verdict> {
+        let votes: Vec<Verdict> = self
+            .windows
+            .values()
+            .map(|w| w.verdict().value)
+            .filter(|&v| v != Verdict::Pending)
+            .collect();
+        let rejecting = votes.iter().filter(|&&v| v == Verdict::Far).count();
+        let look = self.looks;
+        self.looks += 1;
+        if votes.is_empty() {
+            return Anytime::at_look(Verdict::Pending, self.pushes, look, false);
+        }
+        let threshold = self.cfg.reject_threshold;
+        let est = ErrorEstimate::from_counts(votes.len(), rejecting, sequence_z(look));
+        let frac = threshold as f64 / votes.len() as f64;
+        let (value, certified) = if rejecting >= threshold {
+            let all = rejecting == votes.len();
+            (Verdict::Far, est.certified_above(frac) || all)
+        } else {
+            (Verdict::Uniform, est.certified_below(frac))
+        };
+        Anytime::at_look(value, self.pushes, look, certified)
+    }
 }
 
 proptest! {
@@ -248,13 +337,18 @@ proptest! {
     }
 
     /// The sharded service: identical traffic through 1, 2, and 8
-    /// shards yields bit-identical coordinator and pooled verdicts.
+    /// shards yields bit-identical coordinator and pooled verdicts —
+    /// also on labels chosen to stress the label index.
     #[test]
     fn service_verdicts_are_shard_count_invariant(
         ms in merge_split(64, 64, 1),
         streams in 1u64..6,
+        extra in adversarial_labels(),
     ) {
-        let services: Vec<StreamService> = [1usize, 2, 8]
+        let labels: Vec<u64> = (0..streams).chain(extra).collect();
+        // Cycle the samples so that every label arrives.
+        let pushes = ms.samples.len().max(labels.len());
+        let mut services: Vec<StreamService> = [1usize, 2, 8]
             .iter()
             .map(|&shards| {
                 let mut svc = StreamService::new(StreamConfig {
@@ -266,21 +360,72 @@ proptest! {
                     base_seed: 99,
                 })
                 .expect("valid config");
-                for (i, &x) in ms.samples.iter().enumerate() {
-                    svc.ingest(i as u64 % streams, x).expect("in-domain sample");
+                for i in 0..pushes {
+                    let x = ms.samples[i % ms.samples.len()];
+                    svc.ingest(labels[i % labels.len()], x).expect("in-domain sample");
                 }
                 svc
             })
             .collect();
+        let looks: Vec<_> = services.iter_mut().map(|svc| svc.verdict()).collect();
         let [a, b, c] = &services[..] else { unreachable!() };
-        let mut a = StreamService::new(*a.config()).unwrap();
-        // (re-ingest into fresh handles to exercise verdict(&mut) in order)
-        for (i, &x) in ms.samples.iter().enumerate() {
-            a.ingest(i as u64 % streams, x).unwrap();
-        }
         prop_assert_eq!(b.global_verdict(), c.global_verdict());
         prop_assert_eq!(a.global_verdict(), b.global_verdict());
         prop_assert_eq!(b.merged_sketch().pairs(), c.merged_sketch().pairs());
+        prop_assert_eq!(looks[0], looks[1]);
+        prop_assert_eq!(looks[1], looks[2]);
+        prop_assert_eq!(a.stream_count(), c.stream_count());
+    }
+
+    /// The indexed service against the naive `BTreeMap` model: after
+    /// every batch of mixed traffic the coordinator verdict, the pooled
+    /// verdict and pair count, the stream count and the push count all
+    /// agree.
+    #[test]
+    fn service_matches_btreemap_model(
+        streams in 1u64..6,
+        extra in adversarial_labels(),
+        seed in any::<u64>(),
+        batches in 1usize..6,
+    ) {
+        let cfg = StreamConfig {
+            domain: 32,
+            epsilon: 1.0,
+            window: 8,
+            shards: 3,
+            reject_threshold: 2,
+            base_seed: seed,
+        };
+        let mut svc = StreamService::new(cfg).expect("valid config");
+        let mut model = ModelService::new(cfg);
+        let labels: Vec<u64> = (0..streams).chain(extra).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..batches {
+            // Every label once, from a seeded offset, then random repeats.
+            let offset = rng.gen_range(0..labels.len());
+            let repeats = labels.len() / 2 + 16;
+            for i in 0..labels.len() + repeats {
+                let label = if i < labels.len() {
+                    labels[(offset + i) % labels.len()]
+                } else {
+                    labels[rng.gen_range(0..labels.len())]
+                };
+                // Labels of odd weight send concentrated traffic.
+                let sample = if label.count_ones() % 2 == 1 {
+                    rng.gen_range(0..2)
+                } else {
+                    rng.gen_range(0..cfg.domain)
+                };
+                svc.ingest(label, sample).expect("in-domain sample");
+                model.ingest(label, sample);
+            }
+            prop_assert_eq!(svc.verdict(), model.verdict());
+            let pooled = model.merged_sketch();
+            prop_assert_eq!(svc.global_verdict(), pooled.verdict());
+            prop_assert_eq!(svc.merged_sketch().pairs(), pooled.pairs());
+            prop_assert_eq!(svc.stream_count(), model.windows.len());
+            prop_assert_eq!(svc.pushes(), model.pushes);
+        }
     }
 }
 
