@@ -35,7 +35,7 @@ lane_test() {
 lane_fault_differential() {
     echo "==> fault differential suite (flat engine == reference, faulted)"
     cargo test --release -p dut-netsim --test differential -q
-    echo "==> silent-stable harness (leader, BFS, convergecast, broadcast, residue == reference, clean and faulted)"
+    echo "==> wake-rule harness (leader, BFS, convergecast, broadcast, residue, forwarding, ARQ convergecast + broadcast, Luby MIS, routing == reference; plain and coded, clean and faulted)"
     cargo test --release -p dut-netsim -p dut-congest --lib matches_reference_engine -q
     echo "==> flip-kernel oracle (vectorised flip masks == per-bit u01 < p definition; AVX-512 copy == portable copy)"
     cargo test --release -p dut-netsim --lib fault::tests -q
@@ -108,7 +108,7 @@ lane_stream() {
 lane_netsim_scale() {
     echo "==> netsim-scale lane (10^6-node implicit-torus smokes, implicit == materialized, clean and faulted)"
     cargo test --release -p dut-netsim --test scale -q -- --ignored
-    echo "==> netsim-scale lane (implicit-vs-materialized + sparse differential)"
+    echo "==> netsim-scale lane (implicit-vs-materialized + wake-rule differential: stepped on mail only == every round)"
     cargo test --release -p dut-netsim --test implicit -q
 }
 

@@ -241,6 +241,12 @@ impl NodeProtocol for WalkNode {
     fn is_done(&self) -> bool {
         self.done
     }
+
+    fn wants_round(&self) -> bool {
+        // Every node steps until round `walk_len`, where it sets `done`;
+        // a tokenless node left asleep would never set it.
+        !self.done
+    }
 }
 
 /// Initial states for a `k`-node walk run.

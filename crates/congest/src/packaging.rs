@@ -34,9 +34,6 @@ struct ResidueNode {
 
 impl NodeProtocol for ResidueNode {
     type Msg = Compact;
-    // The residue is sent once, on the step the last child report
-    // arrives (round 0 for a leaf).
-    const SILENT_STABLE: bool = true;
 
     fn on_round(
         &mut self,
@@ -61,6 +58,12 @@ impl NodeProtocol for ResidueNode {
     fn is_done(&self) -> bool {
         self.c.is_some()
     }
+
+    fn wants_round(&self) -> bool {
+        // The residue is sent once, on the step the last child report
+        // arrives (round 0 for a leaf).
+        false
+    }
 }
 
 /// The pipelined token-forwarding phase: each node forwards one token per
@@ -69,7 +72,7 @@ impl NodeProtocol for ResidueNode {
 ///
 /// `pub(crate)` so the robust pipeline can re-run this phase through an
 /// error-correcting codec.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ForwardNode {
     parent: Option<NodeId>,
     /// Tokens to forward up (the residue `c(v)`).
@@ -117,6 +120,12 @@ impl NodeProtocol for ForwardNode {
 
     fn is_done(&self) -> bool {
         self.flushed
+    }
+
+    fn wants_round(&self) -> bool {
+        // A token still owed to the parent goes up next round; an empty
+        // buffer waits for mail, and a flushed node keeps what arrives.
+        !self.flushed && !self.buffer.is_empty()
     }
 }
 
@@ -384,6 +393,7 @@ pub fn solve_token_packaging<T: ImplicitTopology>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dut_netsim::algorithms::reference_check;
     use dut_netsim::graph::Graph;
     use dut_netsim::topology;
     use rand::rngs::StdRng;
@@ -603,28 +613,45 @@ mod tests {
         assert_eq!(r.tree.root, 4);
     }
 
-    /// The residue phase declares `SILENT_STABLE`; this pins that the
-    /// declaration is true, plain and through `CodedProtocol`, on the
-    /// `dut-netsim` differential topologies plus the implicit 12×12
-    /// torus.
+    /// The residue phase never asks to wake; this pins that the rule
+    /// is true, plain and through `CodedProtocol`, on the `dut-netsim`
+    /// differential topologies plus the implicit 12×12 torus.
     #[test]
     fn residue_matches_reference_engine() {
-        dut_netsim::algorithms::reference_check::assert_silent_stable_matches_reference(
-            "residue",
-            |g| {
-                let tree = build_bfs_tree(g, 0, BandwidthModel::Local).unwrap().0;
-                (0..g.node_count())
-                    .map(|v| ResidueNode {
-                        parent: tree.parent[v],
-                        expected_children: tree.children[v].len(),
-                        received: 0,
-                        own_tokens: v as u64 % 5,
-                        tau: 3,
-                        c: None,
-                        acc: 0,
-                    })
-                    .collect()
-            },
-        );
+        reference_check::assert_matches_reference("residue", &reference_check::plans(), |g| {
+            let tree = build_bfs_tree(g, 0, BandwidthModel::Local).unwrap().0;
+            (0..g.node_count())
+                .map(|v| ResidueNode {
+                    parent: tree.parent[v],
+                    expected_children: tree.children[v].len(),
+                    received: 0,
+                    own_tokens: v as u64 % 5,
+                    tau: 3,
+                    c: None,
+                    acc: 0,
+                })
+                .collect()
+        });
+    }
+
+    /// Forwarding wakes while it owes its parent a buffered token; this
+    /// pins that rule against the reference engine the same way. Node
+    /// `v` starts with `v % 7` tokens and the quota its residue for
+    /// τ = 8 on the BFS tree from node 0, so tokens queue and pipeline
+    /// up several levels.
+    #[test]
+    fn forward_matches_reference_engine() {
+        reference_check::assert_matches_reference("forward", &reference_check::plans(), |g| {
+            let tree = build_bfs_tree(g, 0, BandwidthModel::Local).unwrap().0;
+            let tokens: Vec<Vec<u64>> = (0..g.node_count() as u64)
+                .map(|v| (0..v % 7).map(|t| 8 * v + t).collect())
+                .collect();
+            let mut quotas = vec![0u64; g.node_count()];
+            for v in tree.bottom_up_order() {
+                let below: u64 = tree.children[v].iter().map(|&c| quotas[c]).sum();
+                quotas[v] = (tokens[v].len() as u64 + below) % 8;
+            }
+            forward_states(&tree, &tokens, &quotas)
+        });
     }
 }

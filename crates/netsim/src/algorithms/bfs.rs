@@ -22,8 +22,6 @@ struct BfsNode {
 
 impl NodeProtocol for BfsNode {
     type Msg = Compact;
-    // Only the root in round 0 and the first announcement heard send.
-    const SILENT_STABLE: bool = true;
 
     fn on_round(
         &mut self,
@@ -56,6 +54,11 @@ impl NodeProtocol for BfsNode {
         // ends promptly instead of spinning to the round limit, and the
         // unreached component is reported as a typed error below.
         true
+    }
+
+    fn wants_round(&self) -> bool {
+        // Only the root in round 0 and the first announcement heard send.
+        false
     }
 }
 
@@ -219,6 +222,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::reference_check;
     use crate::graph::Graph;
     use crate::topology;
 
@@ -292,7 +296,7 @@ mod tests {
 
     #[test]
     fn bfs_matches_reference_engine() {
-        crate::algorithms::reference_check::assert_silent_stable_matches_reference("bfs", |g| {
+        reference_check::assert_matches_reference("bfs", &reference_check::plans(), |g| {
             let root = g.node_count() / 2;
             (0..g.node_count())
                 .map(|_| BfsNode {

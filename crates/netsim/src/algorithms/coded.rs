@@ -219,9 +219,6 @@ where
     C: MessageCodec<Plain = P::Msg>,
 {
     type Msg = C::Wire;
-    // An empty wire inbox is an empty plain inbox for the inner
-    // protocol, so the wrapper is exactly as silent as `P`.
-    const SILENT_STABLE: bool = P::SILENT_STABLE;
 
     fn on_round(
         &mut self,
@@ -267,6 +264,12 @@ where
 
     fn is_done(&self) -> bool {
         self.inner.is_done()
+    }
+
+    fn wants_round(&self) -> bool {
+        // An empty wire inbox is an empty plain inbox for the inner
+        // protocol, so the wrapper wakes exactly when `P` does.
+        self.inner.wants_round()
     }
 
     fn on_rejoin(&mut self, node: NodeId, round: usize) {

@@ -36,9 +36,6 @@ struct ConvNode {
 
 impl NodeProtocol for ConvNode {
     type Msg = Compact;
-    // The partial sum is sent once, on the step the last child report
-    // arrives (round 0 for a leaf).
-    const SILENT_STABLE: bool = true;
 
     fn on_round(
         &mut self,
@@ -61,6 +58,12 @@ impl NodeProtocol for ConvNode {
 
     fn is_done(&self) -> bool {
         self.sent
+    }
+
+    fn wants_round(&self) -> bool {
+        // The partial sum is sent once, on the step the last child
+        // report arrives (round 0 for a leaf).
+        false
     }
 }
 
@@ -136,9 +139,6 @@ struct BcastNode {
 
 impl NodeProtocol for BcastNode {
     type Msg = Compact;
-    // A node forwards once, on the step its value arrives (round 0 at
-    // the root).
-    const SILENT_STABLE: bool = true;
 
     fn on_round(
         &mut self,
@@ -162,6 +162,12 @@ impl NodeProtocol for BcastNode {
 
     fn is_done(&self) -> bool {
         self.sent
+    }
+
+    fn wants_round(&self) -> bool {
+        // A node forwards once, on the step its value arrives (round 0
+        // at the root).
+        false
     }
 }
 
@@ -229,6 +235,7 @@ pub fn broadcast_value_observed<T: ImplicitTopology>(
 mod tests {
     use super::*;
     use crate::algorithms::bfs::build_bfs_tree;
+    use crate::algorithms::reference_check;
     use crate::topology;
 
     fn tree_of(g: &crate::graph::Graph, root: NodeId) -> BfsTree {
@@ -277,38 +284,32 @@ mod tests {
 
     #[test]
     fn convergecast_matches_reference_engine() {
-        crate::algorithms::reference_check::assert_silent_stable_matches_reference(
-            "convergecast",
-            |g| {
-                let tree = tree_of(g, 0);
-                (0..g.node_count())
-                    .map(|v| ConvNode {
-                        parent: tree.parent[v],
-                        expected_children: tree.children[v].len(),
-                        received: 0,
-                        acc: v as u64 + 1,
-                        sent: false,
-                    })
-                    .collect()
-            },
-        );
+        reference_check::assert_matches_reference("convergecast", &reference_check::plans(), |g| {
+            let tree = tree_of(g, 0);
+            (0..g.node_count())
+                .map(|v| ConvNode {
+                    parent: tree.parent[v],
+                    expected_children: tree.children[v].len(),
+                    received: 0,
+                    acc: v as u64 + 1,
+                    sent: false,
+                })
+                .collect()
+        });
     }
 
     #[test]
     fn broadcast_matches_reference_engine() {
-        crate::algorithms::reference_check::assert_silent_stable_matches_reference(
-            "broadcast",
-            |g| {
-                let tree = tree_of(g, 1);
-                (0..g.node_count())
-                    .map(|v| BcastNode {
-                        children: tree.children[v].clone(),
-                        value: (v == tree.root).then_some(42),
-                        sent: false,
-                    })
-                    .collect()
-            },
-        );
+        reference_check::assert_matches_reference("broadcast", &reference_check::plans(), |g| {
+            let tree = tree_of(g, 1);
+            (0..g.node_count())
+                .map(|v| BcastNode {
+                    children: tree.children[v].clone(),
+                    value: (v == tree.root).then_some(42),
+                    sent: false,
+                })
+                .collect()
+        });
     }
 
     #[test]

@@ -27,7 +27,7 @@ enum Status {
 }
 
 /// Per-node state of the distributed Luby protocol.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct LubyNode {
     status: Status,
     rng: StdRng,
@@ -133,6 +133,12 @@ impl NodeProtocol for LubyNode {
     fn is_done(&self) -> bool {
         self.status != Status::Undecided
     }
+
+    fn wants_round(&self) -> bool {
+        // An undecided node follows the three-round phase clock; a
+        // decided one only reacts to announcements.
+        self.status == Status::Undecided
+    }
 }
 
 /// The result of a distributed MIS run.
@@ -144,6 +150,21 @@ pub struct DistributedMisResult {
     pub rounds: usize,
     /// Total bits sent.
     pub bits: usize,
+}
+
+/// Initial states on `g`: every node undecided, with its private
+/// randomness derived from `seed`.
+fn luby_states(g: &Graph, seed: u64) -> Vec<LubyNode> {
+    (0..g.node_count())
+        .map(|v| LubyNode {
+            status: Status::Undecided,
+            rng: StdRng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            my_priority: 0,
+            best_neighbor: 0,
+            undecided_neighbors: g.degree(v),
+            phases: 0,
+        })
+        .collect()
 }
 
 /// Runs the distributed Luby protocol on `g` under `model`; `seed`
@@ -159,16 +180,7 @@ pub fn distributed_luby_mis(
     seed: u64,
 ) -> Result<DistributedMisResult, EngineError> {
     let k = g.node_count();
-    let states: Vec<LubyNode> = (0..k)
-        .map(|v| LubyNode {
-            status: Status::Undecided,
-            rng: StdRng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            my_priority: 0,
-            best_neighbor: 0,
-            undecided_neighbors: g.degree(v),
-            phases: 0,
-        })
-        .collect();
+    let states = luby_states(g, seed);
     let max_rounds = 90 * (k.max(2).ilog2() as usize + 2);
     let report =
         Network::new(g, model).run(states, max_rounds, &FaultPlan::none(), &mut NoopSink)?;
@@ -265,6 +277,16 @@ mod tests {
         let mut p = LubyMsg::Priority(1);
         p.flip_bit(2);
         assert_eq!(p, LubyMsg::Priority(0), "bit 2 is the priority's low bit");
+    }
+
+    /// Undecided nodes follow the phase clock with an empty inbox;
+    /// decided ones sleep until an announcement arrives.
+    #[test]
+    fn luby_matches_reference_engine() {
+        use crate::algorithms::reference_check;
+        reference_check::assert_matches_reference("luby", &reference_check::plans(), |g| {
+            luby_states(g, 11)
+        });
     }
 
     #[test]

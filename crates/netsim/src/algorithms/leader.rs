@@ -21,8 +21,6 @@ struct LeaderNode {
 
 impl NodeProtocol for LeaderNode {
     type Msg = Compact;
-    // Only an improving id (or round 0) triggers a broadcast.
-    const SILENT_STABLE: bool = true;
 
     fn on_round(
         &mut self,
@@ -48,6 +46,10 @@ impl NodeProtocol for LeaderNode {
 
     fn is_done(&self) -> bool {
         true // quiescence (no improving floods) ends the run
+    }
+
+    fn wants_round(&self) -> bool {
+        false // only an improving id (or round 0) triggers a broadcast
     }
 }
 
@@ -165,6 +167,7 @@ where
 mod tests {
     use super::*;
     use crate::algorithms::coded::IdentityCodec;
+    use crate::algorithms::reference_check;
     use crate::topology;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -203,7 +206,7 @@ mod tests {
 
     #[test]
     fn leader_flood_matches_reference_engine() {
-        crate::algorithms::reference_check::assert_silent_stable_matches_reference("leader", |g| {
+        reference_check::assert_matches_reference("leader", &reference_check::plans(), |g| {
             (0..g.node_count() as u64)
                 .map(|v| {
                     // Scrambled ids so the maximum travels far.

@@ -1,18 +1,19 @@
-//! Differential harness for the silent-stable tree protocols.
+//! Differential harness for the engine's wake rules.
 //!
-//! A protocol that declares [`NodeProtocol::SILENT_STABLE`] is stepped
-//! through the engine's active list; the frozen reference engine steps
-//! every node every round. Equal outcomes on every topology, clean and
-//! under faults, are the check that the declaration is true: a node
-//! that would have acted on an empty inbox shows up as a divergence.
+//! The flat engine steps a node after round 0 only when it has mail,
+//! asked to wake ([`NodeProtocol::wants_round`]) or rejoins after a
+//! crash; the frozen reference engine steps every node every round.
+//! Equal outcomes on every topology, clean and under faults, are the
+//! check that a protocol's wake rule is true: a node that would have
+//! acted while the engine let it sleep shows up as a divergence.
 //!
 //! Test support, not API: public (and hidden from the docs) only so
-//! that crates with private silent-stable protocols of their own, such
-//! as `dut-congest`'s packaging residue, can check them with the same
-//! harness.
+//! that crates with private protocols of their own, such as
+//! `dut-congest`'s packaging residue and forwarding, can check them
+//! with the same harness.
 
 use crate::algorithms::coded::{CodedProtocol, IdentityCodec};
-use crate::engine::{BandwidthModel, Compact, EngineError, Network, NodeProtocol, RunReport};
+use crate::engine::{BandwidthModel, EngineError, Network, NodeProtocol, RunReport};
 use crate::fault::{FaultInjectable, FaultPlan};
 use crate::graph::{Graph, ImplicitTopology};
 use crate::reference::run_reference;
@@ -39,8 +40,10 @@ fn topologies() -> Vec<(&'static str, Graph)> {
 
 /// The clean plan, then two fault plans: bit flips only (runs
 /// complete, on corrupted values), and drops with node 3 down in round
-/// 0 and back in round 2 (so the active list must wake it).
-fn plans() -> [FaultPlan; 3] {
+/// 0 and back in round 2 (so the active list must wake it). A protocol
+/// whose messages cannot take a plan passes the others to
+/// [`assert_matches_reference`].
+pub fn plans() -> [FaultPlan; 3] {
     [
         FaultPlan::none(),
         FaultPlan::seeded(0x51E7).with_flips(0.02),
@@ -71,11 +74,13 @@ fn outcome<P, V>(run: Result<RunReport<P>, EngineError>, view: impl Fn(&P) -> V)
 /// Runs `states` on `topo` with the flat engine and on its
 /// materialized graph with the reference engine, once per plan, and
 /// asserts equal rounds, messages, bits, fault counts and final states
-/// (through `view`). The round limit is the tree primitives' `2k + 4`.
-fn assert_matches_reference<T, P, V>(
+/// (through `view`). The round limit, `16k + 64`, outlasts every
+/// deadline of the protocols under test, so their timers fire.
+fn compare_engines<T, P, V>(
     label: &str,
     topo: &T,
     model: BandwidthModel,
+    plans: &[FaultPlan],
     states: Vec<P>,
     view: impl Fn(&P) -> V + Copy,
 ) where
@@ -85,11 +90,11 @@ fn assert_matches_reference<T, P, V>(
     V: PartialEq + Debug,
 {
     let g = topo.materialize();
-    let max_rounds = 2 * g.node_count() + 4;
+    let max_rounds = 16 * g.node_count() + 64;
     let mut net = Network::new(topo, model);
-    for (i, plan) in plans().into_iter().enumerate() {
-        let reference = run_reference(&g, model, states.clone(), max_rounds, &plan, &mut NoopSink);
-        let flat = net.run(states.clone(), max_rounds, &plan, &mut NoopSink);
+    for (i, plan) in plans.iter().enumerate() {
+        let reference = run_reference(&g, model, states.clone(), max_rounds, plan, &mut NoopSink);
+        let flat = net.run(states.clone(), max_rounds, plan, &mut NoopSink);
         assert_eq!(
             outcome(flat, view),
             outcome(reference, view),
@@ -98,45 +103,48 @@ fn assert_matches_reference<T, P, V>(
     }
 }
 
-/// Checks a silent-stable protocol over `Compact` messages, plain and
-/// wrapped in [`CodedProtocol`] with the identity codec, on the five
-/// differential topologies and the implicit 12×12 [`Torus2d`] (whose
-/// states `build` gets from its materialized graph). `build` makes the
-/// initial states for a graph.
+/// Checks a protocol's wake rule, plain and wrapped in
+/// [`CodedProtocol`] with the identity codec, on the five differential
+/// topologies and the implicit 12×12 [`Torus2d`] (whose states `build`
+/// gets from its materialized graph), under each of `plans` (usually
+/// all of [`plans`]). `build` makes the initial states for a graph.
 ///
 /// # Panics
 ///
-/// On any divergence between the engines, or if `P` does not declare
-/// [`NodeProtocol::SILENT_STABLE`].
-pub fn assert_silent_stable_matches_reference<P>(label: &str, build: impl Fn(&Graph) -> Vec<P>)
-where
-    P: NodeProtocol<Msg = Compact> + Clone + PartialEq + Debug,
+/// On any divergence between the engines.
+pub fn assert_matches_reference<P>(
+    label: &str,
+    plans: &[FaultPlan],
+    build: impl Fn(&Graph) -> Vec<P>,
+) where
+    P: NodeProtocol + Clone + PartialEq + Debug,
+    P::Msg: PartialEq + FaultInjectable,
 {
-    assert!(P::SILENT_STABLE, "{label} must declare SILENT_STABLE");
-    assert!(CodedProtocol::<P, IdentityCodec<Compact>>::SILENT_STABLE);
     for (name, g) in topologies() {
-        check_plain_and_coded(&format!("{label}/{name}"), &g, build(&g));
+        check_plain_and_coded(&format!("{label}/{name}"), &g, plans, build(&g));
     }
     let torus = Torus2d::new(12, 12);
     check_plain_and_coded(
         &format!("{label}/torus-12x12"),
         &torus,
+        plans,
         build(&torus.materialize()),
     );
 }
 
-fn check_plain_and_coded<T, P>(label: &str, topo: &T, states: Vec<P>)
+fn check_plain_and_coded<T, P>(label: &str, topo: &T, plans: &[FaultPlan], states: Vec<P>)
 where
     T: ImplicitTopology,
-    P: NodeProtocol<Msg = Compact> + Clone + PartialEq + Debug,
+    P: NodeProtocol + Clone + PartialEq + Debug,
+    P::Msg: PartialEq + FaultInjectable,
 {
-    let model = BandwidthModel::Congest { bits_per_edge: 64 };
+    let model = BandwidthModel::Congest { bits_per_edge: 256 };
     let coded = states
         .iter()
-        .map(|s| CodedProtocol::new(s.clone(), IdentityCodec::<Compact>::new()))
+        .map(|s| CodedProtocol::new(s.clone(), IdentityCodec::<P::Msg>::new()))
         .collect();
-    assert_matches_reference(label, topo, model, states, P::clone);
-    assert_matches_reference(&format!("{label}/coded"), topo, model, coded, |n| {
+    compare_engines(label, topo, model, plans, states, P::clone);
+    compare_engines(&format!("{label}/coded"), topo, model, plans, coded, |n| {
         (n.inner().clone(), n.corrected_bits(), n.decode_failures())
     });
 }

@@ -279,6 +279,24 @@ struct RConvNode {
     failures: u64,
 }
 
+impl RConvNode {
+    /// Node `v`'s initial state on `tree`, contributing `value`.
+    fn new(tree: &BfsTree, v: NodeId, value: u64, policy: RetryPolicy) -> Self {
+        RConvNode {
+            parent: tree.parent[v],
+            children: tree.children[v].clone(),
+            reported: vec![false; tree.children[v].len()],
+            acc: value,
+            ready: false,
+            up: ArqSend::new(),
+            max_retries: policy.max_retries,
+            deadline: policy.up_deadline(tree.depth[v], tree.height),
+            retransmits: 0,
+            failures: 0,
+        }
+    }
+}
+
 impl NodeProtocol for RConvNode {
     type Msg = RelMsg;
 
@@ -348,6 +366,12 @@ impl NodeProtocol for RConvNode {
         self.ready && self.up.settled()
     }
 
+    fn wants_round(&self) -> bool {
+        // Waiting on a deadline or a retransmit timer reads the round
+        // clock, so every step counts until the node is done.
+        !self.is_done()
+    }
+
     fn on_rejoin(&mut self, _node: NodeId, _round: usize) {
         // Stable-storage reboot: sums, reports, and failure counts all
         // survive; only the in-flight ARQ transmission is lost with the
@@ -415,6 +439,23 @@ struct RBcastNode {
     failures: u64,
 }
 
+impl RBcastNode {
+    /// Node `v`'s initial state on `tree`; the root holds `value`.
+    fn new(tree: &BfsTree, v: NodeId, value: u64, policy: RetryPolicy) -> Self {
+        RBcastNode {
+            parent: tree.parent[v],
+            children: tree.children[v].clone(),
+            value: (v == tree.root).then_some(value),
+            down: vec![ArqSend::new(); tree.children[v].len()],
+            expired: false,
+            max_retries: policy.max_retries,
+            deadline: policy.down_deadline(tree.depth[v]),
+            retransmits: 0,
+            failures: 0,
+        }
+    }
+}
+
 impl NodeProtocol for RBcastNode {
     type Msg = RelMsg;
 
@@ -466,6 +507,12 @@ impl NodeProtocol for RBcastNode {
 
     fn is_done(&self) -> bool {
         self.expired || (self.value.is_some() && self.down.iter().all(ArqSend::settled))
+    }
+
+    fn wants_round(&self) -> bool {
+        // As for the convergecast: deadlines and retransmit timers run
+        // on the round clock until the node is done.
+        !self.is_done()
     }
 
     fn on_rejoin(&mut self, _node: NodeId, _round: usize) {
@@ -568,23 +615,7 @@ where
 {
     assert_eq!(values.len(), g.node_count(), "one value per node");
     let states: Vec<CodedProtocol<RConvNode, C>> = (0..g.node_count())
-        .map(|v| {
-            CodedProtocol::new(
-                RConvNode {
-                    parent: tree.parent[v],
-                    children: tree.children[v].clone(),
-                    reported: vec![false; tree.children[v].len()],
-                    acc: values[v],
-                    ready: false,
-                    up: ArqSend::new(),
-                    max_retries: policy.max_retries,
-                    deadline: policy.up_deadline(tree.depth[v], tree.height),
-                    retransmits: 0,
-                    failures: 0,
-                },
-                codec.clone(),
-            )
-        })
+        .map(|v| CodedProtocol::new(RConvNode::new(tree, v, values[v], policy), codec.clone()))
         .collect();
     let report = Network::new(g, model).run(states, policy.max_rounds(tree), plan, sink)?;
     let stats = codec_stats(&report.nodes);
@@ -633,22 +664,7 @@ where
     C: MessageCodec<Plain = RelMsg> + Clone,
 {
     let states: Vec<CodedProtocol<RBcastNode, C>> = (0..g.node_count())
-        .map(|v| {
-            CodedProtocol::new(
-                RBcastNode {
-                    parent: tree.parent[v],
-                    children: tree.children[v].clone(),
-                    value: if v == tree.root { Some(value) } else { None },
-                    down: vec![ArqSend::new(); tree.children[v].len()],
-                    expired: false,
-                    max_retries: policy.max_retries,
-                    deadline: policy.down_deadline(tree.depth[v]),
-                    retransmits: 0,
-                    failures: 0,
-                },
-                codec.clone(),
-            )
-        })
+        .map(|v| CodedProtocol::new(RBcastNode::new(tree, v, value, policy), codec.clone()))
         .collect();
     let report = Network::new(g, model).run(states, policy.max_rounds(tree), plan, sink)?;
     let stats = codec_stats(&report.nodes);
@@ -686,11 +702,45 @@ mod tests {
     use crate::algorithms::bfs::build_bfs_tree;
     use crate::algorithms::coded::IdentityCodec;
     use crate::algorithms::convergecast::convergecast_sum;
+    use crate::algorithms::reference_check;
     use crate::topology;
     use dut_obs::NoopSink;
 
     fn tree_of(g: &crate::graph::Graph, root: NodeId) -> BfsTree {
         build_bfs_tree(g, root, BandwidthModel::Local).unwrap().0
+    }
+
+    /// Both ARQ nodes step on the round clock until done; these pin
+    /// that rule against the reference engine. Node `v` may retry
+    /// `v % 3` times, so some edges give up at their first loss and
+    /// their receivers wait out a deadline, while others retransmit on
+    /// the two-round timer; deadlines follow a two-retry policy.
+    #[test]
+    fn reliable_convergecast_matches_reference_engine() {
+        reference_check::assert_matches_reference("rconv", &reference_check::plans(), |g| {
+            let tree = tree_of(g, 0);
+            let policy = RetryPolicy::for_tree(&tree, 2);
+            (0..g.node_count())
+                .map(|v| RConvNode {
+                    max_retries: v % 3,
+                    ..RConvNode::new(&tree, v, 3 * v as u64 + 1, policy)
+                })
+                .collect()
+        });
+    }
+
+    #[test]
+    fn reliable_broadcast_matches_reference_engine() {
+        reference_check::assert_matches_reference("rbcast", &reference_check::plans(), |g| {
+            let tree = tree_of(g, 1);
+            let policy = RetryPolicy::for_tree(&tree, 2);
+            (0..g.node_count())
+                .map(|v| RBcastNode {
+                    max_retries: v % 3,
+                    ..RBcastNode::new(&tree, v, 42, policy)
+                })
+                .collect()
+        });
     }
 
     /// ARQ convergecast under LOCAL through the identity codec.

@@ -51,7 +51,7 @@ impl FaultInjectable for Parcel {
 }
 
 /// Per-node routing state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct RouteNode {
     /// Next hop toward each node's own center (None at the center).
     next_hop: Option<NodeId>,
@@ -86,10 +86,10 @@ impl NodeProtocol for RouteNode {
         for _ in 0..forward {
             // Unreachable expect: `forward <= queue.len()` by construction.
             let parcel = self.queue.pop_front().expect("checked length");
-            // Reachable only by violating the documented precondition that
-            // center assignments are path-consistent (every node on a
-            // shortest path to a center shares that center); see # Panics
-            // on `route_to_centers`.
+            // Unreachable expect: `route_to_centers` rejects
+            // path-inconsistent assignments, so every parcel queued here
+            // is bound for this node's own center, which is not this
+            // node, and such a node has a next hop.
             let hop = self
                 .next_hop
                 .expect("non-center nodes have a next hop while parcels remain");
@@ -99,6 +99,11 @@ impl NodeProtocol for RouteNode {
 
     fn is_done(&self) -> bool {
         self.queue.is_empty()
+    }
+
+    fn wants_round(&self) -> bool {
+        // Queued parcels leave at up to `batch` per round.
+        !self.queue.is_empty()
     }
 }
 
@@ -116,16 +121,19 @@ impl NodeProtocol for RouteNode {
 ///
 /// # Errors
 ///
-/// Returns [`EngineError::Unreached`] when a node's assigned center is
-/// in another component, and propagates engine errors from the routing
-/// run itself.
+/// Every input check runs before the routing run:
 ///
-/// # Panics
+/// * [`EngineError::NodeCountMismatch`] if `center_of` or `payloads`
+///   does not have one entry per node;
+/// * [`EngineError::ZeroBatch`] if `batch == 0`;
+/// * [`EngineError::NodeOutOfRange`] for a center that is not a node;
+/// * [`EngineError::Unreached`] when a node's assigned center is in
+///   another component;
+/// * [`EngineError::InconsistentCenters`] when a node's next hop toward
+///   its center is neither that center nor assigned to it (a node on a
+///   shortest path to a center must itself be assigned to that center).
 ///
-/// Panics on input length mismatches, an out-of-range center, or a
-/// path-inconsistent center assignment (a node on a shortest path to a
-/// center must itself be assigned to that center).
-#[allow(clippy::needless_range_loop)]
+/// Engine errors from the routing run itself are propagated.
 pub fn route_to_centers(
     g: &Graph,
     center_of: &[NodeId],
@@ -133,10 +141,39 @@ pub fn route_to_centers(
     model: BandwidthModel,
     batch: usize,
 ) -> Result<(Vec<Vec<u64>>, usize), EngineError> {
+    let states = route_states(g, center_of, payloads, batch)?;
+    let max_payloads: usize = payloads.iter().map(Vec::len).sum::<usize>().max(1);
+    let max_rounds = 2 * (g.node_count() + max_payloads) + 8;
+    let report =
+        Network::new(g, model).run(states, max_rounds, &FaultPlan::none(), &mut NoopSink)?;
+    let delivered = report.nodes.into_iter().map(|n| n.delivered).collect();
+    Ok((delivered, report.rounds))
+}
+
+/// Checks the inputs of [`route_to_centers`] (its errors, bar those of
+/// the run) and builds the routing states.
+#[allow(clippy::needless_range_loop)]
+fn route_states(
+    g: &Graph,
+    center_of: &[NodeId],
+    payloads: &[Vec<u64>],
+    batch: usize,
+) -> Result<Vec<RouteNode>, EngineError> {
     let k = g.node_count();
-    assert_eq!(center_of.len(), k, "one center per node");
-    assert_eq!(payloads.len(), k, "one payload list per node");
-    assert!(batch >= 1, "batch must be positive");
+    for len in [center_of.len(), payloads.len()] {
+        if len != k {
+            return Err(EngineError::NodeCountMismatch {
+                graph_nodes: k,
+                states: len,
+            });
+        }
+    }
+    if batch == 0 {
+        return Err(EngineError::ZeroBatch);
+    }
+    if let Some(&node) = center_of.iter().find(|&&c| c >= k) {
+        return Err(EngineError::NodeOutOfRange { node, nodes: k });
+    }
 
     // BFS from each distinct center; next_hop[v] = neighbor one step
     // closer to center_of[v].
@@ -145,7 +182,6 @@ pub fn route_to_centers(
     centers.dedup();
     let mut next_hop: Vec<Option<NodeId>> = vec![None; k];
     for &c in &centers {
-        assert!(c < k, "center {c} out of range");
         let dist = g.bfs_distances(c);
         for v in 0..k {
             if center_of[v] != c || v == c {
@@ -163,8 +199,15 @@ pub fn route_to_centers(
             next_hop[v] = Some(hop);
         }
     }
+    for v in 0..k {
+        if let Some(hop) = next_hop[v] {
+            if hop != center_of[v] && center_of[hop] != center_of[v] {
+                return Err(EngineError::InconsistentCenters { node: v, hop });
+            }
+        }
+    }
 
-    let states: Vec<RouteNode> = (0..k)
+    Ok((0..k)
         .map(|v| {
             let mut queue = VecDeque::new();
             let mut delivered = Vec::new();
@@ -186,14 +229,7 @@ pub fn route_to_centers(
                 batch,
             }
         })
-        .collect();
-
-    let max_payloads: usize = payloads.iter().map(Vec::len).sum::<usize>().max(1);
-    let max_rounds = 2 * (k + max_payloads) + 8;
-    let report =
-        Network::new(g, model).run(states, max_rounds, &FaultPlan::none(), &mut NoopSink)?;
-    let delivered = report.nodes.into_iter().map(|n| n.delivered).collect();
-    Ok((delivered, report.rounds))
+        .collect())
 }
 
 #[cfg(test)]
@@ -303,6 +339,87 @@ mod tests {
         let err = route_to_centers(&g, &center_of, &payloads, BandwidthModel::Local, usize::MAX)
             .unwrap_err();
         assert_eq!(err, EngineError::Unreached { node: 2 });
+    }
+
+    #[test]
+    fn length_mismatch_is_a_typed_error() {
+        let g = topology::line(4);
+        let payloads: Vec<Vec<u64>> = vec![vec![1]; 4];
+        let err = route_to_centers(&g, &[0; 3], &payloads, BandwidthModel::Local, 1).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::NodeCountMismatch {
+                graph_nodes: 4,
+                states: 3
+            }
+        );
+        let err =
+            route_to_centers(&g, &[0; 4], &payloads[..2], BandwidthModel::Local, 1).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::NodeCountMismatch {
+                graph_nodes: 4,
+                states: 2
+            }
+        );
+    }
+
+    #[test]
+    fn zero_batch_is_a_typed_error() {
+        let g = topology::line(4);
+        let payloads: Vec<Vec<u64>> = vec![vec![1]; 4];
+        let err = route_to_centers(&g, &[0; 4], &payloads, BandwidthModel::Local, 0).unwrap_err();
+        assert_eq!(err, EngineError::ZeroBatch);
+    }
+
+    #[test]
+    fn out_of_range_center_is_a_typed_error() {
+        let g = topology::line(4);
+        let payloads: Vec<Vec<u64>> = vec![vec![1]; 4];
+        let err =
+            route_to_centers(&g, &[0, 0, 9, 0], &payloads, BandwidthModel::Local, 1).unwrap_err();
+        assert_eq!(err, EngineError::NodeOutOfRange { node: 9, nodes: 4 });
+    }
+
+    #[test]
+    fn path_inconsistent_centers_are_a_typed_error() {
+        // Node 1's shortest path to center 3 runs through node 2, which
+        // is assigned to center 0.
+        let g = topology::line(4);
+        let payloads: Vec<Vec<u64>> = vec![vec![1]; 4];
+        let err =
+            route_to_centers(&g, &[0, 3, 0, 3], &payloads, BandwidthModel::Local, 1).unwrap_err();
+        assert_eq!(err, EngineError::InconsistentCenters { node: 1, hop: 2 });
+        // Two nodes that are each other's center route in one hop: a
+        // hop onto the center itself is consistent.
+        let g = topology::line(2);
+        let payloads = vec![vec![5], vec![6]];
+        let (delivered, _) =
+            route_to_centers(&g, &[1, 0], &payloads, BandwidthModel::Local, 1).unwrap();
+        assert_eq!(delivered, vec![vec![6], vec![5]]);
+    }
+
+    /// Each node is assigned its nearest of centers 0 and `k/2` (ties
+    /// to the lower id, which keeps assignments path-consistent) and
+    /// holds `v % 3` parcels, forwarded one per round, so queues wait
+    /// across rounds with empty inboxes. A flipped destination can
+    /// strand a parcel at a center it is not bound for, so the flip
+    /// plan stays out.
+    #[test]
+    fn route_matches_reference_engine() {
+        use crate::algorithms::reference_check;
+        let [clean, _flips, drops_and_crash] = reference_check::plans();
+        reference_check::assert_matches_reference("route", &[clean, drops_and_crash], |g| {
+            let k = g.node_count();
+            let (near, far) = (g.bfs_distances(0), g.bfs_distances(k / 2));
+            let center_of: Vec<NodeId> = (0..k)
+                .map(|v| if far[v] < near[v] { k / 2 } else { 0 })
+                .collect();
+            let payloads: Vec<Vec<u64>> = (0..k as u64)
+                .map(|v| (0..v % 3).map(|i| 10 * v + i).collect())
+                .collect();
+            route_states(g, &center_of, &payloads, 1).unwrap()
+        });
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! edge within one round, in send order. The stream is *stateless* —
 //! no generator advances — so the decision for a given message depends
 //! only on its coordinates, never on evaluation order. That is what
-//! lets the flat engine (dense or active-list stepping, materialized or
-//! implicit topology) and the naive reference engine agree bit-for-bit
-//! on the same plan, and what makes faulted runs resumable: re-running
-//! any prefix of rounds reproduces the same faults.
+//! lets the flat engine (stepping only the nodes it must, on a
+//! materialized or implicit topology) and the naive reference engine,
+//! which steps every node, agree bit-for-bit on the same plan, and what
+//! makes faulted runs resumable: re-running any prefix of rounds
+//! reproduces the same faults.
 //!
 //! # The flip kernel
 //!
@@ -307,9 +308,10 @@ impl FaultPlan {
     }
 
     /// The earliest crash or rejoin round strictly after `round`, if
-    /// any. Active-list stepping of silent-stable protocols
-    /// fast-forwards to this round when nothing is in flight: between
-    /// schedule events, silent-stable nodes cannot change the done-set.
+    /// any. The engine fast-forwards to this round when nothing is in
+    /// flight and no node asked to wake
+    /// ([`crate::engine::NodeProtocol::wants_round`]): between schedule
+    /// events such a network cannot change its done-set.
     pub fn next_event_after(&self, round: usize) -> Option<usize> {
         self.crashes
             .iter()

@@ -3,8 +3,8 @@
 //! * implicit topologies vs their materialized [`Graph`]s —
 //!   neighbor-for-neighbor equivalence (proptest over `k ≤ 512`, all
 //!   families) and bit-identical engine runs;
-//! * active-list stepping of silent-stable protocols vs dense stepping
-//!   and the reference engine;
+//! * stepping a protocol only on mail (a wake rule that never asks for
+//!   a round) vs stepping it every round, and vs the reference engine;
 //! * dense stepping on an implicit topology vs the reference engine on
 //!   its materialized graph, with and without fault plans.
 
@@ -107,15 +107,15 @@ impl NodeProtocol for Gossip {
     }
 }
 
-/// `P` with [`NodeProtocol::SILENT_STABLE`] declared: the engine steps
-/// it through the active list. `P` itself keeps dense stepping, so every
-/// active-list run here has a dense twin to match.
+/// `P` with a wake rule that never asks for a round: after round 0 the
+/// engine steps it only on mail (or a rejoin). `P` itself keeps the
+/// default rule and is stepped every round, so every such run here has
+/// an always-awake twin to match.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct SilentStable<P>(P);
+struct NeverWakes<P>(P);
 
-impl<P: NodeProtocol> NodeProtocol for SilentStable<P> {
+impl<P: NodeProtocol> NodeProtocol for NeverWakes<P> {
     type Msg = P::Msg;
-    const SILENT_STABLE: bool = true;
     fn on_round(
         &mut self,
         node: NodeId,
@@ -128,18 +128,21 @@ impl<P: NodeProtocol> NodeProtocol for SilentStable<P> {
     fn is_done(&self) -> bool {
         self.0.is_done()
     }
+    fn wants_round(&self) -> bool {
+        false
+    }
     fn on_rejoin(&mut self, node: NodeId, round: usize) {
         self.0.on_rejoin(node, round);
     }
 }
 
-fn silent_stable<P>(states: Vec<P>) -> Vec<SilentStable<P>> {
-    states.into_iter().map(SilentStable).collect()
+fn never_wakes<P>(states: Vec<P>) -> Vec<NeverWakes<P>> {
+    states.into_iter().map(NeverWakes).collect()
 }
 
-/// Strips the [`SilentStable`] wrapper from a report's node states.
+/// Strips the [`NeverWakes`] wrapper from a report's node states.
 fn unwrap_report<P>(
-    outcome: Result<RunReport<SilentStable<P>>, EngineError>,
+    outcome: Result<RunReport<NeverWakes<P>>, EngineError>,
 ) -> Result<RunReport<P>, EngineError> {
     outcome.map(|r| RunReport {
         rounds: r.rounds,
@@ -391,7 +394,7 @@ fn engine_runs_match_on_fixed_families() {
 }
 
 // ---------------------------------------------------------------------
-// Active-list stepping of silent-stable protocols
+// Stepping on mail only vs every round
 // ---------------------------------------------------------------------
 
 #[test]
@@ -408,7 +411,7 @@ fn sparse_matches_dense_on_wavefront_protocols() {
         let bfs = vec![Bfs { dist: None }; k];
         let dense = net.run(bfs.clone(), 4 * k, &FaultPlan::none(), &mut NoopSink);
         let sparse = unwrap_report(net.run(
-            silent_stable(bfs.clone()),
+            never_wakes(bfs.clone()),
             4 * k,
             &FaultPlan::none(),
             &mut NoopSink,
@@ -428,7 +431,7 @@ fn sparse_matches_dense_on_wavefront_protocols() {
         let mut net = Network::new(g, BandwidthModel::Local);
         let dense = net.run(flood.clone(), 4 * k, &FaultPlan::none(), &mut NoopSink);
         let sparse = unwrap_report(net.run(
-            silent_stable(flood.clone()),
+            never_wakes(flood.clone()),
             4 * k,
             &FaultPlan::none(),
             &mut NoopSink,
@@ -467,7 +470,7 @@ fn sparse_matches_dense_under_faults() {
     for (i, plan) in plans.iter().enumerate() {
         let mut net = Network::new(&g, model);
         let dense = net.run(bfs.clone(), 4 * k, plan, &mut NoopSink);
-        let sparse = unwrap_report(net.run(silent_stable(bfs.clone()), 4 * k, plan, &mut NoopSink));
+        let sparse = unwrap_report(net.run(never_wakes(bfs.clone()), 4 * k, plan, &mut NoopSink));
         assert_outcomes_equal(&format!("sparse-faulted/{i}"), &dense, &sparse);
         let reference = run_reference(&g, model, bfs.clone(), 4 * k, plan, &mut NoopSink);
         assert_outcomes_equal(&format!("sparse-faulted-ref/{i}"), &reference, &sparse);
@@ -502,7 +505,7 @@ fn sparse_round_limit_error_matches_dense() {
         .unwrap_err();
     let sparse = net
         .run(
-            silent_stable(vec![NeverDone; 6]),
+            never_wakes(vec![NeverDone; 6]),
             12,
             &FaultPlan::none(),
             &mut NoopSink,
@@ -515,8 +518,8 @@ fn sparse_round_limit_error_matches_dense() {
 /// A flood whose rejoined nodes ask their neighbors for the value they
 /// slept through: `on_rejoin` schedules a request broadcast, any seen
 /// neighbor answers a request with the data, and the flood resumes into
-/// the subtree the outage had cut off. Silent-stable: a node with an
-/// empty inbox and no pending announce does nothing.
+/// the subtree the outage had cut off. It never needs to wake: a node
+/// with an empty inbox and no pending announce does nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct RecoverFlood {
     seen: bool,
@@ -557,8 +560,9 @@ impl NodeProtocol for RecoverFlood {
 fn sparse_fast_forwards_over_quiet_outages() {
     // Node 3 goes down at round 1, cutting the line's flood off from
     // nodes 4..7; the network then goes completely quiet with a rejoin
-    // still pending at round 40. Dense spins the silent rounds; the
-    // active list jumps straight to the rejoin event. Both must wake
+    // still pending at round 40. Stepped every round, it spins through
+    // the silent rounds; never waking, it jumps straight to the rejoin
+    // event. Both must wake
     // node 3 (its rejoin announcement re-triggers the flood into the
     // cut-off tail) and report bit-identical results, including the
     // round count.
@@ -578,7 +582,7 @@ fn sparse_fast_forwards_over_quiet_outages() {
         .with_rejoin(3, 40);
     let mut net = Network::new(&g, BandwidthModel::Local);
     let dense = net.run(fresh(), 128, &plan, &mut NoopSink).unwrap();
-    let sparse = unwrap_report(net.run(silent_stable(fresh()), 128, &plan, &mut NoopSink)).unwrap();
+    let sparse = unwrap_report(net.run(never_wakes(fresh()), 128, &plan, &mut NoopSink)).unwrap();
     assert_reports_equal("sparse-rejoin-wakeup", &dense, &sparse);
     let reference = run_reference(
         &g,
@@ -601,12 +605,13 @@ fn sparse_fast_forwards_over_quiet_outages() {
         dense.nodes
     );
 
-    // Same shape, but the node never rejoins: both modes must report
-    // the identical RoundLimit (the active list fast-forwards to it).
+    // Same shape, but the node never rejoins: both runs must report
+    // the identical RoundLimit (the never-waking run fast-forwards to
+    // it).
     let stuck = FaultPlan::seeded(0xFF02).with_crash(3, 1);
     let dense = net.run(fresh(), 64, &stuck, &mut NoopSink).map(|_| ());
     let sparse = net
-        .run(silent_stable(fresh()), 64, &stuck, &mut NoopSink)
+        .run(never_wakes(fresh()), 64, &stuck, &mut NoopSink)
         .map(|_| ());
     assert_eq!(dense, sparse);
 }

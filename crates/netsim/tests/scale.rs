@@ -1,5 +1,5 @@
-//! Million-node smoke tests for implicit topologies, dense stepping on
-//! them, and active-list stepping of silent-stable protocols.
+//! Million-node smoke tests for implicit topologies, stepping every
+//! node on them, and stepping only the nodes with mail.
 //!
 //! These run on 10⁶-node graphs and are `#[ignore]`d so the ordinary
 //! debug test lane stays fast; the `netsim-scale` CI lane runs them in
@@ -25,7 +25,6 @@ struct Bfs {
 
 impl NodeProtocol for Bfs {
     type Msg = u64;
-    const SILENT_STABLE: bool = true;
     fn on_round(
         &mut self,
         node: NodeId,
@@ -46,6 +45,9 @@ impl NodeProtocol for Bfs {
     }
     fn is_done(&self) -> bool {
         self.dist.is_some()
+    }
+    fn wants_round(&self) -> bool {
+        false
     }
 }
 
@@ -98,9 +100,9 @@ fn assert_reports_equal<P: PartialEq + std::fmt::Debug>(
 }
 
 /// The headline smoke: BFS over a 10⁶-node implicit torus completes
-/// within the round budget and visits every node. The protocol is
-/// silent-stable, so active-list stepping keeps the settled interior
-/// off the per-round hot path.
+/// within the round budget and visits every node. The protocol never
+/// asks to wake, so the engine keeps the settled interior off the
+/// per-round hot path.
 #[test]
 #[ignore = "million-node smoke; run via the netsim-scale lane (release, --ignored)"]
 fn million_node_torus_bfs_completes() {

@@ -50,11 +50,12 @@ registry! {
 
     // ------------------------------------------- netsim scale-out (PR 8)
 
-    /// Counter: rounds stepped through the active list (only nodes with
-    /// pending messages visited). Recorded by serial runs of protocols
-    /// that declare `NodeProtocol::SILENT_STABLE`.
+    /// Counter: rounds after round 0, each stepped through the active
+    /// list (nodes with mail, nodes that asked to wake through
+    /// `NodeProtocol::wants_round`, and rejoining nodes). Recorded by
+    /// every observed run.
     NETSIM_SPARSE_ROUNDS = "netsim.sparse.rounds";
-    /// Histogram: nodes visited in one active-list round (round 0
+    /// Histogram: nodes visited in one round after round 0 (round 0
     /// visits all nodes and is not recorded).
     NETSIM_SPARSE_ACTIVE_NODES = "netsim.sparse.active_nodes";
 
