@@ -618,7 +618,7 @@ mod tests {
     /// differential topologies plus the implicit 12×12 torus.
     #[test]
     fn residue_matches_reference_engine() {
-        reference_check::assert_matches_reference("residue", &reference_check::plans(), |g| {
+        reference_check::assert_matches_reference("residue", |g| {
             let tree = build_bfs_tree(g, 0, BandwidthModel::Local).unwrap().0;
             (0..g.node_count())
                 .map(|v| ResidueNode {
@@ -641,7 +641,7 @@ mod tests {
     /// up several levels.
     #[test]
     fn forward_matches_reference_engine() {
-        reference_check::assert_matches_reference("forward", &reference_check::plans(), |g| {
+        reference_check::assert_matches_reference("forward", |g| {
             let tree = build_bfs_tree(g, 0, BandwidthModel::Local).unwrap().0;
             let tokens: Vec<Vec<u64>> = (0..g.node_count() as u64)
                 .map(|v| (0..v % 7).map(|t| 8 * v + t).collect())

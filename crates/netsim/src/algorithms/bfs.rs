@@ -296,7 +296,7 @@ mod tests {
 
     #[test]
     fn bfs_matches_reference_engine() {
-        reference_check::assert_matches_reference("bfs", &reference_check::plans(), |g| {
+        reference_check::assert_matches_reference("bfs", |g| {
             let root = g.node_count() / 2;
             (0..g.node_count())
                 .map(|_| BfsNode {

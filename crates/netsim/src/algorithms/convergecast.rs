@@ -284,7 +284,7 @@ mod tests {
 
     #[test]
     fn convergecast_matches_reference_engine() {
-        reference_check::assert_matches_reference("convergecast", &reference_check::plans(), |g| {
+        reference_check::assert_matches_reference("convergecast", |g| {
             let tree = tree_of(g, 0);
             (0..g.node_count())
                 .map(|v| ConvNode {
@@ -300,7 +300,7 @@ mod tests {
 
     #[test]
     fn broadcast_matches_reference_engine() {
-        reference_check::assert_matches_reference("broadcast", &reference_check::plans(), |g| {
+        reference_check::assert_matches_reference("broadcast", |g| {
             let tree = tree_of(g, 1);
             (0..g.node_count())
                 .map(|v| BcastNode {

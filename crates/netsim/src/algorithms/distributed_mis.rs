@@ -284,9 +284,7 @@ mod tests {
     #[test]
     fn luby_matches_reference_engine() {
         use crate::algorithms::reference_check;
-        reference_check::assert_matches_reference("luby", &reference_check::plans(), |g| {
-            luby_states(g, 11)
-        });
+        reference_check::assert_matches_reference("luby", |g| luby_states(g, 11));
     }
 
     #[test]

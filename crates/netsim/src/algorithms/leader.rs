@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn leader_flood_matches_reference_engine() {
-        reference_check::assert_matches_reference("leader", &reference_check::plans(), |g| {
+        reference_check::assert_matches_reference("leader", |g| {
             (0..g.node_count() as u64)
                 .map(|v| {
                     // Scrambled ids so the maximum travels far.

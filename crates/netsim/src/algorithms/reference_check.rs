@@ -40,10 +40,8 @@ fn topologies() -> Vec<(&'static str, Graph)> {
 
 /// The clean plan, then two fault plans: bit flips only (runs
 /// complete, on corrupted values), and drops with node 3 down in round
-/// 0 and back in round 2 (so the active list must wake it). A protocol
-/// whose messages cannot take a plan passes the others to
-/// [`assert_matches_reference`].
-pub fn plans() -> [FaultPlan; 3] {
+/// 0 and back in round 2 (so the engine must wake it).
+fn plans() -> [FaultPlan; 3] {
     [
         FaultPlan::none(),
         FaultPlan::seeded(0x51E7).with_flips(0.02),
@@ -106,17 +104,40 @@ fn compare_engines<T, P, V>(
 /// Checks a protocol's wake rule, plain and wrapped in
 /// [`CodedProtocol`] with the identity codec, on the five differential
 /// topologies and the implicit 12×12 [`Torus2d`] (whose states `build`
-/// gets from its materialized graph), under each of `plans` (usually
-/// all of [`plans`]). `build` makes the initial states for a graph.
+/// gets from its materialized graph), clean, under bit flips, and under
+/// drops with a crash and a rejoin. `build` makes the initial states
+/// for a graph.
 ///
 /// # Panics
 ///
 /// On any divergence between the engines.
-pub fn assert_matches_reference<P>(
-    label: &str,
-    plans: &[FaultPlan],
-    build: impl Fn(&Graph) -> Vec<P>,
-) where
+pub fn assert_matches_reference<P>(label: &str, build: impl Fn(&Graph) -> Vec<P>)
+where
+    P: NodeProtocol + Clone + PartialEq + Debug,
+    P::Msg: PartialEq + FaultInjectable,
+{
+    check_topologies(label, &plans(), build);
+}
+
+/// [`assert_matches_reference`] without the bit-flip plan, for a
+/// protocol whose messages cannot take flips: a flipped routing
+/// destination strands a parcel at a node with no next hop, which
+/// panics in both engines.
+///
+/// # Panics
+///
+/// On any divergence between the engines.
+pub fn assert_matches_reference_without_flips<P>(label: &str, build: impl Fn(&Graph) -> Vec<P>)
+where
+    P: NodeProtocol + Clone + PartialEq + Debug,
+    P::Msg: PartialEq + FaultInjectable,
+{
+    let [clean, _flips, drops_and_crash] = plans();
+    check_topologies(label, &[clean, drops_and_crash], build);
+}
+
+fn check_topologies<P>(label: &str, plans: &[FaultPlan], build: impl Fn(&Graph) -> Vec<P>)
+where
     P: NodeProtocol + Clone + PartialEq + Debug,
     P::Msg: PartialEq + FaultInjectable,
 {

@@ -717,7 +717,7 @@ mod tests {
     /// the two-round timer; deadlines follow a two-retry policy.
     #[test]
     fn reliable_convergecast_matches_reference_engine() {
-        reference_check::assert_matches_reference("rconv", &reference_check::plans(), |g| {
+        reference_check::assert_matches_reference("rconv", |g| {
             let tree = tree_of(g, 0);
             let policy = RetryPolicy::for_tree(&tree, 2);
             (0..g.node_count())
@@ -731,7 +731,7 @@ mod tests {
 
     #[test]
     fn reliable_broadcast_matches_reference_engine() {
-        reference_check::assert_matches_reference("rbcast", &reference_check::plans(), |g| {
+        reference_check::assert_matches_reference("rbcast", |g| {
             let tree = tree_of(g, 1);
             let policy = RetryPolicy::for_tree(&tree, 2);
             (0..g.node_count())

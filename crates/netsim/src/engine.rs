@@ -30,9 +30,11 @@
 //! * Each round after round 0 visits only the nodes it must: those
 //!   that received mail, those whose last step asked for another round
 //!   ([`NodeProtocol::wants_round`]), and those rejoining after a
-//!   crash. A wavefront phase costs O(active) per round instead of
-//!   O(nodes). Delivery marks these nodes in a bitmap and scans it in
-//!   order, so the list comes out sorted by node id with no sort.
+//!   crash. They are marked in one bitmap that a round walks by runs
+//!   of consecutive marked nodes, in node-id order with no sort: a
+//!   wavefront phase costs O(active + nodes/64) per round instead of
+//!   O(nodes), and a round in which every node stays awake costs a
+//!   plain loop over the nodes.
 //!
 //! [`Network::run`] is the one entry point; it steps every node inline
 //! on the calling thread, under the [`FaultPlan`] it is given
@@ -51,8 +53,8 @@
 //!    [`Graph::neighbors`]. The CSR is rebuilt (reusing capacity) at
 //!    the start of every run, so mid-run graph mutation is unsupported
 //!    by construction. The message arena is sliced the same way: the
-//!    active-list entry `(v, lo, hi)` makes `arena[lo..hi]` `v`'s inbox
-//!    for the current round.
+//!    nodes marked for a round own consecutive inboxes in node order,
+//!    node `v`'s `counts[v]` long, read back with a running cursor.
 //!
 //! 2. **Double-buffer handoff.** Each round reads inboxes from the
 //!    `arena` filled by the *previous* round while staging new sends
@@ -64,23 +66,23 @@
 //!    send order: node order, then send order within a node) by
 //!    destination with a *stable* counting sort, so each inbox sees
 //!    messages in the exact order naive per-inbox pushes would produce.
-//!    One slot rule serves every delivery path: with `c` messages for
-//!    `v` still unplaced, the next lands at `end(v) − c`. Whether a
-//!    message type is scattered or cycle-chased changes only how it
-//!    reaches its slot, never the slot. The active list is emitted in
-//!    node-id order, the order in which [`crate::reference`] steps
-//!    every node; a node left off it is one whose step would have had
-//!    no effect, by the [`NodeProtocol::wants_round`] contract.
+//!    One slot rule serves every delivery path: each message lands at
+//!    its destination's fill cursor, which starts at the inbox start
+//!    and advances by one. Whether a message type is scattered or
+//!    cycle-chased changes only how it reaches its slot, never the
+//!    slot. Marked nodes are stepped in node-id order, the order in
+//!    which [`crate::reference`] steps every node; an unmarked node is
+//!    one whose step would have had no effect, by the
+//!    [`NodeProtocol::wants_round`] contract.
 //!    Differential tests against [`crate::reference`] depend on this.
 //!
 //! 4. **Scratch reuse contract.** Between runs a [`Network`]'s scratch
 //!    holds only capacity, never state: every run begins by re-sizing
-//!    and re-zeroing (see `EngineScratch::prepare_for`). The delivery
-//!    buffers `counts`/`active_mask` are all-zero between rounds, and
-//!    the transient buffers `neighbor_pos`/`edge_bits` are all-zero
-//!    outside the windows in which a single node is stepped or metered
-//!    — restored even on early error returns by `prepare_for` of the
-//!    *next* run.
+//!    and re-zeroing (see `EngineScratch::prepare_for`). `counts` is
+//!    zero for every node a round does not visit, and the transient
+//!    buffers `neighbor_pos`/`edge_bits` are all-zero outside the
+//!    windows in which a single node is stepped or metered — restored
+//!    even on early error returns by `prepare_for` of the *next* run.
 //!    Hence a network may be reused across protocols, fault plans and
 //!    failed runs, and a run's results never depend on what the network
 //!    ran before.
@@ -531,17 +533,20 @@ pub struct RunReport<P> {
 #[derive(Debug)]
 struct EngineScratch<M> {
     csr: Csr,
-    /// Messages delivered this round, grouped by destination in node
-    /// order; `active` holds each inbox's bounds.
+    /// Messages delivered this round, grouped by destination: the nodes
+    /// marked in `active` own consecutive inboxes in node order, node
+    /// `v`'s `counts[v]` long.
     arena: Vec<(NodeId, M)>,
-    /// Per-destination inbox end in `arena`, written by [`deliver`] for
-    /// the nodes on `active` only; other entries are stale.
-    inbox_end: Vec<usize>,
+    /// Per-destination placement cursor of [`deliver`]: set to the
+    /// node's inbox start, it ends at the inbox end. Written for the
+    /// marked nodes only; other entries are stale.
+    fill: Vec<usize>,
     /// Messages sent this round, in global send order, as
     /// `(to, from, msg)`.
     staged: Vec<(NodeId, NodeId, M)>,
-    /// Per-destination message counts / fill cursors for delivery.
-    /// All-zero between rounds.
+    /// Per-node inbox lengths, set by [`deliver`] and zeroed as the
+    /// round visits each node, so every node not marked in `active`
+    /// has 0.
     counts: Vec<usize>,
     /// Permutation scratch for the cycle-chasing placement of message
     /// types with drop glue; unused by the one-pass scatter placement.
@@ -561,15 +566,11 @@ struct EngineScratch<M> {
     /// Neighbor scratch for implicit topologies (unused — empty — when
     /// the topology primes the CSR).
     nbr_buf: Vec<NodeId>,
-    /// The nodes a round after round 0 visits, `(node, inbox_lo,
-    /// inbox_hi)`, sorted by node id, the order the reference engine
-    /// steps nodes in.
-    active: Vec<(NodeId, usize, usize)>,
-    /// One bit per node, `⌈nodes/64⌉` words: the nodes that asked to
-    /// wake ([`NodeProtocol::wants_round`]) and the destinations marked
-    /// while [`deliver`] counts a round's sends, scanned in order to
-    /// emit `active` sorted. All-zero between rounds, like `counts`.
-    active_mask: Vec<u64>,
+    /// One bit per node, `⌈nodes/64⌉` words: the nodes the current
+    /// round visits. Stepping a node clears its bit unless it asks to
+    /// wake ([`NodeProtocol::wants_round`]); [`deliver`] then marks the
+    /// receivers, which leaves the next round's visits.
+    active: Vec<u64>,
 }
 
 impl<M> Default for EngineScratch<M> {
@@ -577,7 +578,7 @@ impl<M> Default for EngineScratch<M> {
         EngineScratch {
             csr: Csr::new(),
             arena: Vec::new(),
-            inbox_end: Vec::new(),
+            fill: Vec::new(),
             staged: Vec::new(),
             counts: Vec::new(),
             perm: Vec::new(),
@@ -586,7 +587,6 @@ impl<M> Default for EngineScratch<M> {
             edge_msgs: Vec::new(),
             nbr_buf: Vec::new(),
             active: Vec::new(),
-            active_mask: Vec::new(),
         }
     }
 }
@@ -594,8 +594,9 @@ impl<M> Default for EngineScratch<M> {
 impl<M> EngineScratch<M> {
     /// Sizes every buffer for `topo` and resets per-run state. Reuses
     /// existing capacity; also re-establishes the all-zero invariants of
-    /// `counts` / `active_mask` / `neighbor_pos` / `edge_bits` that an
-    /// error return may have left dirty.
+    /// `counts` / `neighbor_pos` / `edge_bits` that an error return may
+    /// have left dirty, and clears `active`, which a finished run leaves
+    /// holding its last wake bits.
     ///
     /// Returns whether the topology primed the CSR ([`Graph`] does;
     /// implicit families do not) — the engine reads neighbors from the
@@ -611,8 +612,8 @@ impl<M> EngineScratch<M> {
         };
         self.arena.clear();
         self.staged.clear();
-        self.inbox_end.clear();
-        self.inbox_end.resize(k, 0);
+        self.fill.clear();
+        self.fill.resize(k, 0);
         self.counts.clear();
         self.counts.resize(k, 0);
         self.perm.clear();
@@ -624,8 +625,7 @@ impl<M> EngineScratch<M> {
         self.edge_msgs.resize(max_degree, 0);
         self.nbr_buf.clear();
         self.active.clear();
-        self.active_mask.clear();
-        self.active_mask.resize(k.div_ceil(64), 0);
+        self.active.resize(k.div_ceil(64), 0);
         use_csr
     }
 }
@@ -866,50 +866,48 @@ impl<M: MessageSize + FaultInjectable> Channel<M> for FaultPlan {
     }
 }
 
-/// Delivers this round's staged sends into the arena and lists the
-/// nodes the next round visits.
+/// Delivers this round's staged sends into the arena and marks their
+/// receivers in `active`; returns how many nodes `active` then marks.
 ///
-/// On entry `active_mask` holds the wake bits set while this round's
-/// nodes stepped. Counting marks each destination in it too; one
-/// in-order scan of its words (clearing them as it goes) then emits
-/// `active` already sorted by node id, with each node's inbox bounds,
-/// in O(a + nodes/64) for `a` visited nodes and no sort. A node that
-/// only asked to wake gets an empty inbox.
+/// On entry `active` holds this round's visits that asked to wake.
+/// Counting marks each destination in it too; one in-order walk of its
+/// runs of marked nodes ([`take_run`]) then lays the marked nodes'
+/// inboxes out consecutively in node order, node `v`'s `counts[v]`
+/// long (0 for a node that only asked to wake), in O(marked +
+/// nodes/64) with no sort. The next round walks the same bits in the
+/// same order and reads each inbox back with a running cursor.
 ///
-/// Placement follows one slot rule: with `c` messages for `to` still
-/// unplaced, the next one lands at `inbox_end[to] − c`, so global send
-/// order is preserved within each destination and inbox ordering
-/// matches naive per-inbox pushes. Draining `counts` back to zero
-/// restores its all-zero invariant with no extra pass. Message types
-/// without drop glue (`Compact`, `u64`, tuples of them) are scattered in
-/// one pass into an arena prefilled with copies of the first message.
-/// Types with drop glue (`Vec<u64>`, codewords) would clone a heap
-/// buffer per prefilled slot, so they are permuted in place by
-/// cycle-chasing instead and then moved over.
+/// Placement follows one slot rule: each message lands at its
+/// destination's `fill` cursor, which starts at the inbox start and
+/// advances by one, so global send order is preserved within each
+/// destination and inbox ordering matches naive per-inbox pushes.
+/// Message types without drop glue (`Compact`, `u64`, tuples of them)
+/// are scattered in one pass into an arena prefilled with copies of the
+/// first message. Types with drop glue (`Vec<u64>`, codewords) would
+/// clone a heap buffer per prefilled slot, so they are permuted in
+/// place by cycle-chasing instead and then moved over.
 fn deliver<M: Clone>(
     staged: &mut Vec<(NodeId, NodeId, M)>,
     arena: &mut Vec<(NodeId, M)>,
-    inbox_end: &mut [usize],
+    fill: &mut [usize],
     counts: &mut [usize],
     perm: &mut Vec<usize>,
-    active_mask: &mut [u64],
-    active: &mut Vec<(NodeId, usize, usize)>,
-) {
+    active: &mut [u64],
+) -> usize {
     for &(to, _, _) in staged.iter() {
         counts[to] += 1;
-        active_mask[to / 64] |= 1 << (to % 64);
+        active[to / 64] |= 1 << (to % 64);
     }
-    active.clear();
+    let mut marked = 0;
     let mut off = 0;
-    for (w, word) in active_mask.iter_mut().enumerate() {
-        let mut bits = std::mem::take(word);
+    for (w, &word) in active.iter().enumerate() {
+        marked += word.count_ones() as usize;
+        let mut bits = word;
         while bits != 0 {
-            let v = w * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let lo = off;
-            off += counts[v];
-            active.push((v, lo, off));
-            inbox_end[v] = off;
+            for v in take_run(&mut bits, w) {
+                fill[v] = off;
+                off += counts[v];
+            }
         }
     }
     arena.clear();
@@ -918,15 +916,15 @@ fn deliver<M: Clone>(
             arena.resize(staged.len(), (*from, msg.clone()));
         }
         for (to, from, msg) in staged.drain(..) {
-            arena[inbox_end[to] - counts[to]] = (from, msg);
-            counts[to] -= 1;
+            arena[fill[to]] = (from, msg);
+            fill[to] += 1;
         }
-        return;
+        return marked;
     }
     perm.clear();
     for &(to, _, _) in staged.iter() {
-        perm.push(inbox_end[to] - counts[to]);
-        counts[to] -= 1;
+        perm.push(fill[to]);
+        fill[to] += 1;
     }
     for i in 0..staged.len() {
         while perm[i] != i {
@@ -936,6 +934,21 @@ fn deliver<M: Clone>(
         }
     }
     arena.extend(staged.drain(..).map(|(_, from, msg)| (from, msg)));
+    marked
+}
+
+/// Takes the lowest run of consecutive set bits out of `bits`, word
+/// `w` of a node bitmap, and returns its nodes. Walking a bitmap by
+/// runs keeps a round in which every node is marked about as cheap as a
+/// plain loop over the nodes, and a sparse round at O(runs + nodes/64).
+#[inline]
+fn take_run(bits: &mut u64, w: usize) -> Range<usize> {
+    let start = bits.trailing_zeros();
+    let len = (!(*bits >> start)).trailing_zeros();
+    // Adding the lowest set bit carries through the run and clears it.
+    *bits &= bits.wrapping_add(*bits & bits.wrapping_neg());
+    let base = w * 64 + start as usize;
+    base..base + len as usize
 }
 
 /// A synchronous network: a topology plus a bandwidth model, and the
@@ -1029,9 +1042,10 @@ impl<'g, M, T: ImplicitTopology> Network<'g, M, T> {
     /// before the plan drops or corrupts it.
     ///
     /// Round 0 visits every node. A later round visits the nodes
-    /// [`deliver`] listed — those with mail and those whose last step
+    /// [`deliver`] marked — those with mail and those whose last step
     /// asked to wake ([`NodeProtocol::wants_round`]) — plus the nodes
-    /// rejoining that round: bit-identical to stepping every node, by
+    /// rejoining that round, in node order by runs of the `active`
+    /// bitmap ([`take_run`]): bit-identical to stepping every node, by
     /// the `wants_round` contract. Each node's sends are metered right
     /// after it steps, so a violation surfaces before any later node
     /// steps, exactly as the naive engine did.
@@ -1058,7 +1072,7 @@ impl<'g, M, T: ImplicitTopology> Network<'g, M, T> {
         let EngineScratch {
             csr,
             arena,
-            inbox_end,
+            fill,
             staged,
             counts,
             perm,
@@ -1067,11 +1081,16 @@ impl<'g, M, T: ImplicitTopology> Network<'g, M, T> {
             edge_msgs,
             nbr_buf,
             active,
-            active_mask,
         } = scratch;
         let mut metrics = Metrics::new();
         let mut obs = RoundObs::new();
 
+        // Round 0 visits every node, each with an empty inbox.
+        let mut marked = states.len();
+        active.fill(u64::MAX);
+        if marked % 64 != 0 {
+            active[marked / 64] = (1 << (marked % 64)) - 1;
+        }
         let mut round = 0;
         while round < max_rounds {
             // Rejoining nodes wake up with an empty inbox; they must
@@ -1096,7 +1115,7 @@ impl<'g, M, T: ImplicitTopology> Network<'g, M, T> {
                     }
                     return Ok(finish(round, metrics, states));
                 }
-                if active.is_empty() && !wakes_now {
+                if marked == 0 && !wakes_now {
                     // Nothing in flight and no node asked to wake: the
                     // only future done-set changes are crash/rejoin
                     // schedule events. Jump straight to the next one
@@ -1115,79 +1134,83 @@ impl<'g, M, T: ImplicitTopology> Network<'g, M, T> {
             let span = Span::start(&*sink);
             if wakes_now {
                 if let Some(p) = plan {
-                    // In node-id order, like every other visit.
                     for &(v, j) in &p.rejoins {
                         if j == round
                             && p.rejoins_at(v, round)
-                            && !active.iter().any(|&(a, _, _)| a == v)
+                            && active[v / 64] & (1 << (v % 64)) == 0
                         {
-                            active.push((v, 0, 0));
+                            active[v / 64] |= 1 << (v % 64);
+                            marked += 1;
                         }
                     }
-                    active.sort_unstable_by_key(|e| e.0);
                 }
             }
             if round > 0 && sink.enabled() {
                 sink.add(keys::NETSIM_SPARSE_ROUNDS, 1);
-                sink.observe(keys::NETSIM_SPARSE_ACTIVE_NODES, active.len() as u64);
+                sink.observe(keys::NETSIM_SPARSE_ACTIVE_NODES, marked as u64);
             }
 
-            // Round 0 visits every node, each with an empty inbox, from
-            // an empty list: a k-entry list in every phase's network read
-            // about 0.3 MiB more peak RSS on the 110×110 torus tester.
-            let visits = if round == 0 {
-                states.len()
-            } else {
-                active.len()
-            };
-            for i in 0..visits {
-                let (node, lo, hi) = active.get(i).copied().unwrap_or((i, 0, 0));
-                if plan.is_some_and(|p| p.crashed(node, round)) {
-                    continue;
-                }
-                if plan.is_some_and(|p| p.rejoins_at(node, round)) {
-                    states[node].on_rejoin(node, round);
-                }
-                let nbrs = if use_csr {
-                    csr.neighbors(node)
-                } else {
-                    topo.neighbors(node, nbr_buf)
-                };
-                let start = staged.len();
-                let inbox = &arena[lo..hi];
-                let mut out = Outbox::new(node, nbrs, neighbor_pos, staged);
-                states[node].on_round(node, round, inbox, &mut out);
-                // A silent node never filled the position index —
-                // there is nothing to meter, clear or reject.
-                if out.index_filled() {
-                    if let Some(to) = out.bad_send() {
-                        return Err(EngineError::NotANeighbor {
-                            from: node,
-                            to,
-                            round,
-                        });
+            // Inboxes are consecutive in node order, so a cursor plus
+            // each node's count (zeroed as it is read) bounds them; a
+            // rejoining node marked after delivery has count 0. Each word
+            // is read before its nodes step, so clearing their bits does
+            // not change this round's set.
+            let mut lo = 0;
+            for (w, word) in active.iter_mut().enumerate() {
+                let mut bits = *word;
+                while bits != 0 {
+                    for node in take_run(&mut bits, w) {
+                        let hi = lo + std::mem::take(&mut counts[node]);
+                        let inbox = &arena[lo..hi];
+                        lo = hi;
+                        if plan.is_some_and(|p| p.crashed(node, round)) {
+                            *word &= !(1 << (node % 64));
+                            continue;
+                        }
+                        if plan.is_some_and(|p| p.rejoins_at(node, round)) {
+                            states[node].on_rejoin(node, round);
+                        }
+                        let nbrs = if use_csr {
+                            csr.neighbors(node)
+                        } else {
+                            topo.neighbors(node, nbr_buf)
+                        };
+                        let start = staged.len();
+                        let mut out = Outbox::new(node, nbrs, neighbor_pos, staged);
+                        states[node].on_round(node, round, inbox, &mut out);
+                        // A silent node never filled the position index —
+                        // there is nothing to meter, clear or reject.
+                        if out.index_filled() {
+                            if let Some(to) = out.bad_send() {
+                                return Err(EngineError::NotANeighbor {
+                                    from: node,
+                                    to,
+                                    round,
+                                });
+                            }
+                            let end = staged.len();
+                            let kept = metrics.meter_sender(
+                                model,
+                                round,
+                                channel,
+                                staged,
+                                start..end,
+                                start,
+                                nbrs,
+                                neighbor_pos,
+                                edge_bits,
+                                edge_msgs,
+                            )?;
+                            staged.truncate(kept);
+                        }
+                        if !states[node].wants_round() {
+                            *word &= !(1 << (node % 64));
+                        }
                     }
-                    let end = staged.len();
-                    let w = metrics.meter_sender(
-                        model,
-                        round,
-                        channel,
-                        staged,
-                        start..end,
-                        start,
-                        nbrs,
-                        neighbor_pos,
-                        edge_bits,
-                        edge_msgs,
-                    )?;
-                    staged.truncate(w);
-                }
-                if states[node].wants_round() {
-                    active_mask[node / 64] |= 1 << (node % 64);
                 }
             }
 
-            deliver(staged, arena, inbox_end, counts, perm, active_mask, active);
+            marked = deliver(staged, arena, fill, counts, perm, active);
             obs.end_round(sink, &mut metrics, span);
             round += 1;
         }
@@ -1275,9 +1298,10 @@ mod tests {
 
     /// Checks `deliver` against naive stable per-destination pushes of
     /// `sends` (in staged order) on `k` nodes, with the nodes in `wake`
-    /// marked awake beforehand: the active list must be the receivers
-    /// and the wakers in node order, the wakers without mail holding an
-    /// empty inbox, and `counts` and `active_mask` must end all-zero.
+    /// marked awake beforehand: the mask must then mark the receivers
+    /// and the wakers, and reading the marked nodes' inboxes back in
+    /// node order, `counts[v]` each, must give every node its messages
+    /// and the wakers without mail an empty inbox.
     fn assert_delivery_matches_naive<M>(k: usize, sends: &[Staged<M>], wake: &[NodeId])
     where
         M: Clone + PartialEq + fmt::Debug,
@@ -1287,42 +1311,66 @@ mod tests {
             want[*to].push((*from, msg.clone()));
         }
         let mut arena = Vec::new();
-        let mut inbox_end = vec![0; k];
+        let mut fill = vec![0; k];
         let mut counts = vec![0; k];
         let mut perm = Vec::new();
-        let mut active_mask = vec![0u64; k.div_ceil(64)];
-        let mut active = Vec::new();
+        let mut active = vec![0u64; k.div_ceil(64)];
         for &v in wake {
-            active_mask[v / 64] |= 1 << (v % 64);
+            active[v / 64] |= 1 << (v % 64);
         }
 
         let mut staged = sends.to_vec();
-        deliver(
+        let marked = deliver(
             &mut staged,
             &mut arena,
-            &mut inbox_end,
+            &mut fill,
             &mut counts,
             &mut perm,
-            &mut active_mask,
             &mut active,
         );
         assert!(staged.is_empty());
-        assert!(counts.iter().all(|&c| c == 0), "deliver left counts dirty");
-        assert!(
-            active_mask.iter().all(|&w| w == 0),
-            "deliver left mask dirty"
-        );
         assert_eq!(arena.len(), sends.len());
         let visited: Vec<NodeId> = (0..k)
             .filter(|&v| !want[v].is_empty() || wake.contains(&v))
             .collect();
-        let listed: Vec<NodeId> = active.iter().map(|e| e.0).collect();
-        assert_eq!(
-            listed, visited,
-            "active list must be the sorted receivers and wakers"
-        );
-        for &(v, lo, hi) in &active {
-            assert_eq!(&arena[lo..hi], want[v].as_slice());
+        let listed: Vec<NodeId> = (0..k)
+            .filter(|&v| active[v / 64] >> (v % 64) & 1 == 1)
+            .collect();
+        assert_eq!(listed, visited, "mask must mark the receivers and wakers");
+        assert_eq!(marked, visited.len());
+        let mut lo = 0;
+        for v in 0..k {
+            if listed.contains(&v) {
+                assert_eq!(&arena[lo..lo + counts[v]], want[v].as_slice());
+                lo += counts[v];
+            } else {
+                assert_eq!(counts[v], 0, "unmarked node {v} has a count");
+            }
+        }
+    }
+
+    #[test]
+    fn take_run_splits_a_word_into_maximal_runs() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let words = [0, 1, u64::MAX, u64::MAX - 1, 1 << 63, 0b1011_0111 << 20]
+            .into_iter()
+            .chain((0..64).map(|_| rng.gen::<u64>() & rng.gen::<u64>()));
+        for word in words {
+            let mut bits = word;
+            let mut runs = Vec::new();
+            while bits != 0 {
+                runs.push(take_run(&mut bits, 3));
+            }
+            let marked: Vec<usize> = (0..64)
+                .filter(|&b| word >> b & 1 == 1)
+                .map(|b| 3 * 64 + b)
+                .collect();
+            assert_eq!(runs.iter().cloned().flatten().collect::<Vec<_>>(), marked);
+            // Runs are maximal: a gap separates consecutive ones.
+            for pair in runs.windows(2) {
+                assert!(pair[0].end < pair[1].start, "{word:#x}: {runs:?}");
+            }
         }
     }
 

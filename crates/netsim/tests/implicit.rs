@@ -456,7 +456,7 @@ fn sparse_matches_dense_under_faults() {
     let plans = [
         FaultPlan::seeded(0xAB01).with_drops(0.12),
         FaultPlan::seeded(0xAB02).with_flips(0.01).with_crash(1, 2),
-        // Crash-only plans: the active-list path must keep the run
+        // Crash-only plans: stepping on mail only must keep the run
         // alive while a silent network waits out a crash schedule (it
         // used to misreport RoundLimit as soon as the arena went quiet).
         FaultPlan::seeded(0xAB03).with_crash(1, 2).with_crash(7, 0),
