@@ -41,6 +41,7 @@ lane_fault_differential() {
     cargo test --release -p dut-netsim --lib fault::tests -q
     echo "==> Justesen codec differential (syndrome decoder == Berlekamp-Welch reference, corrected-bit counts, row encode == Horner)"
     cargo test --release -p dut-ecc --lib justesen -q
+    echo "==> codec codebook equivalence (codebook encode/decode == bare Justesen code on clean, flipped and foreign words; a flipped copy leaves shared words alone)"
     cargo test --release -p dut-congest --lib codec -q
 }
 
@@ -78,7 +79,16 @@ lane_overflow() {
 
 lane_experiments_smoke() {
     echo "==> experiments smoke (E1-E16 quick scale, verdicts vs EXPERIMENTS.md)"
-    cargo run --release -p dut-bench --bin experiments -- --quick --check all > /dev/null
+    local quick
+    quick="$(mktemp)"
+    cargo run --release -p dut-bench --bin experiments -- --quick --check all > "${quick}"
+    echo "==> quick-table golden (tables == experiments_quick.txt, wall clock masked)"
+    if ! awk -f crates/bench/mask_wall_clock.awk "${quick}" | diff -u experiments_quick.txt -; then
+        echo "experiments-smoke: quick tables differ from experiments_quick.txt" >&2
+        rm -f "${quick}"
+        exit 1
+    fi
+    rm -f "${quick}"
 }
 
 lane_conductance() {

@@ -108,6 +108,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
             fmt_f(sound_err),
             plan.feasible.to_string(),
         ]);
+        t.set_exact(4, p_u);
+        t.set_exact(5, p_f);
     }
     vec![t]
 }

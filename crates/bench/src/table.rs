@@ -1,9 +1,10 @@
 //! Minimal markdown-table rendering for experiment output.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A titled table with a caption tying it to the paper.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Table title (e.g. "E4: threshold tester, Theorem 1.2").
     pub title: String,
@@ -13,6 +14,9 @@ pub struct Table {
     pub headers: Vec<String>,
     /// Rows of pre-formatted cells.
     pub rows: Vec<Vec<String>>,
+    /// Unrounded values behind some cells, by `(row, column)`, for
+    /// verdicts that a rounded cell would blur. Never rendered.
+    pub exact: BTreeMap<(usize, usize), f64>,
 }
 
 impl Table {
@@ -23,6 +27,7 @@ impl Table {
             caption: caption.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            exact: BTreeMap::new(),
         }
     }
 
@@ -38,6 +43,17 @@ impl Table {
             "row width must match headers"
         );
         self.rows.push(cells);
+    }
+
+    /// Keeps `value`, unrounded, behind column `col` of the last row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has no row or `col` is past the last column.
+    pub fn set_exact(&mut self, col: usize, value: f64) {
+        assert!(col < self.headers.len(), "column {col} out of range");
+        let row = self.rows.len().checked_sub(1).expect("a row to annotate");
+        self.exact.insert((row, col), value);
     }
 
     /// Serializes the table as a JSON object (all cells are strings, so

@@ -79,6 +79,15 @@ fn num(table: &Table, row: &[String], col: usize) -> Result<f64, String> {
         .ok_or_else(|| fail(table, row, &format!("column {col} is not a number")))
 }
 
+/// Column `col` of row `r`: the unrounded value the table keeps behind
+/// the cell, else the parsed cell.
+fn exact_num(table: &Table, r: usize, col: usize) -> Result<f64, String> {
+    match table.exact.get(&(r, col)) {
+        Some(&value) => Ok(value),
+        None => num(table, &table.rows[r], col),
+    }
+}
+
 /// Parses the leading number of a `"rate [lo, hi]"` or `"x/y"` cell.
 fn leading_num(table: &Table, row: &[String], col: usize) -> Result<f64, String> {
     row.get(col)
@@ -140,17 +149,19 @@ fn check_e2(tables: &[Table]) -> Result<(), String> {
 }
 
 /// E3 (Theorem 1.1): completeness protected, per-node separation, and
-/// the Monte-Carlo cross-check brackets the exact rejection rate.
+/// the Monte-Carlo cross-check brackets the exact rejection rate. The
+/// per-node rates are read unrounded: at full scale both fall below
+/// 5·10⁻⁵, where their 4-decimal cells both read `0.0000`.
 fn check_e3(tables: &[Table]) -> Result<(), String> {
     let t = &tables[0];
-    for row in &t.rows {
+    for (r, row) in t.rows.iter().enumerate() {
         if row[4] == "-" {
             continue; // honestly-reported plan failure
         }
         if num(t, row, 7)? >= 0.4 {
             return Err(fail(t, row, "completeness error too high"));
         }
-        let (pu, pf) = (num(t, row, 4)?, num(t, row, 5)?);
+        let (pu, pf) = (exact_num(t, r, 4)?, exact_num(t, r, 5)?);
         if pf <= pu {
             return Err(fail(t, row, "no per-node separation"));
         }
@@ -552,6 +563,40 @@ mod tests {
         ]);
         let err = check("e1", &[t]).unwrap_err();
         assert!(err.contains("bound violated"), "{err}");
+    }
+
+    /// An E3 row at full-scale magnitudes: both per-node rates render
+    /// as `0.0000`, and the verdict follows the unrounded values.
+    #[test]
+    fn e3_separation_reads_unrounded_rates() {
+        let e3 = |pu: f64, pf: f64| {
+            let mut t = Table::new(
+                "E3",
+                "c",
+                &[
+                    "k", "m", "s", "theory", "pu", "pf", "mc", "comp", "sound", "feasible",
+                ],
+            );
+            let cells = [
+                "65536",
+                "2",
+                "144",
+                "1560",
+                "0.0000",
+                "0.0000",
+                "0.0000 [0.0000, 0.0000]",
+                "0.3219",
+                "0.3878",
+                "false",
+            ];
+            t.push_row(cells.map(String::from).to_vec());
+            t.set_exact(4, pu);
+            t.set_exact(5, pf);
+            check("e3", &[t])
+        };
+        assert_eq!(e3(4.9e-6, 1.1e-5), Ok(()));
+        let err = e3(1.1e-5, 4.9e-6).unwrap_err();
+        assert!(err.contains("no per-node separation"), "{err}");
     }
 
     #[test]
