@@ -37,7 +37,7 @@ lane_fault_differential() {
     cargo test --release -p dut-netsim --test differential -q
     echo "==> wake-rule harness (leader, BFS, convergecast, broadcast, residue, forwarding, ARQ convergecast + broadcast, Luby MIS, routing == reference; plain and coded, clean and faulted)"
     cargo test --release -p dut-netsim -p dut-congest --lib matches_reference_engine -q
-    echo "==> flip-kernel oracle (vectorised flip masks == per-bit u01 < p definition; AVX-512 copy == portable copy)"
+    echo "==> flip-kernel oracle and law (geometric-skip flips == naive definition, bit for bit and in order; descent == scan; Wilson-bounded per-bit, adjacent-pair and clean-word rates)"
     cargo test --release -p dut-netsim --lib fault::tests -q
     echo "==> Justesen codec differential (syndrome decoder == Berlekamp-Welch reference, corrected-bit counts, row encode == Horner)"
     cargo test --release -p dut-ecc --lib justesen -q

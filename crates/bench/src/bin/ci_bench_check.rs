@@ -30,6 +30,8 @@
 //! (`BENCH_netsim.json` is refreshed from Criterion instead:
 //! `cargo bench -p dut-bench --bench netsim`.)
 
+#![forbid(unsafe_code)]
+
 use dut_bench::baseline::{number_field, parse_workloads, BaselineWorkload};
 use dut_bench::{e01_gap, Scale};
 use dut_core::decision::Decision;

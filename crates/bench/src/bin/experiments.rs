@@ -32,6 +32,8 @@
 //! reproducible per tick at any duration.
 //! Experiment ids are zero-pad tolerant: `e06` names `e6`.
 
+#![forbid(unsafe_code)]
+
 use dut_bench::{
     normalize_id, run_experiment_ctx, verdict, ExperimentCtx, MetricsLog, Scale, ALL_EXPERIMENTS,
 };

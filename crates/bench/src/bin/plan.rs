@@ -5,6 +5,8 @@
 //! plan --n 262144 --k 120000 --eps 0.5 [--p 0.3333] [--cost-ratio 4]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use dut_congest::CongestUniformityTester;
 use dut_core::asymmetric::{theory_max_cost_threshold, AsymmetricThresholdTester, CostVector};
 use dut_core::baselines::centralized_sample_complexity;

@@ -16,6 +16,7 @@
 //! See `DESIGN.md` §4 for the experiment-to-theorem index and
 //! `EXPERIMENTS.md` for recorded outputs.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;

@@ -21,6 +21,7 @@
 //!   tester (lazy random walks + collision convergecast), plain and
 //!   fault-hardened.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

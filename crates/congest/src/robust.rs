@@ -9,11 +9,15 @@
 //! per phase:
 //!
 //! * leader election — max-id flooding is self-stabilizing: a lost flood
-//!   is re-triggered by the next improving id, and no fault can displace
-//!   the maximum holder;
+//!   is re-triggered by the next improving id. A Justesen miscorrection
+//!   beyond the radius can raise an id above the maximum and displace
+//!   it; that surfaces as
+//!   [`EngineError::MaxIdDisplaced`](dut_netsim::engine::EngineError);
 //! * BFS — a dropped announcement can cost a node its shortest parent,
 //!   but the tree stays valid; a node that never hears any announcement
-//!   surfaces as [`EngineError::Unreached`](dut_netsim::engine::EngineError);
+//!   surfaces as [`EngineError::Unreached`](dut_netsim::engine::EngineError),
+//!   and a miscorrected depth as
+//!   [`EngineError::InconsistentDepth`](dut_netsim::engine::EngineError);
 //! * residue — recomputed as `c(v) = (Σ tokens in subtree(v)) mod τ`
 //!   from a **reliable** (ack/retry) convergecast of subtree token
 //!   counts, identical to the paper's bottom-up residue by the mod-τ

@@ -26,6 +26,7 @@
 //! the substitution is recorded in DESIGN.md and is immaterial to the
 //! protocol, which uses the code only through its distance property.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

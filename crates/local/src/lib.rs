@@ -19,6 +19,7 @@
 //! center to hold enough samples; as ε → 0 it degrades to gathering
 //! `Θ(√n/ε²)` samples at one node, as the paper notes.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

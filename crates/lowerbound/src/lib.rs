@@ -19,6 +19,7 @@
 //!   per-node sample count `s` around `√(n/k)` and watching the 0-round
 //!   testers lose their distinguishing power (Experiment E12).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -157,11 +157,15 @@ pub fn build_bfs_tree<T: ImplicitTopology>(
 /// dropped or undecodable announcements can make a node adopt a
 /// non-shortest parent (the result is still a valid rooted tree with
 /// consistent depths) or, if a node never hears any announcement,
-/// surface as [`EngineError::Unreached`].
+/// surface as [`EngineError::Unreached`]. Flips the codec does not
+/// correct can corrupt an announced depth; the returned tree is checked
+/// to have `depth[v] = depth[parent] + 1` at every non-root node.
 ///
 /// # Errors
 ///
-/// Same conditions as [`build_bfs_tree`].
+/// Same conditions as [`build_bfs_tree`], plus
+/// [`EngineError::InconsistentDepth`] when a corrupted announcement left
+/// a node's depth different from its parent's depth plus one.
 #[allow(clippy::needless_range_loop)]
 pub fn build_bfs_tree_coded<T, C>(
     g: &T,
@@ -205,6 +209,9 @@ where
         if let Some(p) = st.parent {
             children[p].push(v);
         }
+    }
+    if let Some(node) = (0..k).find(|&v| parent[v].is_some_and(|p| depth[v] != depth[p] + 1)) {
+        return Err(EngineError::InconsistentDepth { node });
     }
     Ok((
         BfsTree {
@@ -329,5 +336,31 @@ mod tests {
         assert_eq!(tree.depth, vec![0]);
         assert_eq!(tree.parent, vec![None]);
         assert_eq!(tree.height, 0);
+    }
+
+    /// Uncorrected flips can corrupt an announced depth: the coded build
+    /// then reports the inconsistency, and every tree it does return has
+    /// consistent depths.
+    #[test]
+    fn corrupted_depths_are_a_typed_error() {
+        use crate::algorithms::coded::IdentityCodec;
+        let g = topology::grid(10, 25);
+        let model = BandwidthModel::Congest { bits_per_edge: 64 };
+        let mut inconsistent = 0;
+        for seed in 0..20 {
+            let plan = FaultPlan::seeded(seed).with_flips(3e-3);
+            let codec = IdentityCodec::<Compact>::new();
+            match build_bfs_tree_coded(&g, 0, model, &plan, codec) {
+                Ok((tree, ..)) => {
+                    for v in 1..g.node_count() {
+                        let p = tree.parent[v].expect("non-root nodes have parents");
+                        assert_eq!(tree.depth[v], tree.depth[p] + 1, "seed {seed}, node {v}");
+                    }
+                }
+                Err(EngineError::InconsistentDepth { .. }) => inconsistent += 1,
+                Err(other) => panic!("seed {seed}: {other}"),
+            }
+        }
+        assert!(inconsistent > 0, "no seed corrupted a depth");
     }
 }

@@ -76,9 +76,8 @@ impl CodecMessage for crate::engine::Compact {
 /// Encodes plain protocol messages into a wire representation and
 /// decodes (possibly corrupted) wire words back.
 pub trait MessageCodec {
-    /// The plain message type the wrapped protocol exchanges. Equality
-    /// lets [`CodedProtocol`] encode a run of equal messages once.
-    type Plain: Clone + PartialEq + MessageSize;
+    /// The plain message type the wrapped protocol exchanges.
+    type Plain: Clone + MessageSize;
     /// The on-wire message type — what the engine meters and fault
     /// injection corrupts.
     type Wire: Clone + MessageSize + FaultInjectable;
@@ -112,7 +111,7 @@ impl<M> IdentityCodec<M> {
     }
 }
 
-impl<M: Clone + PartialEq + MessageSize + FaultInjectable> MessageCodec for IdentityCodec<M> {
+impl<M: Clone + MessageSize + FaultInjectable> MessageCodec for IdentityCodec<M> {
     type Plain = M;
     type Wire = M;
 
@@ -215,7 +214,6 @@ impl<P: fmt::Debug, C: MessageCodec> fmt::Debug for CodedProtocol<P, C> {
 impl<P, C> NodeProtocol for CodedProtocol<P, C>
 where
     P: NodeProtocol,
-    P::Msg: PartialEq,
     C: MessageCodec<Plain = P::Msg>,
 {
     type Msg = C::Wire;
@@ -246,19 +244,8 @@ where
         out.restaged(&mut self.stage, |inner_out| {
             inner.on_round(node, round, plain_inbox, inner_out)
         });
-        // A run of equal messages (a broadcast) is encoded once and its
-        // wire word cloned.
-        let mut last: Option<(C::Plain, C::Wire)> = None;
         for (to, _, msg) in self.stage.drain(..) {
-            let wire = match &last {
-                Some((plain, wire)) if *plain == msg => wire.clone(),
-                _ => {
-                    let wire = self.codec.encode(&msg);
-                    last = Some((msg, wire.clone()));
-                    wire
-                }
-            };
-            out.send(to, wire);
+            out.send(to, self.codec.encode(&msg));
         }
     }
 
@@ -521,58 +508,6 @@ mod tests {
         for (a, b) in reused.nodes.iter().zip(&fresh.nodes) {
             assert_eq!(a.inner(), b.inner());
         }
-    }
-
-    #[test]
-    fn broadcast_is_encoded_once_per_run_of_equal_messages() {
-        /// Counts encodes; the wire word is the plain message.
-        #[derive(Debug, Clone, Default)]
-        struct Counting(std::rc::Rc<std::cell::Cell<usize>>);
-        impl MessageCodec for Counting {
-            type Plain = Compact;
-            type Wire = Compact;
-            fn encode(&self, msg: &Compact) -> Compact {
-                self.0.set(self.0.get() + 1);
-                *msg
-            }
-            fn decode(&self, wire: &Compact) -> Result<(Compact, usize), CodecError> {
-                Ok((*wire, 0))
-            }
-        }
-        /// Round 0: broadcast, then two equal sends, then a different one.
-        #[derive(Debug, Clone)]
-        struct Sender;
-        impl NodeProtocol for Sender {
-            type Msg = Compact;
-            fn on_round(
-                &mut self,
-                node: NodeId,
-                round: usize,
-                _inbox: &[(NodeId, Compact)],
-                out: &mut Outbox<'_, Compact>,
-            ) {
-                if round == 0 && node == 0 {
-                    out.broadcast(Compact(7));
-                    out.send(1, Compact(7));
-                    out.send(2, Compact(9));
-                }
-            }
-            fn is_done(&self) -> bool {
-                true
-            }
-        }
-        let g = topology::complete(4);
-        let codec = Counting::default();
-        let states = (0..4)
-            .map(|_| CodedProtocol::new(Sender, codec.clone()))
-            .collect();
-        let report = Network::new(&g, BandwidthModel::Local)
-            .run(states, 8, &FaultPlan::none(), &mut NoopSink)
-            .unwrap();
-        assert_eq!(report.total_messages, 5);
-        // One encode for the broadcast and the equal send after it, one
-        // for the different message.
-        assert_eq!(codec.0.get(), 2);
     }
 
     #[test]

@@ -119,13 +119,16 @@ pub fn elect_leader<T: ImplicitTopology>(
 /// [`elect_leader`] with messages travelling through `codec` under a
 /// [`FaultPlan`]: bit flips below the codec's correction radius are
 /// fixed transparently; undecodable or dropped floods simply re-trigger
-/// on the next improving id. The max-id holder elects itself even under
-/// heavy faults (no flood can overwrite the global maximum), but other
-/// nodes may terminate without having heard it.
+/// on the next improving id, and other nodes may terminate without
+/// having heard the maximum. Flips the codec does not correct can
+/// displace the maximum: a corrupted id above it floods the network,
+/// and its holder stops holding its own id.
 ///
 /// # Errors
 ///
-/// Same conditions as [`elect_leader`].
+/// Same conditions as [`elect_leader`], plus
+/// [`EngineError::MaxIdDisplaced`] when a corrupted id displaced the
+/// maximum at its holder.
 pub fn elect_leader_coded<T, C>(
     g: &T,
     ids: &[u64],
@@ -153,14 +156,14 @@ where
         .collect();
     let report = Network::new(g, model).run(states, 2 * g.node_count() + 4, plan, &mut NoopSink)?;
     let stats = codec_stats(&report.nodes);
-    // Unreachable expect: no id exceeds the unique maximum, so faults can
-    // delay but never displace the max holder's self-election.
-    let leader = report
-        .nodes
+    let leader = ids
         .iter()
-        .position(|n| n.inner().my_id == n.inner().best && n.inner().my_id == max)
-        .expect("exactly one node holds the maximum");
-    Ok((leader, report.rounds, stats))
+        .position(|&id| id == max)
+        .expect("unique_max returned an id of some node");
+    match report.nodes[leader].inner().best {
+        best if best == max => Ok((leader, report.rounds, stats)),
+        by => Err(EngineError::MaxIdDisplaced { id: max, by }),
+    }
 }
 
 #[cfg(test)]
@@ -234,6 +237,32 @@ mod tests {
             elect_leader_coded(&g, &[1, 9, 9], BandwidthModel::Local, &plan, codec).unwrap_err(),
             EngineError::DuplicateMaxId { id: 9, holders: 2 }
         );
+    }
+
+    /// Uncorrected flips can raise an id above the maximum: the election
+    /// then reports the displacement instead of panicking, and otherwise
+    /// elects the maximum's holder.
+    #[test]
+    fn displaced_maximum_is_a_typed_error() {
+        let g = topology::grid(10, 25);
+        let ids: Vec<u64> = (0..250u64).map(|v| v * 7919 % 62_500).collect();
+        let max = *ids.iter().max().unwrap();
+        let model = BandwidthModel::Congest { bits_per_edge: 64 };
+        let mut displaced = 0;
+        for seed in 0..20 {
+            let plan = FaultPlan::seeded(seed).with_flips(3e-3);
+            let codec = IdentityCodec::<Compact>::new();
+            match elect_leader_coded(&g, &ids, model, &plan, codec) {
+                Ok((leader, ..)) => assert_eq!(ids[leader], max),
+                Err(EngineError::MaxIdDisplaced { id, by }) => {
+                    assert_eq!(id, max);
+                    assert!(by > max, "seed {seed}: displaced by {by}");
+                    displaced += 1;
+                }
+                Err(other) => panic!("seed {seed}: {other}"),
+            }
+        }
+        assert!(displaced > 0, "no seed displaced the maximum");
     }
 
     #[test]

@@ -261,6 +261,21 @@ pub enum EngineError {
         /// The node that was never reached.
         node: NodeId,
     },
+    /// Under fault injection, an identifier corrupted above the true
+    /// maximum `id` flooded the election and displaced it: the maximum's
+    /// holder ended holding `by` instead.
+    MaxIdDisplaced {
+        /// The true maximum identifier.
+        id: u64,
+        /// The corrupted identifier that displaced it.
+        by: u64,
+    },
+    /// Under fault injection, a corrupted depth left `node`'s depth
+    /// different from its parent's depth plus one.
+    InconsistentDepth {
+        /// The node whose depth does not follow its parent's.
+        node: NodeId,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -305,6 +320,12 @@ impl fmt::Display for EngineError {
             }
             EngineError::Unreached { node } => {
                 write!(f, "protocol failed to reach node {node}")
+            }
+            EngineError::MaxIdDisplaced { id, by } => {
+                write!(f, "maximum id {id} was displaced by corrupted id {by}")
+            }
+            EngineError::InconsistentDepth { node } => {
+                write!(f, "node {node}'s depth is not its parent's depth plus one")
             }
         }
     }

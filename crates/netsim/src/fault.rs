@@ -15,7 +15,7 @@
 //! `(seed, lane, round, from, to, message-index, bit-index)`, where
 //! `message-index` numbers the messages a node pushes over one directed
 //! edge within one round, in send order. The stream is *stateless* —
-//! no generator advances — so the decision for a given message depends
+//! no generator advances — so the decisions for a given message depend
 //! only on its coordinates, never on evaluation order. That is what
 //! lets the flat engine (stepping only the nodes it must, on a
 //! materialized or implicit topology) and the naive reference engine,
@@ -25,25 +25,21 @@
 //!
 //! # The flip kernel
 //!
-//! Wire bit `b` of a message flips iff `u01(word(…, b)) < flip_prob`,
-//! where `word` is the stream block at the message's coordinates with
-//! bit index `b`. [`FaultPlan::apply`] evaluates exactly that predicate
-//! for every bit, but cheaply:
-//!
-//! * the `(seed, lane, round, from, to, idx)` part of the block is
-//!   absorbed once per message, so bit `b`'s block is one more mix of
-//!   `prefix ^ b`;
-//! * the float comparison is replaced by an exact integer one:
-//!   `u01(x) = (x >> 11)·2⁻⁵³` exactly, so for `p < 1` the test holds iff
-//!   `x < ⌈p·2⁵³⌉·2¹¹`, and `p = 1` flips every bit;
-//! * bits are decided 64 at a time into a `u64` mask, and the set bits
-//!   are flipped in ascending order, the order a per-bit loop uses.
-//!
-//! The mask loop is compiled twice: a portable copy, and an
-//! `avx512f`+`avx512dq` copy whose 64-bit multiplies vectorise
-//! (`vpmullq`). [`FaultPlan::apply`] picks the second when the CPU
-//! reports both features. Both copies compute the same function, which
-//! the module's tests check against the per-bit definition.
+//! With flip probability `0 < p < 1`, `q = 1 − p` and a message `w` wire
+//! bits wide (read once, before any flip), [`FaultPlan::apply`] skips
+//! from flip to flip. A cursor `b` starts at 0; each step draws
+//! `x = u01(mix(prefix ^ b))`, where `prefix` absorbs the message's
+//! `(seed, lane, round, from, to, idx)` once. If `x < q^(w−b)`, no
+//! further bit flips. Otherwise bit `b + k` flips for the smallest `k`
+//! with `x ≥ q^(k+1)`, and the cursor moves to `b + k + 1`. For uniform
+//! `x` the next flip lands at offset `k` with probability
+//! `q^k − q^(k+1) = q^k·p`, and none follows with probability
+//! `q^(w−b)`: exactly the gaps between the flips of independent
+//! Bernoulli(`p`) bits. So each bit flips independently with
+//! probability `p` (up to the 2⁻⁵³ grid of `u01`), flips arrive in
+//! ascending order, and a message costs its prefix plus one draw per
+//! flip plus one. `p = 0` draws nothing and `p = 1` flips every bit.
+//! `q^n` takes IEEE products only: every build realizes the same flips.
 //!
 //! Protocol RNGs are untouched: fault randomness is keyed by
 //! [`FaultPlan::seed`] alone, so a faulted run with `drop_prob = 0`,
@@ -104,62 +100,46 @@ fn u01(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// The integer form of the flip test `u01(x) < p`: `Some(t)` such that
-/// the test holds exactly when `x < t`, or `None` when it holds for
-/// every `x` (`p ≥ 1`).
-///
-/// `u01(x)` is exactly `(x >> 11)·2⁻⁵³`, and `p·2⁵³` is exact (a power
-/// of two scales without rounding), so the test is the integer
-/// comparison `x >> 11 < ⌈p·2⁵³⌉`, that is `x < ⌈p·2⁵³⌉·2¹¹`. For
-/// `p < 1` the ceiling is at most `2⁵³ − 1`, so `t` fits in a `u64`.
-fn flip_threshold(p: f64) -> Option<u64> {
-    (p < 1.0).then(|| ((p * (1u64 << 53) as f64).ceil() as u64) << 11)
-}
-
-/// Bit `j` of the result is set iff wire bit `base + j` flips: its
-/// block `mix(prefix ^ (base + j))` is below `threshold` (`None`: every
-/// bit flips). `base` is a multiple of 64.
-///
-/// Runs the AVX-512 copy of the loop when the CPU has `avx512f` and
-/// `avx512dq` (std caches the detection), the portable copy otherwise;
-/// both compute the same function.
-#[inline]
-fn flip_mask(prefix: u64, base: u64, threshold: Option<u64>) -> u64 {
-    let Some(threshold) = threshold else {
-        return u64::MAX;
-    };
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512dq")
-    {
-        // SAFETY: the CPU supports both enabled target features.
-        return unsafe { flip_mask_avx512(prefix, base, threshold) };
+/// `sq[i] = q^(2^i)` by repeated squaring, for every `2^i ≤ w`.
+fn squares(q: f64, w: usize) -> [f64; usize::BITS as usize] {
+    let mut sq = [q; usize::BITS as usize];
+    for i in 1..(usize::BITS - w.leading_zeros()) as usize {
+        sq[i] = sq[i - 1] * sq[i - 1];
     }
-    flip_mask_portable(prefix, base, threshold)
+    sq
 }
 
-/// The 64-draw mask loop; inlined into each compiled copy.
-#[inline(always)]
-fn flip_mask_body(prefix: u64, base: u64, threshold: u64) -> u64 {
-    // `base ^ j == base | j`: `base` is a multiple of 64.
-    let start = prefix ^ base;
-    let mut mask = 0u64;
-    for j in 0..64 {
-        mask |= u64::from(mix(start ^ j) < threshold) << j;
+/// The flip law's `q^n`: `1.0` times `sq[i]` for each set bit `i` of
+/// `n`, highest first. IEEE multiplication rounds exactly, so every
+/// build computes the same value.
+fn pow(sq: &[f64], n: usize) -> f64 {
+    (0..usize::BITS - n.leading_zeros())
+        .rev()
+        .filter(|&i| n >> i & 1 == 1)
+        .fold(1.0, |acc, i| acc * sq[i as usize])
+}
+
+/// The offset of the next flip among `m` remaining bits: the smallest
+/// `k` with `x ≥ pow(k + 1)`, given `x ≥ pow(m)`.
+///
+/// If `1 − q > m·2⁻⁵²` and `pow(m) ≥ 2⁻¹⁰⁰⁰`, `pow` strictly decreases on
+/// `0..=m` (DESIGN.md §7), so `k` is the largest `n < m` with
+/// `x < pow(n)`, found bit by bit from the top: `pow(n | 2^i)` is
+/// `pow(n)·sq[i]` while `n` has no bit at or below `i`. Otherwise the
+/// offsets are scanned in order.
+fn next_flip(sq: &[f64], m: usize, x: f64) -> usize {
+    let floor = f64::from_bits((1023 - 1000) << 52);
+    if 1.0 - sq[0] <= m as f64 * f64::EPSILON || pow(sq, m) < floor {
+        return (0..m).find(|&k| x >= pow(sq, k + 1)).expect("x >= pow(m)");
     }
-    mask
-}
-
-/// The mask loop for any CPU.
-fn flip_mask_portable(prefix: u64, base: u64, threshold: u64) -> u64 {
-    flip_mask_body(prefix, base, threshold)
-}
-
-/// The mask loop compiled with 64-bit vector multiplies (`vpmullq`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq")]
-fn flip_mask_avx512(prefix: u64, base: u64, threshold: u64) -> u64 {
-    flip_mask_body(prefix, base, threshold)
+    let (mut n, mut acc) = (0, 1.0);
+    for i in (0..(usize::BITS - m.leading_zeros()) as usize).rev() {
+        let (cand, value) = (n | 1 << i, acc * sq[i]);
+        if cand < m && x < value {
+            (n, acc) = (cand, value);
+        }
+    }
+    n
 }
 
 /// A deterministic fault model for one run. See the [module
@@ -434,23 +414,22 @@ impl FaultPlan {
         }
         let mut flips = 0u32;
         if self.flip_prob > 0.0 {
-            // Bit count fixed up front: flips must not change how many
-            // draws this message consumes (variable-width encodings can
-            // shrink under flips).
+            // Width fixed up front: flips must not change which draws
+            // this message consumes (variable-width encodings can shrink
+            // under flips).
             let bits = msg.size_bits();
             let prefix = self.prefix(LANE_FLIP, round, from, to, idx);
-            let threshold = flip_threshold(self.flip_prob);
-            for base in (0..bits).step_by(64) {
-                let mut mask = flip_mask(prefix, base as u64, threshold);
-                if bits - base < 64 {
-                    mask &= (1u64 << (bits - base)) - 1;
+            let sq = squares(1.0 - self.flip_prob, bits);
+            let mut b = 0;
+            while b < bits {
+                let x = u01(mix(prefix ^ b as u64));
+                if x < pow(&sq, bits - b) {
+                    break;
                 }
-                flips += mask.count_ones();
-                // Ascending bit order, as a per-bit loop would flip.
-                while mask != 0 {
-                    msg.flip_bit(base + mask.trailing_zeros() as usize);
-                    mask &= mask - 1;
-                }
+                b += next_flip(&sq, bits - b, x);
+                msg.flip_bit(b);
+                flips += 1;
+                b += 1;
             }
         }
         Some(flips)
@@ -634,19 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn flip_rate_tracks_probability_per_bit() {
-        let plan = FaultPlan::seeded(12).with_flips(0.1);
-        let mut flips = 0u64;
-        let trials = 2_000;
-        for i in 0..trials {
-            let mut msg = u64::MAX; // 64 wire bits
-            flips += u64::from(plan.apply(i, 0, 1, 0, &mut msg).unwrap());
-        }
-        let rate = flips as f64 / (trials * 64) as f64;
-        assert!((rate - 0.1).abs() < 0.01, "flip rate {rate}");
-    }
-
-    #[test]
     fn flips_are_reported_accurately() {
         let plan = FaultPlan::seeded(13).with_flips(0.2);
         for i in 0..200 {
@@ -746,50 +712,62 @@ mod tests {
         assert_eq!(pair, (Compact(7), 1));
     }
 
-    /// A message of exactly `len` wire bits, one per stored bit.
-    #[derive(Debug, Clone, PartialEq)]
-    struct Bits {
-        len: usize,
-        words: Vec<u64>,
-    }
+    /// A message of `.0` wire bits that logs the flips it receives, in
+    /// arrival order.
+    struct Log(usize, Vec<usize>);
 
-    impl Bits {
-        fn zeros(len: usize) -> Self {
-            Bits {
-                len,
-                words: vec![0; len.div_ceil(64)],
-            }
-        }
-    }
-
-    impl MessageSize for Bits {
+    impl MessageSize for Log {
         fn size_bits(&self) -> usize {
-            self.len
+            self.0
         }
     }
 
-    impl FaultInjectable for Bits {
+    impl FaultInjectable for Log {
         fn flip_bit(&mut self, bit: usize) {
-            self.words[bit / 64] ^= 1 << (bit % 64);
+            self.1.push(bit);
         }
+    }
+
+    /// The flip law written out plainly: `q^n` multiplies freshly squared
+    /// `q^(2^i)` over the set bits of `n`, highest first, and each gap
+    /// is a linear scan for the smallest `k` with `x ≥ q^(k+1)`.
+    fn naive_flips(plan: &FaultPlan, at: [usize; 4], len: usize) -> Vec<usize> {
+        let q = 1.0 - plan.flip_prob;
+        let square = |i| (0..i).fold(q, |sq, _| sq * sq);
+        let power = |n: usize| {
+            (0..64)
+                .rev()
+                .filter(|i| n >> i & 1 == 1)
+                .fold(1.0, |acc, i| acc * square(i))
+        };
+        let (mut flips, mut b) = (Vec::new(), 0);
+        loop {
+            let x = u01(plan.word(LANE_FLIP, at[0], at[1], at[2], at[3], b as u64));
+            if x < power(len - b) {
+                break;
+            }
+            let k = (0..).find(|&k| x >= power(k + 1)).unwrap();
+            flips.push(b + k);
+            b += k + 1;
+        }
+        flips
     }
 
     /// The flip probabilities of the kernel oracle: zero, tiny, the E13
-    /// rate, one half, one, and `1234567·2⁻⁵³`, where `p·2⁵³` is an
-    /// integer and the threshold needs no rounding.
+    /// rate, one half, one, and `1234567·2⁻⁵³`.
     const ORACLE_PROBS: [f64; 6] = [0.0, 1e-9, 3e-4, 0.5, 1.0, 1_234_567.0 / (1u64 << 53) as f64];
 
-    /// Wire widths around the 64-bit chunking, the Compact Justesen
-    /// word (310) and the widest message codeword (756).
+    /// Wire widths around a 64-bit word, the Compact Justesen word (310)
+    /// and the widest message codeword (756).
     const ORACLE_BITS: [usize; 6] = [1, 63, 64, 65, 310, 756];
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// `apply` flips exactly the bits the per-bit definition
-        /// `u01(word(LANE_FLIP, …, b)) < p` selects, in any message width.
+        /// `apply` flips exactly the bits, in exactly the order, that the
+        /// plainly written definition selects.
         #[test]
-        fn flip_kernel_matches_per_bit_definition(
+        fn flip_kernel_matches_geometric_definition(
             seed in proptest::prelude::any::<u64>(),
             round in 0usize..1 << 20,
             from in 0usize..1 << 20,
@@ -800,56 +778,77 @@ mod tests {
         ) {
             let (p, len) = (ORACLE_PROBS[p_at], ORACLE_BITS[bits_at]);
             let plan = FaultPlan::seeded(seed).with_flips(p);
-            let mut expected = Bits::zeros(len);
-            let mut expected_flips = 0;
-            for b in 0..len {
-                if u01(plan.word(LANE_FLIP, round, from, to, idx, b as u64)) < p {
-                    expected.flip_bit(b);
-                    expected_flips += 1;
-                }
-            }
-            let mut msg = Bits::zeros(len);
-            proptest::prop_assert_eq!(plan.apply(round, from, to, idx, &mut msg), Some(expected_flips));
-            proptest::prop_assert_eq!(msg, expected);
+            let expected = naive_flips(&plan, [round, from, to, idx], len);
+            let mut msg = Log(len, Vec::new());
+            let flips = plan.apply(round, from, to, idx, &mut msg);
+            proptest::prop_assert_eq!(flips, Some(expected.len() as u32));
+            proptest::prop_assert_eq!(msg.1, expected);
         }
 
-        /// On a CPU with AVX-512 the vectorised copy of the mask loop
-        /// computes the portable copy's masks.
+        /// Where the search descends bit by bit, the powers are strictly
+        /// decreasing, and it returns what a scan returns at and beside
+        /// every power.
         #[test]
-        fn flip_mask_copies_agree(
-            prefix in proptest::prelude::any::<u64>(),
-            chunk in 0u64..16,
-            threshold in proptest::prelude::any::<u64>(),
-        ) {
-            let portable = flip_mask_portable(prefix, chunk * 64, threshold);
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512dq")
-            {
-                // SAFETY: the CPU supports both enabled target features.
-                let vector = unsafe { flip_mask_avx512(prefix, chunk * 64, threshold) };
-                proptest::prop_assert_eq!(vector, portable);
+        fn flip_search_matches_a_scan(p_log2 in -60.0f64..-1.0, m in 1usize..=800) {
+            let sq = squares(1.0 - p_log2.exp2(), m);
+            let descends = 1.0 - sq[0] > m as f64 * f64::EPSILON;
+            for n in 1..=m {
+                let at = pow(&sq, n);
+                proptest::prop_assert!(!descends || at < pow(&sq, n - 1), "n = {n}");
+                for x in [at.next_down(), at, at.next_up()] {
+                    if x < 1.0 && x >= pow(&sq, m) {
+                        let scan = (0..m).find(|&k| x >= pow(&sq, k + 1));
+                        proptest::prop_assert_eq!(Some(next_flip(&sq, m, x)), scan);
+                    }
+                }
             }
-            proptest::prop_assert_eq!(flip_mask(prefix, chunk * 64, Some(threshold)), portable);
         }
     }
 
     #[test]
-    fn flip_threshold_is_the_exact_boundary_of_u01() {
-        let tiny = f64::from_bits(1); // the smallest subnormal
-        let below_one = 1.0 - f64::EPSILON / 2.0;
-        for p in ORACLE_PROBS.into_iter().chain([tiny, 0.1, below_one]) {
-            match flip_threshold(p) {
-                None => assert_eq!(p, 1.0),
-                Some(0) => assert_eq!(p, 0.0),
-                Some(t) => {
-                    assert!(u01(t - 1) < p, "p = {p}: last flipping draw");
-                    assert!(u01(t) >= p, "p = {p}: first kept draw");
-                }
+    fn flips_arrive_in_ascending_order() {
+        for (round, &p) in (0..2500).zip([3e-4, 0.05, 0.5, 0.9, 1.0].iter().cycle()) {
+            let mut msg = Log(310, Vec::new());
+            let plan = FaultPlan::seeded(21).with_flips(p);
+            let flips = plan.apply(round, 4, 5, 0, &mut msg);
+            assert!(msg.1.windows(2).all(|w| w[0] < w[1]) && msg.1.last() < Some(&310));
+            assert_eq!(flips, Some(msg.1.len() as u32));
+        }
+    }
+
+    /// The realized channel is binary symmetric: each position of a
+    /// 310-bit word flips at rate `p`, each adjacent pair at `p²`, and a
+    /// word at the E13 rate stays clean at `(1 − p)^310`, each within
+    /// both one-sided Wilson bounds at `z = 6`. Summed over the 620
+    /// checks, the exact binomial tails beyond those bounds give a
+    /// false-failure rate of `6.1·10⁻⁶` (union bound).
+    #[test]
+    fn flip_rate_tracks_probability_per_bit() {
+        let check = |what: &str, hits: usize, n: usize, rate: f64| {
+            let (z2, phat, n) = (36.0, hits as f64 / n as f64, n as f64);
+            let half = (z2 * phat * (1.0 - phat) / n + z2 * z2 / (4.0 * n * n)).sqrt();
+            let gap = (rate * (1.0 + z2 / n) - phat - z2 / (2.0 * n)).abs();
+            assert!(gap <= half, "{what}: {hits} of {n}");
+        };
+        let plan = FaultPlan::seeded(31).with_flips(0.1);
+        let mut hits = [0; 619]; // bit b at b, the pair (b, b + 1) at 310 + b
+        for i in 0..10_000 {
+            let mut msg = Log(310, Vec::new());
+            plan.apply(i, 1, 2, i % 3, &mut msg).unwrap();
+            msg.1.iter().for_each(|&b| hits[b] += 1);
+            for w in msg.1.windows(2).filter(|w| w[1] == w[0] + 1) {
+                hits[310 + w[0]] += 1;
             }
         }
-        assert_eq!(flip_threshold(below_one), Some(u64::MAX - 2047));
-        assert_eq!(flip_threshold(1.0), None);
+        for (at, &h) in hits.iter().enumerate() {
+            let rate = if at < 310 { 0.1 } else { 0.01 };
+            check(&format!("count {at}"), h, 10_000, rate);
+        }
+        let plan = FaultPlan::seeded(32).with_flips(3e-4);
+        let clean = (0..20_000)
+            .filter(|&i| plan.apply(i, 7, 8, 0, &mut Log(310, Vec::new())) == Some(0))
+            .count();
+        check("clean words", clean, 20_000, (1.0 - 3e-4f64).powi(310));
     }
 
     #[test]

@@ -69,6 +69,7 @@
 //! assert_eq!(report.rounds, 9);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

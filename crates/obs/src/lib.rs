@@ -45,6 +45,7 @@
 //! assert!(line.starts_with("{\"schema\":\"dut-metrics/1\""));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

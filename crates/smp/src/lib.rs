@@ -23,6 +23,7 @@
 //!   contrasts against: one sample per player, ℓ bits to a referee,
 //!   k = Θ(n/(2^{ℓ/2}ε²)) players.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

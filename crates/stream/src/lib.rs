@@ -52,6 +52,7 @@
 //! assert_eq!(left.verdict().value, Verdict::Far);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -709,6 +709,6 @@ mod tests {
         }
         // The frontier itself is part of the regression pin.
         assert_eq!(report.drop_frontier, Some(0.028125));
-        assert_eq!(report.flip_frontier, Some(0.06875));
+        assert_eq!(report.flip_frontier, Some(0.059375));
     }
 }

@@ -40,6 +40,7 @@
 //! dev-depends on `dut-testkit`), so the same strategies and oracles are
 //! usable from every test tree without duplication.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
